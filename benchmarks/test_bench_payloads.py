@@ -1,14 +1,11 @@
 """Measure the sharded lockstep's per-epoch pickle traffic.
 
-The ROADMAP's delta-shipping item wants to shrink what the lockstep
-pickles per epoch. This benchmark measures the same run over both wire
-formats — the original one-StepRequest/StepResult-per-node framing
-(``compact_wire=False``) and the compact ``step2`` wire (grouped
-targets/windows, budgets only when changed, bare-tuple replies) — with
+Runs a small rebalancing cluster over two shards with
 :class:`~repro.cluster.sharding.ShardedLockstep`'s payload measurement
-(``measure_payloads=True``), writing the before/after numbers to
-``benchmarks/out/pickle_payload.txt``. Neither measurement nor the wire
-format changes the series — asserted here.
+(``measure_payloads=True``) and writes the ``step2`` wire's per-epoch
+byte counts to ``benchmarks/out/pickle_payload.txt``. Measuring does
+not change the series — asserted here. The historical comparison with
+the removed per-node ``step`` framing is in ``docs/SHARDING.md``.
 """
 
 from repro.cluster.policies import ProgressAwareRebalancer
@@ -20,13 +17,12 @@ EPOCH = 1.0
 APP_KW = {"n_steps": 10_000_000, "n_workers": 4}
 
 
-def _run(shards, measure, compact=True):
+def _run(shards, measure):
     sim = ClusterSimulation(
         N_NODES, "lammps",
         ProgressAwareRebalancer(4 * 95.0, min_node=60.0, max_node=130.0),
         app_kwargs=APP_KW, variability=(0.05, 0.08), seed=7, shards=shards)
     sim._lockstep.measure_payloads = measure
-    sim._lockstep.compact_wire = compact
     try:
         sim.run(DURATION, epoch=EPOCH)
         series = (list(sim.total_progress.values),
@@ -38,23 +34,15 @@ def _run(shards, measure, compact=True):
 
 def test_bench_pickle_payloads(benchmark, save_artifact):
     series, stats = benchmark.pedantic(
-        lambda: _run(shards=2, measure=True, compact=False),
-        rounds=1, iterations=1)
-    compact_series, compact_stats = _run(shards=2, measure=True)
+        lambda: _run(shards=2, measure=True), rounds=1, iterations=1)
     unmeasured_series, _ = _run(shards=2, measure=False)
-    # neither measuring nor the wire format changes the numbers
+    # measuring does not change the numbers
     assert series == unmeasured_series
-    assert compact_series == series
 
     n_epochs = int(DURATION / EPOCH)
     assert stats.epochs == n_epochs
-    assert compact_stats.epochs == n_epochs
     down, up = stats.mean_epoch_bytes()
-    cdown, cup = compact_stats.mean_epoch_bytes()
     assert down > 0 and up > 0
-    # the compact wire must actually be smaller, both directions
-    assert cdown < down, (cdown, down)
-    assert cup < up, (cup, up)
 
     lines = [
         "Sharded lockstep pickle payload "
@@ -63,27 +51,19 @@ def test_bench_pickle_payloads(benchmark, save_artifact):
         "",
         f"epochs measured:        {stats.epochs}",
         "",
-        "per-node framing (compact_wire=False, the pre-delta baseline):",
+        "step2 wire (grouped targets, delta budgets, bare float tuples):",
         f"  mean per-epoch down:  {down:.0f} B (budgets + step requests)",
         f"  mean per-epoch up:    {up:.0f} B (rates + epoch energy)",
         f"  total down:           {stats.bytes_down} B "
         f"over {stats.dispatches} dispatches",
         f"  total up:             {stats.bytes_up} B",
         "",
-        "compact wire (compact_wire=True, the default):",
-        f"  mean per-epoch down:  {cdown:.0f} B "
-        f"({down / cdown:.1f}x smaller; grouped targets, delta budgets)",
-        f"  mean per-epoch up:    {cup:.0f} B "
-        f"({up / cup:.1f}x smaller; bare float tuples)",
-        f"  total down:           {compact_stats.bytes_down} B "
-        f"over {compact_stats.dispatches} dispatches",
-        f"  total up:             {compact_stats.bytes_up} B",
-        "",
         "Measurement starts after cluster construction, so these are "
         "the",
         "steady-state epoch exchanges (budgets down; rates + energy "
         "up).",
-        "Both formats produce identical series — asserted by this "
-        "benchmark.",
+        "Measured and unmeasured runs produce identical series — "
+        "asserted by",
+        "this benchmark.",
     ]
     save_artifact("pickle_payload", "\n".join(lines))

@@ -11,11 +11,10 @@ scale-up:
   model (leakage / dynamic coefficient spread),
 * :mod:`repro.cluster.node_instance` — one node's full stack (hardware,
   firmware, telemetry, budget policy, application) advanced in epochs,
-* :mod:`repro.cluster.lockstep` — the epoch-advance/rebalance loop
-  shared by the cluster simulation and the power-aware scheduler,
-* :mod:`repro.cluster.sharding` — the same lockstep loop over
-  long-lived shard worker processes; serial and sharded paths run the
-  identical step function, so results are bit-for-bit equal,
+* :mod:`repro.cluster.sharding` — the epoch-lockstep loop shared by
+  the cluster simulation and the power-aware scheduler, in-process or
+  over long-lived shard worker processes; serial and sharded paths run
+  the identical step function, so results are bit-for-bit equal,
 * :mod:`repro.cluster.simulation` — lockstep cluster execution with a
   pluggable cluster-level power policy,
 * :mod:`repro.cluster.policies` — uniform budgets vs a progress-aware
@@ -24,23 +23,16 @@ scale-up:
 * :mod:`repro.cluster.elastic` — checkpoint-powered elasticity: the
   :class:`~repro.cluster.elastic.ShardBalancer` migrates nodes between
   shards from measured epoch wall times (results invariant by the
-  parity contract), and :func:`~repro.cluster.elastic.rewind_cluster` /
-  :func:`~repro.cluster.elastic.rewind_scheduler` resume or time-travel
-  replay recorded runs from
-  :class:`~repro.runtime.runfile.RunCheckpoint` files.
+  parity contract); recorded runs resume or time-travel replay from
+  :class:`~repro.runtime.runfile.RunCheckpoint` files through
+  :meth:`ClusterSimulation.resume` and
+  :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.resume`.
 """
 
 from repro.cluster.elastic import (
     MigrationPlan,
     NodeMigration,
     ShardBalancer,
-    rewind_cluster,
-    rewind_scheduler,
-)
-from repro.cluster.lockstep import (
-    advance_lockstep,
-    collect_rates,
-    rebalance_nodes,
 )
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.policies import ProgressAwareRebalancer, UniformPowerPolicy
@@ -61,9 +53,6 @@ __all__ = [
     "UniformPowerPolicy",
     "ProgressAwareRebalancer",
     "perturb_config",
-    "advance_lockstep",
-    "collect_rates",
-    "rebalance_nodes",
     "PayloadStats",
     "ShardedLockstep",
     "StepRequest",
@@ -73,6 +62,4 @@ __all__ = [
     "NodeMigration",
     "MigrationPlan",
     "ShardBalancer",
-    "rewind_cluster",
-    "rewind_scheduler",
 ]

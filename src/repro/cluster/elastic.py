@@ -20,13 +20,14 @@ the machinery:
   (:meth:`~repro.cluster.simulation.ClusterSimulation.run`,
   :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.run`, the
   daemon tick) periodically write atomic
-  :class:`~repro.runtime.runfile.RunCheckpoint` files; a ``kill -9``
-  mid-run resumes from the last file and finishes bit-equal to the
-  uninterrupted run.
-* **Time-travel replay** — :func:`rewind_cluster` /
-  :func:`rewind_scheduler` rebuild a run at any checkpointed epoch,
-  optionally under a *different* policy or configuration, answering
-  "what would this run have done from epoch N under schedule B?".
+  :class:`~repro.runtime.runfile.RunCheckpoint` files on one shared
+  cadence (:func:`~repro.runtime.runfile.checkpoint_due`); a
+  ``kill -9`` mid-run resumes from the last file and finishes
+  bit-equal to the uninterrupted run.
+* **Time-travel replay** — each loop's ``resume(source, epoch=N)``
+  rebuilds a run at any checkpointed epoch, optionally under a
+  *different* policy or configuration, answering "what would this run
+  have done from epoch N under schedule B?".
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.runfile import resolve_checkpoint
 
 __all__ = [
     "NodeMigration",
     "MigrationPlan",
     "ShardBalancer",
-    "rewind_cluster",
-    "rewind_scheduler",
+    "balancer_for",
 ]
 
 
@@ -176,45 +175,10 @@ class ShardBalancer:
                 f"observations={self.observations}, plans={self.plans})")
 
 
-# ----------------------------------------------------------------------
-# Time travel
-# ----------------------------------------------------------------------
-
-
-def rewind_cluster(source, epoch: int | None = None, *, policy=None,
-                   shards: int = 1, engine: str = "object",
-                   balance: bool = False):
-    """Rebuild a :class:`ClusterSimulation` at a checkpointed epoch.
-
-    ``source`` is a :class:`CheckpointStore`, a store directory, a
-    checkpoint file path, or a :class:`RunCheckpoint`. ``policy``
-    (when given) replaces the checkpointed allocation policy — the
-    time-travel seam: replay the identical node state under a different
-    schedule. ``shards``/``engine``/``balance`` pick the execution
-    substrate for the replay; none of them affect the replayed series.
-    """
-    from repro.cluster.simulation import ClusterSimulation
-
-    checkpoint = resolve_checkpoint(source, kind="cluster", epoch=epoch)
-    return ClusterSimulation.resume(checkpoint, policy=policy,
-                                    shards=shards, engine=engine,
-                                    balance=balance)
-
-
-def rewind_scheduler(source, powerbook, cfg=None,
-                     epoch: int | None = None, *, config=None):
-    """Rebuild a :class:`PowerAwareScheduler` at a checkpointed epoch.
-
-    ``powerbook``/``cfg`` mirror the scheduler constructor (profiles
-    are not stored in checkpoints — pass the same book, or a preloaded
-    equivalent). ``config`` (when given) replaces the checkpointed
-    :class:`SchedulerConfig` for the replay — e.g. a different
-    ``power_budget`` or cap schedule from epoch N on. Structural
-    fields (``n_slots``, ``seed``, ``variability``) must match the
-    recorded run; the restored node state was built under them.
-    """
-    from repro.scheduler.scheduler import PowerAwareScheduler
-
-    checkpoint = resolve_checkpoint(source, kind="scheduler", epoch=epoch)
-    return PowerAwareScheduler.resume(checkpoint, powerbook, cfg,
-                                      config=config)
+def balancer_for(balance: bool, shards: int) -> ShardBalancer | None:
+    """The balancer an epoch loop installs: a default
+    :class:`ShardBalancer` when ``balance`` is asked for and there are
+    at least two shards to move nodes between, else None."""
+    if not balance or shards < 2:
+        return None
+    return ShardBalancer()

@@ -4,7 +4,7 @@ A :class:`NodeInstance` is a thin, epoch-advanceable wrapper around a
 :class:`~repro.stack.builder.NodeStack` built with the budget-tracking
 controller — everything the single-node Testbed wires, but advanceable
 in *epochs* so many nodes can run in lockstep under a cluster-level
-power policy (see :mod:`repro.cluster.lockstep`).
+power policy (see :mod:`repro.cluster.sharding`).
 """
 
 from __future__ import annotations

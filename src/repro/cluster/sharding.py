@@ -1,19 +1,27 @@
 """Sharded epoch-lockstep execution over long-lived worker processes.
 
-The lockstep invariant (see :mod:`repro.cluster.lockstep`) is that nodes
-interact *only* through epoch-granular budget decisions. That makes the
-per-epoch data flow tiny and explicit — budgets go down, trailing
-progress rates and epoch energy come back up — while the heavy state
-(every node's engine, firmware, bus, monitors) never moves. This module
-exploits exactly that shape:
+The lockstep invariant is that nodes interact *only* through
+epoch-granular budget decisions, so a multi-node run is exact when
+every node's independent engine advances one epoch at a time and
+budgets are re-allocated between epochs. That makes the per-epoch
+data flow tiny and explicit — budgets go down, trailing progress rates
+and epoch energy come back up — while the heavy state (every node's
+engine, firmware, bus, monitors) never moves. This module exploits
+exactly that shape:
 
 * :class:`ShardedLockstep` partitions nodes round-robin over ``shards``
   long-lived worker processes. Each worker *rebuilds* its shard's
   :class:`~repro.cluster.node_instance.NodeInstance`\\ s from picklable
   :class:`~repro.stack.spec.StackSpec`\\ s (or mid-run checkpoints, see
   :meth:`NodeInstance.snapshot`) and keeps them alive across epochs.
-* Per epoch the parent sends one :class:`StepRequest` per node and gets
-  one :class:`StepResult` back — a handful of floats either way.
+* Per epoch the parent turns one :class:`StepRequest` per node into a
+  compact ``step2`` payload and gets bare float tuples back, which it
+  expands into one :class:`StepResult` per node — a handful of floats
+  either way. Requests are grouped by ``(target, windows)`` so those
+  ride once per group instead of once per node, and budgets are
+  shipped only when they differ from what the parent last sent that
+  node (the tracking policy re-applying an unchanged budget is a
+  no-op, so skipping the send is exact).
 * With ``shards=1`` no process is spawned: the same
   :func:`step_node` function runs in-process on locally built nodes, so
   the serial path and the sharded path produce identical results *by
@@ -25,21 +33,13 @@ budgets on its next tick, so delivering a budget in the worker
 immediately before the epoch's ``advance`` is indistinguishable from the
 serial code delivering it between epochs.
 
-Two further knobs ride on the same shape:
-
-* ``engine`` selects the node host each shard (and the serial path)
-  runs: ``"object"`` keeps one live stack per node (the reference
-  engine), ``"vector"`` batches eligible nodes into
-  :class:`~repro.vector.host.VectorEngine` structure-of-arrays groups
-  that advance in one numpy step per epoch. Both hosts expose the same
-  build/step/rate/telemetry/checkpoint surface and produce bit-identical
-  results (pinned by ``tests/vector``), so callers only pick a speed.
-* ``compact_wire`` shrinks the per-epoch pickle traffic: requests are
-  grouped by ``(target, windows)`` so those ride once per group instead
-  of once per node, budgets are shipped only when they differ from what
-  the parent last sent that node (the tracking policy re-applying an
-  unchanged budget is a no-op, so skipping the send is exact), and
-  replies drop the dataclass framing for bare float tuples.
+``engine`` selects the node host each shard (and the serial path)
+runs: ``"object"`` keeps one live stack per node (the reference
+engine), ``"vector"`` batches eligible nodes into
+:class:`~repro.vector.host.VectorEngine` structure-of-arrays groups
+that advance in one numpy step per epoch. Both hosts expose the same
+build/step/rate/telemetry/checkpoint surface and produce bit-identical
+results (pinned by ``tests/vector``), so callers only pick a speed.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ class StepResult:
 class PayloadStats:
     """Pickled IPC payload accounting for one :class:`ShardedLockstep`.
 
-    The lockstep's per-epoch exchange is the traffic the ROADMAP's
-    delta-shipping item wants to shrink; these numbers are its baseline.
     ``epoch_payloads`` records one ``(bytes_down, bytes_up)`` pair per
-    ``step`` dispatch (i.e. per epoch, summed over the involved shards);
+    ``step2`` dispatch (i.e. per epoch, summed over the involved shards);
     the totals cover every command. Sizes are measured by re-pickling
     the exact ``(command, payload)`` tuples that cross the pipe, so they
     track what :mod:`multiprocessing` actually ships.
@@ -138,7 +136,7 @@ class PayloadStats:
         self.bytes_down += down
         self.bytes_up += up
         self.dispatches += 1
-        if cmd in ("step", "step2"):
+        if cmd == "step2":
             self.epoch_payloads.append((down, up))
 
     @property
@@ -172,9 +170,13 @@ class NodeTelemetry:
 
 
 def node_rate(node: NodeInstance, window: float) -> float:
-    """Trailing progress rate with the lockstep empty-monitor guard
-    (0.0 before the monitor's first sample), exactly as
-    :func:`repro.cluster.lockstep.collect_rates` computes it."""
+    """Trailing progress rate over ``window`` seconds.
+
+    A node whose monitor has not produced a sample yet — every node in
+    the first epoch, since the 1 Hz monitor only closes its first
+    window at t = interval — reports 0.0 rather than poisoning the
+    allocation with NaNs.
+    """
     if node.monitor.series.is_empty():
         return 0.0
     return node.recent_rate(window=window)
@@ -284,12 +286,12 @@ def _make_host(engine: str):
 
 
 # ----------------------------------------------------------------------
-# Compact step wire (v2)
+# The step wire
 # ----------------------------------------------------------------------
 
 
 def _decode_step_groups(groups) -> list[StepRequest]:
-    """Expand a compact ``step2`` payload back into StepRequests.
+    """Expand a ``step2`` payload back into StepRequests.
 
     Each group is ``(target, windows, entries)``; an entry is a bare
     ``node_id`` (no budget change) or ``(node_id, budget)`` (deliver it).
@@ -337,8 +339,6 @@ def _worker_main(conn, engine: str = "object") -> None:
             if cmd == "build":
                 host.build(payload)
                 conn.send(("ok", None))
-            elif cmd == "step":
-                conn.send(("ok", host.step(payload)))
             elif cmd == "step2":
                 requests = _decode_step_groups(payload)
                 results = host.step(requests)
@@ -391,18 +391,11 @@ class ShardedLockstep:
         back to the platform default.
     measure_payloads:
         Measure the pickled size of every dispatched payload into
-        :attr:`payload_stats` (the delta-shipping baseline). Off by
+        :attr:`payload_stats`. Off by
         default — sizing re-pickles each payload — and forced on while
         :mod:`repro.obs` tracing is enabled, which additionally emits
         one ``shard.payload`` instant per involved shard per dispatch.
         Payload sizes never influence execution.
-    compact_wire:
-        Ship epoch steps over the compact ``step2`` wire: targets and
-        windows ride once per ``(target, windows)`` group, budgets only
-        when they differ from the last one sent to that node, replies as
-        bare float tuples. On by default; only affects ``shards >= 2``
-        (the serial path has no wire). Set False to force the original
-        one-dataclass-per-node framing.
     balancer:
         An elastic rebalancer (duck-typed as
         :class:`repro.cluster.elastic.ShardBalancer`): after every
@@ -417,7 +410,6 @@ class ShardedLockstep:
     def __init__(self, shards: int = 1, *, engine: str = "object",
                  start_method: str | None = None,
                  measure_payloads: bool = False,
-                 compact_wire: bool = True,
                  balancer=None) -> None:
         # Assigned before any validation so close() — and therefore
         # __del__ — is safe on a partially constructed instance.
@@ -435,7 +427,6 @@ class ShardedLockstep:
         self.shards = shards
         self.engine = engine
         self.measure_payloads = measure_payloads
-        self.compact_wire = compact_wire
         self.balancer = balancer
         self.payload_stats = PayloadStats()
         #: Per-shard wall seconds of the most recent sharded epoch step
@@ -603,24 +594,19 @@ class ShardedLockstep:
         per_shard: dict[int, list[StepRequest]] = {}
         for req in requests:
             per_shard.setdefault(self._shard_of[req.node_id], []).append(req)
-        if not self.compact_wire:
-            replies = self._dispatch("step", per_shard)
-            by_node = {res.node_id: res
-                       for results in replies.values() for res in results}
-        else:
-            payloads: dict[int, list] = {}
-            grouped: dict[int, list[StepRequest]] = {}
-            for shard, reqs in per_shard.items():
-                payloads[shard], grouped[shard] = self._compact_payload(reqs)
-            replies = self._dispatch("step2", payloads)
-            by_node = {}
-            for shard, rows in replies.items():
-                for req, row in zip(grouped[shard], rows):
-                    now, energy, cumulative, rate_values = row
-                    by_node[req.node_id] = StepResult(
-                        node_id=req.node_id, now=now, energy=energy,
-                        cumulative=cumulative,
-                        rates=dict(zip(req.windows, rate_values)))
+        payloads: dict[int, list] = {}
+        grouped: dict[int, list[StepRequest]] = {}
+        for shard, reqs in per_shard.items():
+            payloads[shard], grouped[shard] = self._step2_payload(reqs)
+        replies = self._dispatch("step2", payloads)
+        by_node: dict[int, StepResult] = {}
+        for shard, rows in replies.items():
+            for req, row in zip(grouped[shard], rows):
+                now, energy, cumulative, rate_values = row
+                by_node[req.node_id] = StepResult(
+                    node_id=req.node_id, now=now, energy=energy,
+                    cumulative=cumulative,
+                    rates=dict(zip(req.windows, rate_values)))
         if self.balancer is not None and self.shard_times:
             plan = self.balancer.observe(self.shard_times,
                                          self.shard_nodes())
@@ -629,7 +615,7 @@ class ShardedLockstep:
                     {move.node_id: move.dst for move in plan.moves})
         return [by_node[req.node_id] for req in requests]
 
-    def _compact_payload(
+    def _step2_payload(
         self, reqs: Sequence[StepRequest],
     ) -> tuple[list, list[StepRequest]]:
         """One shard's ``step2`` payload plus the requests in the order
@@ -773,7 +759,7 @@ class ShardedLockstep:
         :func:`multiprocessing.connection.wait`, so a dead worker
         surfaces as a typed :class:`ShardWorkerError` instead of a
         hang), and each shard's send-to-reply wall time is measured —
-        for ``step``/``step2`` these land in :attr:`shard_times` as the
+        for ``step2`` these land in :attr:`shard_times` as the
         balancer's signal. Worker-side exceptions ship back as formatted
         tracebacks and re-raise here as :class:`SimulationError`. With
         payload measurement on (explicitly or via tracing), each
@@ -812,7 +798,7 @@ class ShardedLockstep:
                         raise SimulationError(
                             f"shard {shard} failed on {cmd!r}:\n{value}")
                     replies[shard] = value
-            if cmd in ("step", "step2"):
+            if cmd == "step2":
                 self._record_step_times(arrivals)
             if measure:
                 total_down = total_up = 0

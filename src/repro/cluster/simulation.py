@@ -29,6 +29,7 @@ import copy
 import numpy as np
 
 from repro import obs
+from repro.cluster.elastic import balancer_for
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.sharding import ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -38,22 +39,16 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.hardware.config import NodeConfig, skylake_config
-from repro.runtime.runfile import RUN_CHECKPOINT_VERSION, RunCheckpoint
+from repro.runtime.runfile import (
+    RUN_CHECKPOINT_VERSION,
+    RunCheckpoint,
+    checkpoint_due,
+    resolve_checkpoint,
+)
 from repro.stack import BUDGET, StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
 __all__ = ["ClusterSimulation"]
-
-
-def _balancer(balance: bool, shards: int):
-    """A ShardBalancer when asked for and meaningful, else None (local
-    import — :mod:`repro.cluster.elastic` imports this module back for
-    its rewind helpers)."""
-    if not balance or shards < 2:
-        return None
-    from repro.cluster.elastic import ShardBalancer
-
-    return ShardBalancer()
 
 
 class ClusterSimulation:
@@ -100,8 +95,6 @@ class ClusterSimulation:
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         base_cfg = cfg if cfg is not None else skylake_config()
-        self.policy = policy
-        self._node_ids = list(range(n_nodes))
         specs: list[tuple[int, StackSpec]] = []
         for i in range(n_nodes):
             node_cfg = base_cfg
@@ -118,13 +111,24 @@ class ClusterSimulation:
                 controller=BUDGET,
                 name=f"node{i}",
             )))
-        self._lockstep = ShardedLockstep(
-            shards=shards, engine=engine, balancer=_balancer(balance, shards))
+        self._init_loop(policy, shards, engine, balance)
+        self._node_ids = list(range(n_nodes))
         self._lockstep.add_nodes(specs)
+
+    def _init_loop(self, policy, shards: int, engine: str,
+                   balance: bool) -> None:
+        """The node-free state of a fresh simulation: the lockstep
+        substrate, a zero clock and empty series (shared by
+        ``__init__`` and :meth:`resume`)."""
+        self.policy = policy
+        self._node_ids: list[int] = []
+        self._lockstep = ShardedLockstep(
+            shards=shards, engine=engine,
+            balancer=balancer_for(balance, shards))
         self._now = 0.0
         self._epochs = 0  #: completed epochs (RunCheckpoint file index)
-        # Rates the next allocation will use, keyed by window; seeded
-        # with the empty-monitor zeros collect_rates reports at t=0.
+        # Rates the next allocation will use, keyed by window; empty
+        # until the first epoch (node_rate reports 0.0 at t=0).
         self._alloc_rates: dict[float, list[float]] = {}
         self.budget_history = TimeSeries("allocated-total")
         self.total_progress = TimeSeries("job-total-progress")
@@ -180,7 +184,8 @@ class ClusterSimulation:
         With ``checkpoint_every=N`` (and a
         :class:`~repro.runtime.runfile.CheckpointStore`), an atomic
         :class:`RunCheckpoint` is saved after every N-th completed
-        epoch — the crash-resume and time-travel record.
+        epoch (:func:`~repro.runtime.runfile.checkpoint_due`) — the
+        crash-resume and time-travel record.
         """
         if (duration is None) == (until is None):
             raise ConfigurationError(
@@ -196,11 +201,7 @@ class ClusterSimulation:
             if end <= self.now + 1e-9:
                 raise ConfigurationError(
                     f"until={end} is not after now={self.now}")
-        if checkpoint_every < 0:
-            raise ConfigurationError("checkpoint_every must be >= 0")
-        if checkpoint_every and checkpoint_store is None:
-            raise ConfigurationError(
-                "checkpoint_every needs a checkpoint_store")
+        checkpoint_due(checkpoint_every, checkpoint_store)
         alloc_window = 3 * epoch
         tracer = obs.tracer()
         epochs = obs.metrics().counter("cluster.epochs")
@@ -239,8 +240,8 @@ class ClusterSimulation:
                     self.budget_history.append(target, float(np.sum(budgets)))
                 epochs.inc()
                 self._epochs += 1
-                if checkpoint_every and \
-                        self._epochs % checkpoint_every == 0:
+                if checkpoint_due(checkpoint_every, checkpoint_store,
+                                  self._epochs):
                     checkpoint_store.save(self.run_checkpoint())
 
     # -- checkpointing (see repro.runtime.runfile) ---------------------------
@@ -316,34 +317,27 @@ class ClusterSimulation:
         )
 
     @classmethod
-    def resume(cls, checkpoint: RunCheckpoint, *, policy=None,
+    def resume(cls, source, *, epoch: int | None = None, policy=None,
                shards: int = 1, engine: str = "object",
                balance: bool = False) -> "ClusterSimulation":
-        """Rebuild a simulation from a :meth:`run_checkpoint`.
+        """Rebuild a simulation from a recorded :meth:`run_checkpoint`.
 
-        ``shards``/``engine``/``balance`` choose the execution
-        substrate for the continuation — independent of what the
-        recorded run used, and invisible to results. ``policy`` (when
-        given) replaces the checkpointed policy: the time-travel seam.
-        Continue with ``run(until=...)`` (sharing the original end
-        time) for bit-identical series.
+        ``source`` is anything :func:`~repro.runtime.runfile
+        .resolve_checkpoint` accepts: a :class:`RunCheckpoint`, a
+        checkpoint file, or a :class:`~repro.runtime.runfile
+        .CheckpointStore` (or its directory), where ``epoch=None``
+        picks the latest checkpoint and ``epoch=N`` the newest at or
+        before N (time travel). ``shards``/``engine``/``balance``
+        choose the execution substrate for the continuation —
+        independent of what the recorded run used, and invisible to
+        results. ``policy`` (when given) replaces the checkpointed
+        policy: replay the identical node state under a different
+        schedule. Continue with ``run(until=...)`` (sharing the
+        original end time) for bit-identical series.
         """
-        if checkpoint.kind != "cluster":
-            raise CheckpointError(
-                f"expected a 'cluster' checkpoint, got "
-                f"{checkpoint.kind!r}")
+        checkpoint = resolve_checkpoint(source, kind="cluster", epoch=epoch)
         sim = cls.__new__(cls)
-        sim.policy = None
-        sim._node_ids = []
-        sim._lockstep = ShardedLockstep(
-            shards=shards, engine=engine, balancer=_balancer(balance, shards))
-        sim._now = 0.0
-        sim._epochs = 0
-        sim._alloc_rates = {}
-        sim.budget_history = TimeSeries("allocated-total")
-        sim.total_progress = TimeSeries("job-total-progress")
-        sim.critical_path = TimeSeries("job-critical-path")
-        sim.total_energy = 0.0
+        sim._init_loop(policy, shards, engine, balance)
         sim.restore(checkpoint.state)
         if policy is not None:
             sim.policy = policy

@@ -27,9 +27,9 @@ Layering — each module owns one concern:
   CLI (``python -m repro.daemon.client run/status/list/kill/watch``);
 * :mod:`repro.daemon.checkpointing` — crash-resumable persistence on
   the repo-wide :class:`~repro.runtime.runfile.RunCheckpoint` format
-  (``--resume`` picks a run up from the last periodic checkpoint file
-  or the epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch``
-  rewinds — time travel);
+  (``--resume`` picks a run up from the latest checkpoint in the
+  epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch`` rewinds
+  — time travel);
 * :mod:`repro.daemon.hostio` — the package's *only* wall-clock reads,
   audited by the determinism lint;
 * :mod:`repro.daemon.profiles` — the offline-measured demo power book
@@ -46,12 +46,7 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.checkpointing import (
-    build_run_checkpoint,
-    load_checkpoint,
-    resume_daemon,
-    save_checkpoint,
-)
+from repro.daemon.checkpointing import build_run_checkpoint, resume_daemon
 from repro.daemon.client import DaemonClient
 from repro.daemon.protocol import PROTOCOL_VERSION, decode, encode
 from repro.daemon.server import DaemonServer
@@ -63,8 +58,6 @@ __all__ = [
     "DaemonServer",
     "DaemonClient",
     "build_run_checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
     "resume_daemon",
     "PROTOCOL_VERSION",
     "encode",

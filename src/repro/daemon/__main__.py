@@ -9,14 +9,13 @@ Quick start (demo book skips live characterization)::
 
 The daemon prints one ``ready`` line once the socket is bound (with
 the resolved address — useful with ``--tcp 127.0.0.1:0``) and serves
-until a client sends ``shutdown``. ``--resume`` continues from the
-checkpoint file instead of starting an empty cluster; pair it with
-``--checkpoint-every`` so there is always a recent file to resume
-*from*. ``--checkpoint-dir`` + ``--checkpoint-interval`` keep an
-epoch-stamped *store* of checkpoints instead of one file; with
-``--resume`` that picks up the latest, and ``--resume-epoch N``
-rewinds to the newest checkpoint at or before epoch N (time travel —
-e.g. replay from epoch N under a different ``--power-budget``).
+until a client sends ``shutdown``. ``--checkpoint-dir`` keeps an
+epoch-stamped *store* of checkpoints, written every
+``--checkpoint-interval`` epochs and on shutdown. ``--resume``
+continues from the latest checkpoint in that store instead of starting
+an empty cluster, and ``--resume-epoch N`` rewinds to the newest
+checkpoint at or before epoch N (time travel — e.g. replay from epoch
+N under a different ``--power-budget``).
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="advance only on client 'tick' requests")
 
     persist = parser.add_argument_group("persistence")
-    persist.add_argument("--checkpoint", default=None,
-                         help="checkpoint file path")
-    persist.add_argument("--checkpoint-every", type=int, default=0,
-                         help="epochs between periodic checkpoints "
-                              "(0 = only on shutdown)")
     persist.add_argument("--checkpoint-dir", default=None,
                          help="directory for an epoch-stamped "
                               "checkpoint store (keeps every epoch; "
@@ -96,27 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="epochs between store checkpoints "
                               "(0 = only on shutdown)")
     persist.add_argument("--resume", action="store_true",
-                         help="continue from --checkpoint (or the "
-                              "latest file in --checkpoint-dir) "
-                              "instead of starting empty")
+                         help="continue from the latest checkpoint "
+                              "in --checkpoint-dir instead of "
+                              "starting empty")
     persist.add_argument("--resume-epoch", type=int, default=None,
-                         help="with --resume and --checkpoint-dir: "
-                              "rewind to the newest checkpoint at or "
-                              "before this epoch")
+                         help="with --resume: rewind to the newest "
+                              "checkpoint at or before this epoch")
     return parser
 
 
 def daemon_from_args(args) -> Daemon:
     if args.resume:
-        if args.checkpoint_dir:
-            return resume_daemon(args.checkpoint_dir,
-                                 epoch=args.resume_epoch)
-        if not args.checkpoint:
-            raise SystemExit(
-                "--resume requires --checkpoint or --checkpoint-dir")
-        if args.resume_epoch is not None:
-            raise SystemExit("--resume-epoch requires --checkpoint-dir")
-        return resume_daemon(args.checkpoint)
+        if not args.checkpoint_dir:
+            raise SystemExit("--resume requires --checkpoint-dir")
+        return resume_daemon(args.checkpoint_dir, epoch=args.resume_epoch)
     if args.resume_epoch is not None:
         raise SystemExit("--resume-epoch requires --resume")
     config = DaemonConfig(
@@ -127,8 +114,6 @@ def daemon_from_args(args) -> Daemon:
             balance=args.balance, n_workers=args.n_workers,
             min_cap=args.min_cap, cap_step=args.cap_step),
         queue_capacity=args.queue_capacity,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_dir=args.checkpoint_dir,
         telemetry_delay=args.telemetry_delay,

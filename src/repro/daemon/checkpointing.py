@@ -1,19 +1,18 @@
 """Crash-resumable persistence for the daemon.
 
 A long-running service must survive its host: the daemon periodically
-(every ``checkpoint_every`` epochs into the single ``checkpoint_path``
-file, every ``checkpoint_interval`` epochs into the epoch-stamped
-``checkpoint_dir`` store, and on clean shutdown) writes a
-:class:`~repro.runtime.runfile.RunCheckpoint` of kind ``"daemon"`` —
+(every ``checkpoint_interval`` epochs, and on clean shutdown) writes a
+:class:`~repro.runtime.runfile.RunCheckpoint` of kind ``"daemon"``
+into its epoch-stamped ``checkpoint_dir`` store —
 its config, admission bookkeeping, the power book's measured profiles,
 and a full mid-run
 :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.snapshot`
 (which itself carries a :class:`~repro.stack.checkpoint.NodeCheckpoint`
 for every running node). :func:`resume_daemon` rebuilds the whole
-service from any of those sources and continues *bit-for-bit*: same
-placements, same caps, same telemetry values. The epoch-stamped store
-additionally enables time travel — resume from epoch N rather than the
-latest file (``--resume-epoch``).
+service from the store and continues *bit-for-bit*: same placements,
+same caps, same telemetry values. The store keeps every epoch, which
+also enables time travel — resume from epoch N rather than the latest
+file (``--resume-epoch``).
 
 The envelope is the repo-wide one (:mod:`repro.runtime.runfile`), so
 the same tooling reads cluster, scheduler, and daemon checkpoints, and
@@ -43,9 +42,7 @@ from repro.hardware.config import NodeConfig
 from repro.runtime.runfile import (
     RUN_CHECKPOINT_VERSION,
     RunCheckpoint,
-    load_run_checkpoint,
     resolve_checkpoint,
-    save_run_checkpoint,
 )
 from repro.scheduler.powerbook import AppPowerProfile, PowerBook
 
@@ -53,7 +50,7 @@ if TYPE_CHECKING:  # runtime import would be circular
     from repro.daemon.service import Daemon
 
 __all__ = ["DAEMON_STATE_VERSION", "build_run_checkpoint",
-           "save_checkpoint", "load_checkpoint", "resume_daemon"]
+           "resume_daemon"]
 
 #: Schema version of the daemon's ``state`` payload inside the
 #: :class:`RunCheckpoint` envelope; bump on layout change.
@@ -96,16 +93,6 @@ def build_run_checkpoint(daemon: "Daemon") -> RunCheckpoint:
         config=daemon.config,
         state=state,
     )
-
-
-def save_checkpoint(daemon: "Daemon", path: str) -> str:
-    """Atomically write ``daemon``'s state to ``path``; returns it."""
-    return save_run_checkpoint(build_run_checkpoint(daemon), path)
-
-
-def load_checkpoint(path: str) -> RunCheckpoint:
-    """Read and validate a single daemon checkpoint file."""
-    return load_run_checkpoint(path, kind="daemon")
 
 
 def resume_daemon(source: object, cfg: NodeConfig | None = None, *,

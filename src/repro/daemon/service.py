@@ -48,6 +48,7 @@ from repro.scheduler.job import Job, JobState
 from repro.scheduler.powerbook import PowerBook
 from repro.scheduler.scheduler import PowerAwareScheduler, SchedulerConfig
 from repro.runtime.clock import SimClock
+from repro.runtime.runfile import CheckpointStore, checkpoint_due
 from repro.telemetry.pubsub import MessageBus, SubSocket
 
 __all__ = ["DaemonConfig", "Daemon"]
@@ -68,20 +69,16 @@ class DaemonConfig:
     queue_capacity:
         Jobs that may wait (admission buffer + scheduler queue) before
         new submissions are rejected with a ``queue-full`` error.
-    checkpoint_every:
-        Simulated epochs between periodic checkpoints; 0 disables.
-    checkpoint_path:
-        Where periodic (and shutdown) checkpoints are written (a single
-        file, atomically replaced each time).
     checkpoint_interval:
         Simulated epochs between epoch-stamped
         :class:`~repro.runtime.runfile.RunCheckpoint` saves into
         ``checkpoint_dir``; 0 disables.
     checkpoint_dir:
         Directory for the epoch-stamped checkpoint store
-        (:class:`~repro.runtime.runfile.CheckpointStore`). Unlike the
-        single ``checkpoint_path`` file, the store keeps *every*
-        checkpoint, enabling time-travel resume (``--resume-epoch``).
+        (:class:`~repro.runtime.runfile.CheckpointStore`) that periodic
+        and shutdown checkpoints are written to. The store keeps
+        *every* epoch, enabling time-travel resume
+        (``--resume-epoch``).
     telemetry_delay:
         Modelled bus delivery latency in *simulated* seconds — frames
         published at epoch *t* become receivable at ``t + delay``.
@@ -95,8 +92,6 @@ class DaemonConfig:
 
     scheduler: SchedulerConfig
     queue_capacity: int = 64
-    checkpoint_every: int = 0
-    checkpoint_path: str | None = None
     checkpoint_interval: int = 0
     checkpoint_dir: str | None = None
     telemetry_delay: float = 0.0
@@ -108,20 +103,8 @@ class DaemonConfig:
         if self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got "
-                f"{self.checkpoint_every}")
-        if self.checkpoint_every and not self.checkpoint_path:
-            raise ConfigurationError(
-                "checkpoint_every > 0 requires a checkpoint_path")
-        if self.checkpoint_interval < 0:
-            raise ConfigurationError(
-                f"checkpoint_interval must be >= 0, got "
-                f"{self.checkpoint_interval}")
-        if self.checkpoint_interval and not self.checkpoint_dir:
-            raise ConfigurationError(
-                "checkpoint_interval > 0 requires a checkpoint_dir")
+        checkpoint_due(self.checkpoint_interval,
+                       self.checkpoint_dir or None)
         if self.default_hwm < 1:
             raise ConfigurationError(
                 f"default_hwm must be >= 1, got {self.default_hwm}")
@@ -201,13 +184,10 @@ class Daemon:
         self.epochs = 0          #: scheduler steps taken over the lifetime
         self.ticks = 0
         self._shutdown = False
+        self._run_store: CheckpointStore | None = None
         if config.checkpoint_dir:
-            from repro.runtime.runfile import CheckpointStore
-
             self._run_store = CheckpointStore(config.checkpoint_dir,
                                               kind="daemon")
-        else:
-            self._run_store = None
         self.scheduler.add_listener(self._on_event)
         self.scheduler.add_epoch_listener(self._on_epoch)
         # under an active sanitizer: subscriber bookkeeping and the
@@ -431,13 +411,9 @@ class Daemon:
 
     def _handle_shutdown(self) -> proto.ShutdownReply:
         self._shutdown = True
-        checkpointed = False
-        if self.config.checkpoint_path:
+        checkpointed = self._run_store is not None
+        if checkpointed:
             self.checkpoint()
-            checkpointed = True
-        if self._run_store is not None:
-            self.store_checkpoint()
-            checkpointed = True
         return proto.ShutdownReply(checkpointed=checkpointed)
 
     # ------------------------------------------------------------------
@@ -465,12 +441,9 @@ class Daemon:
                     self.epochs += 1
                     if self.scheduler.now > self.clock.now:
                         self.clock.advance_to(self.scheduler.now)
-                    every = self.config.checkpoint_every
-                    if every and self.epochs % every == 0:
+                    if checkpoint_due(self.config.checkpoint_interval,
+                                      self._run_store, self.epochs):
                         self.checkpoint()
-                    interval = self.config.checkpoint_interval
-                    if interval and self.epochs % interval == 0:
-                        self.store_checkpoint()
             self.ticks += 1
             dropped = self.bus.dropped + sum(
                 w.sub.overflowed for w in self._watchers.values())
@@ -574,23 +547,9 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> str:
-        """Write a resumable checkpoint to the configured path."""
-        from repro.daemon.checkpointing import save_checkpoint
-
-        if not self.config.checkpoint_path:
-            raise ConfigurationError(
-                "daemon has no checkpoint_path configured")
-        with self._lock:
-            path = save_checkpoint(self, self.config.checkpoint_path)
-        obs.tracer().instant("daemon.checkpoint", path=path,
-                             epochs=self.epochs)
-        return path
-
-    def store_checkpoint(self) -> str:
         """Write an epoch-stamped checkpoint into the configured store
-        (``checkpoint_dir``); returns the file path. Unlike
-        :meth:`checkpoint`, earlier epochs stay on disk, so the run can
-        later be rewound (time travel)."""
+        (``checkpoint_dir``); returns the file path. Earlier epochs
+        stay on disk, so the run can later be rewound (time travel)."""
         from repro.daemon.checkpointing import build_run_checkpoint
 
         if self._run_store is None:

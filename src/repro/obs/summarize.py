@@ -4,7 +4,7 @@
 ROADMAP keeps asking of the harness: where did the wall time go (span
 totals by name), how well did the :class:`RunExecutor` result cache do
 (hit rate), and how many bytes does :class:`ShardedLockstep` pickle per
-shard (the delta-shipping baseline). Works on both trace formats via
+shard. Works on both trace formats via
 :func:`repro.obs.export.load_trace`.
 """
 

@@ -13,7 +13,9 @@ the pure wall-to-simulated-time epoch budgeter
 Crash resumption and time travel live in :mod:`repro.runtime.runfile`:
 one :class:`~repro.runtime.runfile.RunCheckpoint` envelope for every
 epoch loop, and the epoch-stamped
-:class:`~repro.runtime.runfile.CheckpointStore` directory format.
+:class:`~repro.runtime.runfile.CheckpointStore` directory format, and
+the one checkpoint cadence rule (:func:`~repro.runtime.runfile
+.checkpoint_due`) the loops share.
 :mod:`repro.runtime.hosttime` is the audited wall-clock the shard
 balancer times epochs with (placement-only; results invariant).
 """
@@ -22,6 +24,7 @@ from repro.runtime.clock import SimClock
 from repro.runtime.runfile import (
     CheckpointStore,
     RunCheckpoint,
+    checkpoint_due,
     load_run_checkpoint,
     resolve_checkpoint,
     save_run_checkpoint,
@@ -53,4 +56,5 @@ __all__ = [
     "save_run_checkpoint",
     "load_run_checkpoint",
     "resolve_checkpoint",
+    "checkpoint_due",
 ]

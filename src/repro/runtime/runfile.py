@@ -24,9 +24,10 @@ checkpointing — there is always a consistent file to resume from.
 :class:`CheckpointStore` manages a *directory* of epoch-stamped
 checkpoints. Keeping more than the latest file is what turns crash
 resumption into time travel: :meth:`CheckpointStore.rewind` returns the
-newest checkpoint at-or-before a requested epoch, and the elastic layer
-(:mod:`repro.cluster.elastic`) replays from it under the same — or a
-different — policy.
+newest checkpoint at-or-before a requested epoch, and each loop's
+``resume(source, epoch=N)`` replays from it under the same — or a
+different — policy. :func:`checkpoint_due` is the one cadence rule the
+loops save on.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "save_run_checkpoint",
     "load_run_checkpoint",
     "resolve_checkpoint",
+    "checkpoint_due",
     "CheckpointStore",
 ]
 
@@ -140,7 +142,9 @@ class CheckpointStore:
     Files are named ``epoch-<NNNNNNNN>.ckpt``; one file per distinct
     epoch (re-saving an epoch atomically replaces it). The store is the
     unit both crash resumption (:meth:`latest`) and time travel
-    (:meth:`rewind`) operate on.
+    (:meth:`rewind`) operate on. The store holds one timeline: saving
+    epoch N drops every stored epoch after N, so a run resumed from an
+    earlier checkpoint replaces the future it abandoned.
 
     Parameters
     ----------
@@ -170,15 +174,24 @@ class CheckpointStore:
         return os.path.join(self.root, f"epoch-{epoch:08d}.ckpt")
 
     def save(self, checkpoint: RunCheckpoint) -> str:
-        """Write ``checkpoint`` under its epoch; returns the path."""
+        """Write ``checkpoint`` under its epoch; returns the path.
+
+        Afterwards the returned file exists and :meth:`latest` is this
+        checkpoint: stored epochs newer than it belong to an abandoned
+        timeline and are dropped before ``keep`` prunes the oldest.
+        """
         if self.kind is not None and checkpoint.kind != self.kind:
             raise CheckpointError(
                 f"store {self.root!r} holds {self.kind!r} checkpoints; "
                 f"refusing a {checkpoint.kind!r} one")
         path = save_run_checkpoint(checkpoint, self.path_for(checkpoint.epoch))
+        stored = self.epochs()
+        stale = [e for e in stored if e > checkpoint.epoch]
         if self.keep:
-            for epoch in self.epochs()[:-self.keep]:
-                os.remove(self.path_for(epoch))
+            timeline = [e for e in stored if e <= checkpoint.epoch]
+            stale += timeline[:-self.keep]
+        for epoch in stale:
+            os.remove(self.path_for(epoch))
         return path
 
     def epochs(self) -> list[int]:
@@ -236,6 +249,9 @@ def resolve_checkpoint(source, *, kind: str,
     if isinstance(source, CheckpointStore):
         store = source
     elif isinstance(source, str) and not os.path.isfile(source):
+        if not os.path.isdir(source):
+            raise CheckpointError(
+                f"no checkpoints at {source!r}: no such file or directory")
         store = CheckpointStore(source, kind=kind)
     if store is not None:
         if epoch is None:
@@ -259,3 +275,23 @@ def resolve_checkpoint(source, *, kind: str,
         raise CheckpointError(
             f"checkpoint is from epoch {checkpoint.epoch}, not {epoch}")
     return checkpoint
+
+
+def checkpoint_due(every: int, store, epochs: int | None = None) -> bool:
+    """The checkpoint cadence every epoch loop shares.
+
+    ``every`` is the number of completed epochs between periodic saves
+    (0 = none) and must be >= 0; a positive ``every`` needs a ``store``
+    to save into (anything but None). Called right after an epoch
+    completes, with the loop's completed-epoch count as ``epochs``, it
+    answers whether to save now: after each ``every``-th epoch. Called
+    without ``epochs`` it only validates, so a loop can reject a bad
+    cadence before its first epoch.
+    """
+    if every < 0:
+        raise ConfigurationError(
+            f"checkpoint cadence must be >= 0 epochs, got {every}")
+    if every and store is None:
+        raise ConfigurationError(
+            f"checkpointing every {every} epochs needs a checkpoint store")
+    return epochs is not None and every > 0 and epochs % every == 0

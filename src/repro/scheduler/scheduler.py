@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
+from repro.cluster.elastic import balancer_for
 from repro.cluster.policies import ProgressAwareRebalancer
 from repro.cluster.sharding import ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -57,7 +58,12 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.hardware.config import NodeConfig, skylake_config
-from repro.runtime.runfile import RUN_CHECKPOINT_VERSION, RunCheckpoint
+from repro.runtime.runfile import (
+    RUN_CHECKPOINT_VERSION,
+    RunCheckpoint,
+    checkpoint_due,
+    resolve_checkpoint,
+)
 from repro.scheduler.events import (
     BudgetViolation,
     CapSelected,
@@ -196,7 +202,7 @@ class _RunningJob:
         self.start = start
         self.stalled = 0
         self.last_cumulative = 0.0
-        # Fresh monitors report rate 0.0 (collect_rates semantics).
+        # Fresh monitors report rate 0.0 (node_rate semantics).
         self.last_rates = [0.0] * len(node_ids)
         self.pending_budgets: dict[int, float] = {}
         self.last_results: dict = {}
@@ -250,14 +256,9 @@ class PowerAwareScheduler:
         self.epochs_done = 0  #: completed epochs (RunCheckpoint index)
         self._running: dict[str, _RunningJob] = {}
         self._started = 0  # submission-independent placement counter
-        balancer = None
-        if config.balance and config.shards > 1:
-            from repro.cluster.elastic import ShardBalancer
-
-            balancer = ShardBalancer()
-        self._lockstep = ShardedLockstep(shards=config.shards,
-                                         engine=config.engine,
-                                         balancer=balancer)
+        self._lockstep = ShardedLockstep(
+            shards=config.shards, engine=config.engine,
+            balancer=balancer_for(config.balance, config.shards))
         # Service hooks (repro.daemon): called synchronously, in
         # registration order, from inside the epoch loop. Listeners must
         # only *observe* — mutating the scheduler from one is undefined.
@@ -471,14 +472,11 @@ class PowerAwareScheduler:
         With ``checkpoint_every=N`` (and a
         :class:`~repro.runtime.runfile.CheckpointStore`), an atomic
         :class:`RunCheckpoint` is saved after every N-th completed
-        epoch — the crash-resume and time-travel record (see
-        :meth:`resume`).
+        epoch (:func:`~repro.runtime.runfile.checkpoint_due`; idle hops
+        complete no epoch) — the crash-resume and time-travel record
+        (see :meth:`resume`).
         """
-        if checkpoint_every < 0:
-            raise ConfigurationError("checkpoint_every must be >= 0")
-        if checkpoint_every and checkpoint_store is None:
-            raise ConfigurationError(
-                "checkpoint_every needs a checkpoint_store")
+        checkpoint_due(checkpoint_every, checkpoint_store)
         tracer = obs.tracer()
         with tracer.span("scheduler.run", policy=self.config.policy,
                          n_slots=self.config.n_slots,
@@ -487,8 +485,9 @@ class PowerAwareScheduler:
             while self.queue or self._running:
                 before = self.epochs_done
                 self.step()
-                if checkpoint_every and self.epochs_done != before and \
-                        self.epochs_done % checkpoint_every == 0:
+                if self.epochs_done != before and checkpoint_due(
+                        checkpoint_every, checkpoint_store,
+                        self.epochs_done):
                     checkpoint_store.save(self.run_checkpoint())
             span.set(makespan=self.now, violations=self.violations)
         return self._report()
@@ -778,25 +777,29 @@ class PowerAwareScheduler:
         )
 
     @classmethod
-    def resume(cls, checkpoint: RunCheckpoint, powerbook: PowerBook,
+    def resume(cls, source, powerbook: PowerBook,
                cfg: NodeConfig | None = None, *,
+               epoch: int | None = None,
                config: SchedulerConfig | None = None,
                ) -> "PowerAwareScheduler":
-        """Rebuild a scheduler from a :meth:`run_checkpoint`.
+        """Rebuild a scheduler from a recorded :meth:`run_checkpoint`.
 
-        ``powerbook``/``cfg`` mirror the constructor (profiles are not
-        checkpointed — pass the same book, or a preloaded equivalent).
-        ``config`` (when given) replaces the recorded
-        :class:`SchedulerConfig` for the continuation — the time-travel
-        seam (different ``power_budget``, policy, shards, engine, ...).
-        Structural fields (``n_slots``, ``seed``, ``variability``) must
-        match the recorded run: the restored node state was built under
-        them.
+        ``source`` is anything :func:`~repro.runtime.runfile
+        .resolve_checkpoint` accepts: a :class:`RunCheckpoint`, a
+        checkpoint file, or a :class:`~repro.runtime.runfile
+        .CheckpointStore` (or its directory), where ``epoch=None``
+        picks the latest checkpoint and ``epoch=N`` the newest at or
+        before N (time travel). ``powerbook``/``cfg`` mirror the
+        constructor (profiles are not checkpointed — pass the same
+        book, or a preloaded equivalent). ``config`` (when given)
+        replaces the recorded :class:`SchedulerConfig` for the
+        continuation — replay under a different ``power_budget``,
+        policy, shards, engine, ... Structural fields (``n_slots``,
+        ``seed``, ``variability``) must match the recorded run: the
+        restored node state was built under them.
         """
-        if checkpoint.kind != "scheduler":
-            raise CheckpointError(
-                f"expected a 'scheduler' checkpoint, got "
-                f"{checkpoint.kind!r}")
+        checkpoint = resolve_checkpoint(source, kind="scheduler",
+                                        epoch=epoch)
         scheduler = cls(config if config is not None else checkpoint.config,
                         powerbook, cfg)
         scheduler.restore(checkpoint.state)

@@ -25,8 +25,8 @@ class TestPayloadStats:
     def test_only_step_dispatches_count_as_epochs(self):
         stats = PayloadStats()
         stats.record("add_nodes", 500, 20)
-        stats.record("step", 100, 40)
-        stats.record("step", 120, 44)
+        stats.record("step2", 100, 40)
+        stats.record("step2", 120, 44)
         stats.record("rates", 60, 30)
         assert stats.epochs == 2
         assert stats.epoch_payloads == [(100, 40), (120, 44)]
@@ -36,8 +36,8 @@ class TestPayloadStats:
 
     def test_mean_epoch_bytes(self):
         stats = PayloadStats()
-        stats.record("step", 100, 40)
-        stats.record("step", 200, 60)
+        stats.record("step2", 100, 40)
+        stats.record("step2", 200, 60)
         assert stats.mean_epoch_bytes() == (150.0, 50.0)
 
     def test_mean_of_no_epochs_is_zero(self):

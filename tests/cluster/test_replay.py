@@ -1,6 +1,6 @@
 """Replay determinism: a run rewound to epoch N and replayed under the
 same policy must be bit-identical to the uninterrupted run — across
-both engines and shards in {1, 2, 4} — and the rewind helpers must
+both engines and shards in {1, 2, 4} — and each loop's ``resume`` must
 support resuming onto a *different* substrate or policy (time travel).
 
 Resumed runs continue with ``run(until=END)`` sharing the original end
@@ -16,8 +16,6 @@ from repro.cluster import (
     ClusterSimulation,
     ProgressAwareRebalancer,
     UniformPowerPolicy,
-    rewind_cluster,
-    rewind_scheduler,
 )
 from repro.core.model import PowerCapModel
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -79,8 +77,8 @@ class TestClusterReplay:
                                              engine):
         """Resume from epoch 4 on every substrate: the tail the replay
         recomputes must land exactly on the recorded series."""
-        sim = rewind_cluster(recorded["root"], epoch=4, shards=shards,
-                             engine=engine)
+        sim = ClusterSimulation.resume(recorded["root"], epoch=4,
+                                       shards=shards, engine=engine)
         try:
             assert sim.epochs_done == 4
             sim.run(until=END)
@@ -89,7 +87,7 @@ class TestClusterReplay:
             sim.close()
 
     def test_rewind_latest_then_nothing_to_run(self, recorded):
-        sim = rewind_cluster(recorded["root"])
+        sim = ClusterSimulation.resume(recorded["root"])
         try:
             assert sim.epochs_done == 8
             with pytest.raises(ConfigurationError, match="not after"):
@@ -97,12 +95,10 @@ class TestClusterReplay:
         finally:
             sim.close()
 
-    def test_checkpoint_every_requires_store(self):
+    def test_run_takes_exactly_one_end(self):
         sim = _sim()
         try:
-            with pytest.raises(ConfigurationError):
-                sim.run(2.0, checkpoint_every=2)
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match="exactly one"):
                 sim.run(2.0, until=2.0)
         finally:
             sim.close()
@@ -119,8 +115,8 @@ class TestClusterReplay:
     def test_replay_under_different_policy(self, recorded):
         """The time-travel seam: same node state, different schedule
         from epoch 4 on — runs to completion and allocates differently."""
-        sim = rewind_cluster(recorded["root"], epoch=4,
-                             policy=UniformPowerPolicy(240.0))
+        sim = ClusterSimulation.resume(recorded["root"], epoch=4,
+                                       policy=UniformPowerPolicy(240.0))
         try:
             sim.run(until=END)
             got = _observed(sim)
@@ -207,8 +203,8 @@ def recorded_sched(tmp_path_factory):
 
 class TestSchedulerReplay:
     def test_rewind_and_finish_bit_identical(self, recorded_sched):
-        sched = rewind_scheduler(recorded_sched["root"], _book(),
-                                 epoch=6)
+        sched = PowerAwareScheduler.resume(recorded_sched["root"], _book(),
+                                           epoch=6)
         try:
             assert sched.epochs_done == 6
             sched.run()
@@ -222,7 +218,7 @@ class TestSchedulerReplay:
                                              shards, engine):
         """Execution substrate (shards/engine) is replay-invariant; only
         structural config fields must match the recorded run."""
-        sched = rewind_scheduler(
+        sched = PowerAwareScheduler.resume(
             recorded_sched["root"], _book(), epoch=6,
             config=_sched_config(shards=shards, engine=engine))
         try:
@@ -237,11 +233,3 @@ class TestSchedulerReplay:
         checkpoint = store.latest()
         assert checkpoint.kind == "scheduler"
         assert checkpoint.epoch == checkpoint.state["epochs"]
-
-    def test_checkpoint_every_requires_store(self):
-        sched = PowerAwareScheduler(_sched_config(), _book())
-        try:
-            with pytest.raises(ConfigurationError):
-                sched.run(checkpoint_every=2)
-        finally:
-            sched.close()

@@ -22,6 +22,7 @@ from repro.cluster import (
     StepRequest,
     UniformPowerPolicy,
 )
+from repro.cluster.sharding import node_rate
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.stack import BUDGET, StackSpec
 
@@ -171,3 +172,72 @@ class TestShardedLockstep:
             # mutating the copy must not corrupt the live monitor
             tel.progress.append(99.0, 1.0)
             assert ls.telemetry([0])[0].progress.times[-1] != 99.0
+
+
+def _local(n=2):
+    """A serial lockstep of ``n`` lammps nodes plus the live nodes."""
+    ls = ShardedLockstep(shards=1)
+    ls.add_nodes([(i, _spec(i, seed=1000 * i)) for i in range(n)])
+    nodes = ls.local_nodes()
+    return ls, [nodes[i] for i in range(n)]
+
+
+def _advance(ls, n, target, budgets=None):
+    """One epoch of every node to ``target``; the epoch's energy."""
+    results = ls.step([
+        StepRequest(node_id=i, target=target,
+                    budget=None if budgets is None else budgets[i],
+                    set_budget=budgets is not None, windows=(3.0,))
+        for i in range(n)])
+    return sum(res.energy for res in results)
+
+
+class TestNodeStep:
+    """The epoch step the cluster and scheduler loops share, on the
+    serial path where the live nodes can be inspected."""
+
+    def test_first_epoch_rates_are_zero(self):
+        # Before any epoch has run, no monitor has closed a window: the
+        # guard must report 0.0 instead of NaN-poisoning an allocator.
+        ls, nodes = _local(2)
+        with ls:
+            assert [node_rate(node, 3.0) for node in nodes] == [0.0, 0.0]
+            assert ls.rates([(0, 3.0), (1, 3.0)]) == [0.0, 0.0]
+
+    def test_rates_positive_after_progress(self):
+        ls, _ = _local(2)
+        with ls:
+            _advance(ls, 2, 4.0)
+            assert all(r > 0.0 for r in ls.rates([(0, 3.0), (1, 3.0)]))
+
+    def test_first_epoch_allocation_survives_empty_series(self):
+        ls, _ = _local(3)
+        with ls:
+            rates = ls.rates([(i, 3.0) for i in range(3)])
+            budgets = UniformPowerPolicy(300.0).allocate(rates)
+            assert budgets == pytest.approx([100.0] * 3)
+
+    def test_budget_applies_on_next_tick(self):
+        ls, nodes = _local(2)
+        with ls:
+            budgets = UniformPowerPolicy(160.0).allocate([0.0, 0.0])
+            _advance(ls, 2, 4.0, budgets=budgets)
+            for node in nodes:
+                assert node.policy.cap_series.values[-1] == \
+                    pytest.approx(80.0)
+
+    def test_advances_all_nodes_and_sums_energy(self):
+        ls, nodes = _local(2)
+        with ls:
+            energy = _advance(ls, 2, 3.0)
+            assert all(n.now == pytest.approx(3.0) for n in nodes)
+            assert energy == pytest.approx(
+                sum(n.node.pkg_energy for n in nodes))
+
+    def test_energy_is_per_epoch_delta(self):
+        ls, nodes = _local(1)
+        with ls:
+            first = _advance(ls, 1, 2.0)
+            second = _advance(ls, 1, 4.0)
+            assert first > 0 and second > 0
+            assert first + second == pytest.approx(nodes[0].node.pkg_energy)

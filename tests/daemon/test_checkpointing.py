@@ -1,19 +1,16 @@
-"""Daemon persistence: periodic checkpoints, crash resume, parity."""
+"""Daemon persistence: periodic checkpoints into the epoch-stamped
+store, crash resume, parity."""
 
 import dataclasses
+import os
 import pickle
 
 import pytest
 
 from repro.daemon import protocol as proto
-from repro.daemon.checkpointing import (
-    DAEMON_STATE_VERSION,
-    load_checkpoint,
-    resume_daemon,
-    save_checkpoint,
-)
+from repro.daemon.checkpointing import DAEMON_STATE_VERSION, resume_daemon
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.runtime.runfile import CheckpointStore
+from repro.runtime.runfile import CheckpointStore, load_run_checkpoint
 
 from tests.daemon.conftest import drain, make_daemon, run_request
 
@@ -38,39 +35,49 @@ def final_statuses(daemon):
             for s in JOBS]
 
 
+def stored_checkpoint(tmp_path):
+    """A fresh daemon's checkpoint in a store: (store dir, file path,
+    loaded checkpoint) — for corrupting the file behind the store."""
+    root = str(tmp_path / "store")
+    daemon = make_daemon(checkpoint_dir=root)
+    try:
+        path = daemon.checkpoint()
+    finally:
+        daemon.close()
+    return root, path, load_run_checkpoint(path, kind="daemon")
+
+
 class TestPeriodicCheckpoint:
     def test_written_at_cadence(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_every=2, checkpoint_path=str(path))
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=root)
         try:
+            store = CheckpointStore(root, kind="daemon")
             submit_all(daemon)
-            assert not path.exists()
+            assert store.epochs() == []
+            daemon.tick(1)
+            assert store.epochs() == []
+            daemon.tick(1)
+            assert store.epochs() == [2]
             daemon.tick(2)
-            assert path.exists()
-            first = path.stat().st_mtime_ns
-            daemon.tick(2)
-            assert path.stat().st_mtime_ns >= first
+            assert store.epochs() == [2, 4]
         finally:
             daemon.close()
 
-    def test_requires_path(self):
-        with pytest.raises(ConfigurationError):
-            make_daemon(checkpoint_every=2)
-
     def test_explicit_checkpoint_without_path_raises(self, daemon):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             daemon.checkpoint()
 
 
 class TestResume:
     def test_crash_resume_matches_uninterrupted_run(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_every=2, checkpoint_path=str(path))
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=root)
         submit_all(daemon)
         daemon.tick(3)  # periodic checkpoint fired at epoch 2
         daemon.close()  # "crash": epoch 3 is lost with the process
 
-        resumed = resume_daemon(str(path))
+        resumed = resume_daemon(root)
         try:
             assert resumed.scheduler.now == 2.0
             assert resumed.epochs == 2
@@ -92,13 +99,13 @@ class TestResume:
         assert resumed_statuses == control_statuses
 
     def test_buffered_submissions_survive(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_dir=root)
         submit_all(daemon)  # never ticked: all three still buffered
         daemon.handle(proto.ShutdownRequest())
         daemon.close()
 
-        resumed = resume_daemon(str(path))
+        resumed = resume_daemon(root)
         try:
             assert len(resumed.handle(proto.ListRequest()).jobs) == 3
             drain(resumed)
@@ -108,12 +115,12 @@ class TestResume:
             resumed.close()
 
     def test_admission_sequence_continues(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_dir=root)
         submit_all(daemon)
         daemon.checkpoint()
         daemon.close()
-        resumed = resume_daemon(str(path))
+        resumed = resume_daemon(root)
         try:
             reply = resumed.handle(run_request("late"))
             assert reply.seq == len(JOBS)  # no seq reuse after resume
@@ -123,12 +130,18 @@ class TestResume:
             resumed.close()
 
     def test_shutdown_checkpoints_when_configured(self, tmp_path):
-        path = tmp_path / "d.ckpt"
-        daemon = make_daemon(checkpoint_path=str(path))
+        # off the interval cadence: shutdown still saves the epoch the
+        # daemon stopped at
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=root)
         try:
+            submit_all(daemon)
+            daemon.tick(3)
             reply = daemon.handle(proto.ShutdownRequest())
             assert reply == proto.ShutdownReply(checkpointed=True)
-            assert path.exists()
+            store = CheckpointStore(root, kind="daemon")
+            assert store.epochs() == [2, 3]
+            assert store.latest().epoch == 3
         finally:
             daemon.close()
 
@@ -140,61 +153,50 @@ class TestResume:
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(tmp_path / "nope.ckpt"))
+            resume_daemon(str(tmp_path / "nope"))
 
     def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(pickle.dumps({"hello": "world"}))
+        root, path, _ = stored_checkpoint(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps({"hello": "world"}))
         with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+            resume_daemon(root)
 
-    def test_envelope_version_mismatch(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
+    def test_envelope_version_mismatch(self, tmp_path):
+        root, path, checkpoint = stored_checkpoint(tmp_path)
         stale = dataclasses.replace(checkpoint, version=99)
-        path.write_bytes(pickle.dumps(stale))
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError, match="99"):
-            load_checkpoint(str(path))
+            resume_daemon(root)
 
-    def test_state_version_mismatch(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
+    def test_state_version_mismatch(self, tmp_path):
+        root, path, checkpoint = stored_checkpoint(tmp_path)
         stale = dataclasses.replace(
             checkpoint,
             state={**checkpoint.state,
                    "version": DAEMON_STATE_VERSION + 1})
-        path.write_bytes(pickle.dumps(stale))
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError):
-            resume_daemon(str(path))
+            resume_daemon(root)
 
-    def test_wrong_kind_rejected(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        checkpoint = load_checkpoint(str(path))
+    def test_wrong_kind_rejected(self, tmp_path):
+        root, path, checkpoint = stored_checkpoint(tmp_path)
         wrong = dataclasses.replace(checkpoint, kind="cluster")
-        path.write_bytes(pickle.dumps(wrong))
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(wrong))
         with pytest.raises(CheckpointError, match="cluster"):
-            load_checkpoint(str(path))
+            resume_daemon(root)
 
-    def test_atomic_write_leaves_no_temp_file(self, tmp_path, daemon):
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(daemon, str(path))
-        assert not (tmp_path / "d.ckpt.tmp").exists()
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+        root, path, _ = stored_checkpoint(tmp_path)
+        assert os.listdir(root) == [os.path.basename(path)]
 
 
 class TestRunStore:
     """The epoch-stamped ``checkpoint_dir`` store: periodic saves,
     latest-resume, and time travel (``--resume-epoch``)."""
-
-    def test_interval_requires_dir(self):
-        with pytest.raises(ConfigurationError):
-            make_daemon(checkpoint_interval=2)
-
-    def test_store_checkpoint_without_dir_raises(self, daemon):
-        with pytest.raises(ConfigurationError):
-            daemon.store_checkpoint()
 
     def test_epoch_stamped_files_accumulate(self, tmp_path):
         root = tmp_path / "store"

@@ -19,7 +19,7 @@ from repro.daemon.profiles import DEMO_LAMMPS_RATE, demo_book
 from repro.daemon.server import DaemonServer
 from repro.scheduler import Job, PowerAwareScheduler
 
-from tests.daemon.conftest import drain, make_daemon, run_request
+from tests.daemon.conftest import make_daemon
 
 pytestmark = pytest.mark.slow
 
@@ -144,8 +144,8 @@ class TestConcurrentClientsMatchBatch:
 class TestKillAndResume:
     def test_resume_from_periodic_checkpoint_finishes_workload(
             self, tmp_path):
-        ckpt = str(tmp_path / "daemon.ckpt")
-        daemon = make_daemon(checkpoint_every=2, checkpoint_path=ckpt)
+        store = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=store)
         server, thread, path = start_server(daemon, tmp_path)
         try:
             replies = submit_concurrently(path, WORKLOAD)
@@ -158,7 +158,7 @@ class TestKillAndResume:
             thread.join(timeout=5.0)
             daemon.close()
 
-        resumed = resume_daemon(ckpt)
+        resumed = resume_daemon(store)
         server2, thread2, path2 = start_server(resumed, tmp_path,
                                                name="resumed.sock")
         try:

@@ -16,7 +16,7 @@ import pytest
 
 from repro import sanitize
 from repro.daemon import protocol as proto
-from repro.daemon.checkpointing import resume_daemon, save_checkpoint
+from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.client import DaemonClient
 from repro.daemon.server import DaemonServer, _ClientConn
 from repro.sanitize import GuardViolationError, LockTracker
@@ -72,15 +72,15 @@ class TestDaemonGuards:
             daemon.close()
 
     def test_checkpoint_resume_under_tracker(self, tracker, tmp_path):
-        daemon = make_daemon()
+        store = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_dir=store)
         try:
             daemon.handle(run_request("alpha"))
             daemon.tick(2)
-            path = str(tmp_path / "daemon.ckpt")
-            save_checkpoint(daemon, path)
+            daemon.checkpoint()
         finally:
             daemon.close()
-        resumed = resume_daemon(path)
+        resumed = resume_daemon(store)
         try:
             drain(resumed)
             status = resumed.handle(proto.StatusRequest(job_id="alpha"))

@@ -128,20 +128,20 @@ class TestCliSmoke:
 
     def test_kill_then_resume_from_checkpoint(self, tmp_path):
         sock = str(tmp_path / "d.sock")
-        ckpt = str(tmp_path / "d.ckpt")
-        daemon = spawn_daemon(sock, "--checkpoint", ckpt,
-                              "--checkpoint-every", "2")
+        store = str(tmp_path / "store")
+        daemon = spawn_daemon(sock, "--checkpoint-dir", store,
+                              "--checkpoint-interval", "2")
         try:
             for i in range(3):
                 client(sock, "run", f"j{i}", "lammps", "--nodes", "1",
                        "--work-units", WORK, "--app-kwargs", APP_KW)
             client(sock, "tick", "3")  # periodic checkpoint at epoch 2
-            assert os.path.exists(ckpt)
+            assert os.listdir(store) == ["epoch-00000002.ckpt"]
         finally:
             daemon.kill()  # hard kill: no shutdown checkpoint
             daemon.wait(timeout=30)
 
-        resumed = spawn_daemon(sock, "--checkpoint", ckpt, "--resume")
+        resumed = spawn_daemon(sock, "--checkpoint-dir", store, "--resume")
         try:
             info = json_lines(client(sock, "info"))[0]
             assert info["now"] == 2.0

@@ -1,6 +1,6 @@
 """The run-checkpoint file layer: envelope validation, atomic writes,
-the epoch-stamped store, and source resolution (file / dir / store /
-in-memory checkpoint)."""
+the epoch-stamped store, source resolution (file / dir / store /
+in-memory checkpoint), and the checkpoint cadence every loop shares."""
 
 import dataclasses
 import os
@@ -13,6 +13,7 @@ from repro.runtime.runfile import (
     RUN_CHECKPOINT_VERSION,
     CheckpointStore,
     RunCheckpoint,
+    checkpoint_due,
     load_run_checkpoint,
     resolve_checkpoint,
     save_run_checkpoint,
@@ -86,8 +87,10 @@ class TestCheckpointStore:
 
     def test_save_and_epochs_sorted(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
+        # written out of order behind the store's back (save() would
+        # drop the epochs after 2), so epochs() must do the sorting
         for epoch in (4, 2, 8):
-            store.save(ckpt(epoch))
+            save_run_checkpoint(ckpt(epoch), store.path_for(epoch))
         assert store.epochs() == [2, 4, 8]
         assert len(store) == 3
 
@@ -119,6 +122,20 @@ class TestCheckpointStore:
         for epoch in (1, 2, 3, 4):
             store.save(ckpt(epoch))
         assert store.epochs() == [3, 4]
+
+    @pytest.mark.parametrize("keep,kept", [(0, [2, 3]), (2, [3])])
+    def test_save_after_rewind_drops_abandoned_timeline(self, tmp_path,
+                                                         keep, kept):
+        """A run resumed from epoch 2 saves epoch 3 into a store that
+        still holds 4 and 6: the saved file must survive the pruning,
+        and latest() must be the new timeline, not the old epoch 6."""
+        store = CheckpointStore(str(tmp_path), keep=keep)
+        for epoch in (2, 4, 6):
+            store.save(ckpt(epoch))
+        path = store.save(ckpt(3))
+        assert os.path.exists(path)
+        assert store.latest().epoch == 3
+        assert store.epochs() == kept
 
     def test_kind_pinned_store_refuses_other_kind(self, tmp_path):
         store = CheckpointStore(str(tmp_path), kind="cluster")
@@ -165,6 +182,70 @@ class TestResolveCheckpoint:
         with pytest.raises(CheckpointError, match="no checkpoints"):
             resolve_checkpoint(str(tmp_path / "empty"), kind="cluster")
 
+    def test_missing_path_is_not_created(self, tmp_path):
+        missing = tmp_path / "typo.ckpt"
+        with pytest.raises(CheckpointError, match="no such file"):
+            resolve_checkpoint(str(missing), kind="cluster")
+        assert not missing.exists()
+
     def test_rejects_other_types(self):
         with pytest.raises(ConfigurationError):
             resolve_checkpoint(42, kind="cluster")
+
+
+class TestCheckpointDue:
+    def test_due_after_each_nth_epoch(self):
+        store = object()
+        due = [n for n in range(1, 10) if checkpoint_due(3, store, n)]
+        assert due == [3, 6, 9]
+
+    def test_zero_is_never_due(self):
+        assert not any(checkpoint_due(0, None, n) for n in range(1, 5))
+
+    def test_validation_only_call(self):
+        assert checkpoint_due(2, object()) is False
+
+
+def _cluster_run(every):
+    from repro.cluster import ClusterSimulation, UniformPowerPolicy
+
+    sim = ClusterSimulation(1, "lammps", UniformPowerPolicy(100.0),
+                            app_kwargs={"n_workers": 2})
+    try:
+        sim.run(2.0, checkpoint_every=every)
+    finally:
+        sim.close()
+
+
+def _scheduler_config():
+    from repro.scheduler import SchedulerConfig
+
+    return SchedulerConfig(n_slots=1, power_budget=100.0)
+
+
+def _scheduler_run(every):
+    from repro.scheduler import PowerAwareScheduler, PowerBook
+
+    sched = PowerAwareScheduler(_scheduler_config(), PowerBook())
+    try:
+        sched.run(checkpoint_every=every)
+    finally:
+        sched.close()
+
+
+def _daemon_config(every):
+    from repro.daemon import DaemonConfig
+
+    DaemonConfig(scheduler=_scheduler_config(), checkpoint_interval=every)
+
+
+@pytest.mark.parametrize("start", [_cluster_run, _scheduler_run,
+                                   _daemon_config],
+                         ids=["cluster", "scheduler", "daemon"])
+def test_every_loop_needs_a_store_to_checkpoint(start):
+    """All three epoch loops reject a positive cadence without a store,
+    and a negative one, through the one shared rule."""
+    with pytest.raises(ConfigurationError, match="needs a checkpoint store"):
+        start(2)
+    with pytest.raises(ConfigurationError, match=">= 0"):
+        start(-1)
