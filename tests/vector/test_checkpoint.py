@@ -104,6 +104,47 @@ class TestRoundTrips:
         _continue_and_compare(host.node(0), ref,
                               budgets=BUDGET_SCHEDULE[3:6])
 
+    def test_same_pass_arrivals_keep_the_object_order(self):
+        """Workers completing in the same micro-step reach the barrier
+        in descending id on both engines: the object engine dispatches
+        them LIFO, and checkpoints record the order as barrier_pos."""
+        obj, _ = build_pair("lammps")
+        obj.advance(1.0)
+        tasks = obj.snapshot()["stack"].state["engine"]["tasks"]
+        while any(task["status"] != "running" for task in tasks):
+            obj.advance(obj.now + 0.001)
+            tasks = obj.snapshot()["stack"].state["engine"]["tasks"]
+        checkpoint = obj.snapshot()
+        tasks = checkpoint["stack"].state["engine"]["tasks"]
+        # Workers 1 and 3 get identical work, nearly done; 0 and 2 start
+        # over, so the barrier stays open after 1 and 3 arrive together.
+        for wid, frac in ((0, 0.0), (1, 0.9), (2, 0.0), (3, 0.9)):
+            tasks[wid]["work"] = tasks[1]["work"]
+            tasks[wid]["frac_done"] = frac
+        a = NodeInstance.from_checkpoint(checkpoint)
+        b = _import_vector(checkpoint)
+        for node in (a, b):
+            node.advance(node.now + 0.02)
+        got = [task["barrier_pos"] for task in
+               b.snapshot()["stack"].state["engine"]["tasks"]]
+        assert got == [None, 1, None, 0]
+        assert bits(b.snapshot()) == bits(a.snapshot())
+
+    def test_group_slot_round_trip_mid_barrier(self):
+        """The group's flat per-slot snapshot carries the barrier
+        arrival order: restored into a fresh group mid-barrier, the
+        slot continues exactly like the original."""
+        _, host = build_pair("openmc")
+        _, twin_host = build_pair("openmc")
+        vec, twin = host.node(0), twin_host.node(0)
+        vec.advance(2.0)
+        while len(vec.group.snapshot(0)["arrivals"]) < 2:
+            vec.advance(vec.now + 0.001)
+        state = vec.group.snapshot(0)
+        twin.group.restore(0, state)
+        assert bits(twin.group.snapshot(0)) == bits(state)
+        _continue_and_compare(vec, twin, budgets=BUDGET_SCHEDULE[:3])
+
 
 class TestLockstepMigration:
     def test_vector_lockstep_checkpoints_restore_on_object(self):

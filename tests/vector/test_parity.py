@@ -175,3 +175,87 @@ class TestGroupedParity:
             vec.advance(t)
             assert bits(surface(vec)) == bits(surface(obj))
         assert obj.recent_rate(1.0) == 0.0  # it actually finished
+
+
+#: Short runs per app, so rows finish (and cross phases) mid-test. The
+#: work count is part of the group key, so one group per app.
+_SHORT_RUNS = {
+    "lammps": {"n_steps": 150, "n_workers": 7},
+    "amg": {"n_iterations": 17, "setup_iterations": 3, "n_workers": 4},
+    "qmcpack": {"vmc1_blocks": 25, "vmc2_blocks": 25, "dmc_blocks": 95,
+                "n_workers": 5},
+    "stream": {"n_iterations": 131, "n_workers": 3},
+    "openmc": {"inactive_batches": 2, "active_batches": 7, "n_workers": 6},
+}
+#: Per-slot budgets: uncapped rows finish first, capped ones keep going.
+_SLOT_BUDGETS = (None, 62.0, 48.0, 85.0, None)
+
+
+def _tasks(snapshot) -> list:
+    return snapshot["stack"].state["engine"]["tasks"]
+
+
+def _mid_barrier(snapshot) -> bool:
+    return any(task["barrier_pos"] is not None for task in _tasks(snapshot))
+
+
+def _finished(snapshot) -> bool:
+    return all(task["status"] == "done" for task in _tasks(snapshot))
+
+
+class TestGroupedMultiRowParity:
+    def test_groups_stepped_together_match_object_nodes(self):
+        """All slots of one group per app advance in a single
+        VectorEngine.step per epoch, so one micro-step pass completes,
+        releases and retires several rows at once: perturbed configs and
+        budgets spread the rows, and the short runs make some reach
+        their end while others still release (openmc's bus drops,
+        amg's and qmcpack's phase changes included)."""
+        import dataclasses
+
+        import numpy as np
+
+        from repro.cluster.sharding import StepRequest, step_node
+
+        base = skylake_config()
+        specs = []
+        for a, app_name in enumerate(FAST_APPS):
+            for k, budget in enumerate(_SLOT_BUDGETS):
+                nid = 10 * a + k
+                cfg = perturb_config(base, np.random.default_rng([5, nid]),
+                                     sigma_dynamic=0.05, sigma_static=0.08)
+                spec = dataclasses.replace(
+                    make_spec(app_name, node_id=nid, seed=3 + 97 * nid,
+                              cfg=cfg),
+                    app_kwargs=dict(_SHORT_RUNS[app_name]))
+                specs.append((nid, spec, budget))
+        host = VectorEngine()
+        host.build([(nid, spec) for nid, spec, _ in specs])
+        assert sorted(host.vector_node_ids) == sorted(n for n, _, _ in specs)
+        objs = {nid: NodeInstance.from_spec(nid, spec)
+                for nid, spec, _ in specs}
+
+        compared_mid_barrier = 0
+        for epoch in range(8):
+            requests = [StepRequest(node_id=nid, target=epoch + 1.0,
+                                    budget=budget, set_budget=True,
+                                    windows=(1.0, 3.0))
+                        for nid, _, budget in specs]
+            got = host.step(requests)
+            want = [step_node(objs[req.node_id], req) for req in requests]
+            assert bits(got) == bits(want), epoch
+            for nid, _, _ in specs:
+                assert bits(surface(host.node(nid))) == \
+                    bits(surface(objs[nid])), (epoch, nid)
+            if epoch in (2, 5):
+                for nid, _, _ in specs:
+                    vec_snap = host.checkpoint(nid)
+                    assert bits(vec_snap) == bits(objs[nid].snapshot()), \
+                        (epoch, nid)
+                    compared_mid_barrier += _mid_barrier(vec_snap)
+
+        assert compared_mid_barrier > 0
+        for a in range(len(FAST_APPS)):
+            done = [_finished(objs[10 * a + k].snapshot())
+                    for k in range(len(_SLOT_BUDGETS))]
+            assert any(done) and not all(done), FAST_APPS[a]
