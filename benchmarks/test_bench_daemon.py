@@ -42,8 +42,7 @@ def start_daemon(tmp_path, name, *, queue_capacity):
         queue_capacity=queue_capacity)
     daemon = Daemon(config, demo_book())
     path = str(tmp_path / name)
-    server = DaemonServer(daemon, socket_path=path, pacer=None,
-                          tick_wall=0.005)
+    server = DaemonServer(daemon, socket_path=path, pacer=None)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

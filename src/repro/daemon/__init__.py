@@ -5,24 +5,29 @@ long-lived daemon that applications connect to over ZeroMQ, submitting
 work and streaming progress reports the power-capping logic consumes
 asynchronously (Ramesh et al., IPDPS 2019). This package is that
 batch-to-service transition for the reproduction: a :class:`Daemon`
-event loop owns one shared simulated cluster
+owns one shared simulated cluster
 (:class:`~repro.scheduler.scheduler.PowerAwareScheduler` over
 :mod:`repro.cluster`), admits and queues submissions from many
 concurrent clients, and fans progress telemetry out to subscribers.
+Like the paper's NRM controller, one loop owns that state and serves
+messages in the order they arrive: the server's single
+:mod:`selectors` loop is the daemon's only caller, so there are no
+reader threads and no locks.
 
 Layering — each module owns one concern:
 
 * :mod:`repro.daemon.protocol` — the versioned, line-delimited JSON
   wire format: ``*Request`` / ``*Reply`` / ``*Telemetry`` dataclasses
   and their codec;
-* :mod:`repro.daemon.service` — the :class:`Daemon` core: thread-safe
-  admission (bounded, FIFO per priority), the deterministic tick loop,
-  telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM drops,
-  slow-joiner loss, modelled latency — the paper's ZeroMQ transport
-  semantics), and periodic checkpoints;
+* :mod:`repro.daemon.service` — the single-owner :class:`Daemon`
+  core: admission (bounded, FIFO per priority), the deterministic tick
+  loop, telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM
+  drops, slow-joiner loss, modelled latency — the paper's ZeroMQ
+  transport semantics), and periodic checkpoints;
 * :mod:`repro.daemon.server` — real sockets (Unix-domain or TCP): one
-  reader thread per client, a driver loop pacing simulated epochs
-  against wall time;
+  non-blocking ``selectors`` loop that serves every client, pushes
+  telemetry and, in paced mode, runs simulated epochs against wall
+  time;
 * :mod:`repro.daemon.client` — the ``upctl``-style client library and
   CLI (``python -m repro.daemon.client run/status/list/kill/watch``);
 * :mod:`repro.daemon.checkpointing` — crash-resumable persistence on

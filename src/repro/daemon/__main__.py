@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     pacing = parser.add_argument_group("pacing")
     pacing.add_argument("--sim-rate", type=float, default=20.0,
                         help="simulated seconds per wall second")
-    pacing.add_argument("--tick-wall", type=float, default=0.05,
-                        help="driver-loop poll interval (wall s)")
     pacing.add_argument("--manual", action="store_true",
                         help="advance only on client 'tick' requests")
 
@@ -140,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         host, _, port = args.tcp.rpartition(":")
         tcp = (host or "127.0.0.1", int(port))
     server = DaemonServer(daemon, socket_path=args.socket, tcp=tcp,
-                          pacer=pacer, tick_wall=args.tick_wall)
+                          pacer=pacer)
     address = server.bind()
     mode = "manual" if args.manual else f"paced x{args.sim_rate}"
     print(f"repro-daemon ready on {address} ({mode})", flush=True)

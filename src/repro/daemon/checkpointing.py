@@ -126,22 +126,18 @@ def resume_daemon(source: object, cfg: NodeConfig | None = None, *,
                 f"{type(profile).__name__}, not an AppPowerProfile")
         book.preload(profile)
     daemon = Daemon(checkpoint.config, book, cfg)
-    # the daemon is not shared yet, but its counters and collections
-    # are declared lock-protected (repro.sanitize guards them under an
-    # active tracker), so restore state under the lock like any writer
-    with daemon._lock:
-        daemon.scheduler.restore(state["scheduler"])
-        daemon.clock.advance_to(daemon.scheduler.now)
-        daemon.epochs = state["epochs"]
-        daemon.ticks = state["ticks"]
-        daemon._seq = state["seq"]
-        daemon._progress.update(state["progress"])
-        for entry in state["meta"]:
-            meta = _Admitted(entry["seq"], entry["priority"],
-                             entry["request"])
-            meta.buffered = entry["buffered"]
-            meta.killed = entry["killed"]
-            daemon._meta[entry["request"].job_id] = meta
-            if meta.buffered:
-                daemon._buffer.append(meta)
+    daemon.scheduler.restore(state["scheduler"])
+    daemon.clock.advance_to(daemon.scheduler.now)
+    daemon.epochs = state["epochs"]
+    daemon.ticks = state["ticks"]
+    daemon._seq = state["seq"]
+    daemon._progress.update(state["progress"])
+    for entry in state["meta"]:
+        meta = _Admitted(entry["seq"], entry["priority"],
+                         entry["request"])
+        meta.buffered = entry["buffered"]
+        meta.killed = entry["killed"]
+        daemon._meta[entry["request"].job_id] = meta
+        if meta.buffered:
+            daemon._buffer.append(meta)
     return daemon

@@ -19,8 +19,12 @@ shard-boundary lint recognizes as wire types:
 
 All field types are JSON-native (numbers, strings, bools, lists,
 dicts, None), so a decoded message round-trips exactly and the
-dataclasses stay trivially picklable. Unknown message types, version
-mismatches, and malformed bodies raise
+dataclasses stay trivially picklable. :func:`decode` holds every body
+field to its dataclass annotation: an ``int`` field takes neither a
+bool nor a float, a ``float`` field takes an int but never a
+non-finite value (JSON ``NaN``/``Infinity`` are refused outright), and
+only ``X | None`` fields take ``null``. Unknown message types, version
+mismatches, and malformed or mistyped bodies raise
 :class:`~repro.exceptions.ProtocolError` — the server catches it and
 answers with an :class:`ErrorReply` instead of dying.
 """
@@ -29,13 +33,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
+import typing
 from dataclasses import dataclass, field
 
 from repro.exceptions import ProtocolError
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_LINE_BYTES",
     "RunRequest",
     "StatusRequest",
     "ListRequest",
@@ -62,6 +69,11 @@ __all__ = [
 
 #: Bump on any incompatible wire change; both ends refuse a mismatch.
 PROTOCOL_VERSION = 1
+
+#: Longest request line a server buffers (1 MiB, far above any real
+#: request); a connection whose unterminated input passes it gets a
+#: ``protocol`` error and is closed.
+MAX_LINE_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +287,24 @@ def wire_type(cls: type) -> str:
 _BY_TYPE = {wire_type(cls): cls for cls in _MESSAGE_TYPES}
 
 
+def _wire_types(hint: object) -> frozenset:
+    """The exact types of decoded JSON values that a field annotated
+    ``hint`` admits: exact, so an ``int`` field refuses bools; a
+    ``float`` field also takes ints."""
+    types = set(typing.get_args(hint) or (hint,))
+    if float in types:
+        types.add(int)
+    return frozenset(types)
+
+
+#: message class -> field name -> admitted exact types
+_FIELD_TYPES = {
+    cls: {name: _wire_types(hint)
+          for name, hint in typing.get_type_hints(cls).items()}
+    for cls in _MESSAGE_TYPES
+}
+
+
 def encode(message: object) -> bytes:
     """One wire line (newline-terminated UTF-8) for ``message``."""
     cls = type(message)
@@ -291,12 +321,20 @@ def encode(message: object) -> bytes:
     return line.encode("utf-8") + b"\n"
 
 
+def _refuse_constant(name: str) -> object:
+    raise ProtocolError(f"malformed wire line: {name} is not a number")
+
+
+#: JSON ``NaN``/``Infinity``/``-Infinity`` are not numbers on this wire
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def decode(line: bytes | str) -> object:
     """Parse one wire line back into its message dataclass."""
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
     try:
-        envelope = json.loads(line)
+        envelope = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"malformed wire line: {exc}") from exc
     if not isinstance(envelope, dict):
@@ -314,11 +352,20 @@ def decode(line: bytes | str) -> object:
     body = envelope.get("body")
     if not isinstance(body, dict):
         raise ProtocolError(f"{tag}: body must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(body) - known
+    types = _FIELD_TYPES[cls]
+    unknown = set(body) - types.keys()
     if unknown:
         raise ProtocolError(
             f"{tag}: unknown field(s) {sorted(unknown)}")
+    for name, value in body.items():
+        kind = type(value)
+        if kind not in types[name] or \
+                (kind is float and not math.isfinite(value)):
+            annotation = next(f.type for f in dataclasses.fields(cls)
+                              if f.name == name)
+            raise ProtocolError(
+                f"{tag}: field {name!r} must be {annotation}, "
+                f"got {value!r}")
     try:
         return cls(**body)
     except TypeError as exc:

@@ -2,14 +2,14 @@
 
 :class:`Daemon` is the transport-free heart of the service. It owns a
 :class:`~repro.scheduler.scheduler.PowerAwareScheduler`, a bounded
-thread-safe admission buffer in front of it, and a
+admission buffer in front of it, and a
 :class:`~repro.telemetry.pubsub.MessageBus` that progress telemetry
-fans out over. The socket layer (:mod:`repro.daemon.server`) and the
-tests drive it the same way:
+fans out over. It has exactly one owner and is not thread-safe: the
+socket layer's single loop (:mod:`repro.daemon.server`) or a test
+calls it, never several threads at once. Both drive it the same way:
 
 * :meth:`handle` — serve one protocol request, return exactly one
-  reply. Safe to call from many client threads at once; every request
-  runs under the daemon lock.
+  reply.
 * :meth:`tick` — drain the admission buffer into the scheduler and
   advance up to ``max_epochs`` simulated epochs. *Only* tick moves
   simulated time; requests between ticks see a frozen simulation.
@@ -26,20 +26,20 @@ bit for bit (the e2e suite holds a daemon run to byte-equality with
 the equivalent batch :meth:`PowerAwareScheduler.run`).
 
 Admission is FIFO per priority: the buffer drains in
-``(-priority, seq)`` order, where ``seq`` is assigned under the lock
-at admission, so equal-priority jobs enter the scheduler queue exactly
-in arrival order no matter how many client threads race.
+``(-priority, seq)`` order, where ``seq`` is assigned at admission in
+the order the owner serves requests (over a socket: the server loop's
+service order), so equal-priority jobs enter the scheduler queue
+exactly in arrival order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro import obs, sanitize
+from repro import obs
 from repro.daemon import protocol as proto
 from repro.exceptions import ConfigurationError, ReproError
 from repro.hardware.config import NodeConfig
@@ -141,7 +141,10 @@ class _Watcher:
 
 
 class Daemon:
-    """Thread-safe service front of one power-aware simulated cluster.
+    """Service front of one power-aware simulated cluster.
+
+    Single-owner and not thread-safe: one caller (the server loop, or
+    a test) drives every method.
 
     Parameters
     ----------
@@ -169,17 +172,10 @@ class Daemon:
                               drop_prob=config.telemetry_drop,
                               seed=config.telemetry_seed)
         self._pub = self.bus.pub_socket()
-        # tracked when a repro.sanitize tracker is active, a plain
-        # threading.RLock otherwise (zero cost when off)
-        self._lock = sanitize.tracked_rlock("Daemon._lock")
-        self._buffer: list[_Admitted] = sanitize.guarded(
-            [], "Daemon._buffer", self._lock)
-        self._meta: dict[str, _Admitted] = sanitize.guarded(
-            {}, "Daemon._meta", self._lock)
-        self._progress: dict[str, float] = sanitize.guarded(
-            {}, "Daemon._progress", self._lock)
-        self._watchers: dict[str, _Watcher] = sanitize.guarded(
-            {}, "Daemon._watchers", self._lock)
+        self._buffer: list[_Admitted] = []
+        self._meta: dict[str, _Admitted] = {}
+        self._progress: dict[str, float] = {}
+        self._watchers: dict[str, _Watcher] = {}
         self._seq = 0
         self.epochs = 0          #: scheduler steps taken over the lifetime
         self.ticks = 0
@@ -190,13 +186,6 @@ class Daemon:
                                               kind="daemon")
         self.scheduler.add_listener(self._on_event)
         self.scheduler.add_epoch_listener(self._on_epoch)
-        # under an active sanitizer: subscriber bookkeeping and the
-        # scalar counters must only change while the daemon lock is
-        # held (guards are installed last so __init__ itself is free)
-        sanitize.guard_attr(self.bus, "_subs", "MessageBus._subs",
-                            self._lock)
-        sanitize.guard_fields(self, ("_seq", "epochs", "ticks",
-                                     "_shutdown"), self._lock)
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -207,29 +196,28 @@ class Daemon:
         (failures become typed :class:`~repro.daemon.protocol.
         ErrorReply`\\ s, never exceptions — the transport must stay
         up)."""
-        with self._lock:
-            try:
-                if isinstance(request, proto.RunRequest):
-                    return self._handle_run(request)
-                if isinstance(request, proto.StatusRequest):
-                    return self._handle_status(request)
-                if isinstance(request, proto.ListRequest):
-                    return self._handle_list()
-                if isinstance(request, proto.KillRequest):
-                    return self._handle_kill(request)
-                if isinstance(request, proto.WatchRequest):
-                    return self._handle_watch(request)
-                if isinstance(request, proto.TickRequest):
-                    return self._handle_tick(request)
-                if isinstance(request, proto.InfoRequest):
-                    return self._handle_info()
-                if isinstance(request, proto.ShutdownRequest):
-                    return self._handle_shutdown()
-                return proto.ErrorReply(
-                    code="bad-request",
-                    message=f"{type(request).__name__} is not a request")
-            except ReproError as exc:
-                return proto.ErrorReply(code="internal", message=str(exc))
+        try:
+            if isinstance(request, proto.RunRequest):
+                return self._handle_run(request)
+            if isinstance(request, proto.StatusRequest):
+                return self._handle_status(request)
+            if isinstance(request, proto.ListRequest):
+                return self._handle_list()
+            if isinstance(request, proto.KillRequest):
+                return self._handle_kill(request)
+            if isinstance(request, proto.WatchRequest):
+                return self._handle_watch(request)
+            if isinstance(request, proto.TickRequest):
+                return self._handle_tick(request)
+            if isinstance(request, proto.InfoRequest):
+                return self._handle_info()
+            if isinstance(request, proto.ShutdownRequest):
+                return self._handle_shutdown()
+            return proto.ErrorReply(
+                code="bad-request",
+                message=f"{type(request).__name__} is not a request")
+        except ReproError as exc:
+            return proto.ErrorReply(code="internal", message=str(exc))
 
     def _reject(self, code: str, message: str) -> proto.ErrorReply:
         obs.metrics().counter("daemon.rejected", code=code).inc()
@@ -373,10 +361,6 @@ class Daemon:
         except ConfigurationError as exc:
             return self._reject("bad-request", str(exc))
         watcher = _Watcher(req.watch_id, sub, req.events)
-        sanitize.guard_attr(sub, "_queue", "SubSocket._queue",
-                            self._lock)
-        sanitize.guard_attr(watcher, "events", "_Watcher.events",
-                            self._lock)
         self._watchers[req.watch_id] = watcher
         return proto.WatchReply(watch_id=req.watch_id, resumed=False)
 
@@ -425,35 +409,34 @@ class Daemon:
         scheduler steps. Returns the steps actually taken (0 when the
         cluster is idle — an idle daemon's simulated time stands
         still). This is the only method that moves simulated time."""
-        with self._lock:
-            with obs.tracer().span("daemon.tick",
-                                   buffered=len(self._buffer),
-                                   max_epochs=max_epochs):
-                self._admit_buffered()
-                taken = 0
-                while taken < max_epochs:
-                    if not self.scheduler.step():
-                        if self.scheduler.now > self.clock.now:
-                            # idle-hop moved time with no epoch results
-                            self.clock.advance_to(self.scheduler.now)
-                        break
-                    taken += 1
-                    self.epochs += 1
+        with obs.tracer().span("daemon.tick",
+                               buffered=len(self._buffer),
+                               max_epochs=max_epochs):
+            self._admit_buffered()
+            taken = 0
+            while taken < max_epochs:
+                if not self.scheduler.step():
                     if self.scheduler.now > self.clock.now:
+                        # idle-hop moved time with no epoch results
                         self.clock.advance_to(self.scheduler.now)
-                    if checkpoint_due(self.config.checkpoint_interval,
-                                      self._run_store, self.epochs):
-                        self.checkpoint()
-            self.ticks += 1
-            dropped = self.bus.dropped + sum(
-                w.sub.overflowed for w in self._watchers.values())
-            obs.metrics().gauge("daemon.telemetry_dropped").set(dropped)
-            return taken
+                    break
+                taken += 1
+                self.epochs += 1
+                if self.scheduler.now > self.clock.now:
+                    self.clock.advance_to(self.scheduler.now)
+                if checkpoint_due(self.config.checkpoint_interval,
+                                  self._run_store, self.epochs):
+                    self.checkpoint()
+        self.ticks += 1
+        dropped = self.bus.dropped + sum(
+            w.sub.overflowed for w in self._watchers.values())
+        obs.metrics().gauge("daemon.telemetry_dropped").set(dropped)
+        return taken
 
     def _admit_buffered(self) -> None:
         """Move buffered submissions into the scheduler queue, highest
-        priority first, FIFO within a priority (seq assigned under the
-        admission lock breaks ties deterministically)."""
+        priority first, FIFO within a priority (seq assigned at
+        admission breaks ties deterministically)."""
         if not self._buffer:
             return
         self._buffer.sort(key=lambda m: (-m.priority, m.seq))
@@ -466,7 +449,7 @@ class Daemon:
         obs.metrics().gauge("daemon.queue_depth").set(0)
 
     # ------------------------------------------------------------------
-    # Scheduler listeners (called inside tick, under the lock)
+    # Scheduler listeners (called inside tick)
     # ------------------------------------------------------------------
 
     def _on_event(self, event: SchedulerEvent) -> None:
@@ -509,38 +492,30 @@ class Daemon:
     def drain_watch(self, watch_id: str) -> list:
         """Frames owed to one subscription: the reliable event backlog
         first, then every bus message whose modelled delivery time has
-        arrived. Called by the server after each tick."""
-        with self._lock:
-            watcher = self._watchers.get(watch_id)
-            if watcher is None:
-                return []
-            frames: list = []
-            while watcher.events:
-                frames.append(watcher.events.popleft())
-            if not watcher.sub.closed:
-                frames.extend(
-                    proto.StreamTelemetry(time=m.time, topic=m.topic,
-                                          value=m.value)
-                    for m in watcher.sub.recv_all())
-            return frames
+        arrived. Called by the server at the end of each loop pass."""
+        watcher = self._watchers.get(watch_id)
+        if watcher is None:
+            return []
+        frames: list = []
+        while watcher.events:
+            frames.append(watcher.events.popleft())
+        if not watcher.sub.closed:
+            frames.extend(
+                proto.StreamTelemetry(time=m.time, topic=m.topic,
+                                      value=m.value)
+                for m in watcher.sub.recv_all())
+        return frames
 
     def detach_watch(self, watch_id: str) -> None:
         """The connection owning ``watch_id`` went away: disconnect its
         subscriber (messages published while detached are lost — slow
         joiner on reconnect) but keep the watcher resumable."""
-        with self._lock:
-            watcher = self._watchers.get(watch_id)
-            if watcher is None or not watcher.attached:
-                return
-            watcher.attached = False
-            if not watcher.sub.closed:
-                watcher.sub.close()
-
-    def watch_ids(self) -> list[str]:
-        """Attached subscription ids (server flush loop)."""
-        with self._lock:
-            return [w.watch_id for w in self._watchers.values()
-                    if w.attached]
+        watcher = self._watchers.get(watch_id)
+        if watcher is None or not watcher.attached:
+            return
+        watcher.attached = False
+        if not watcher.sub.closed:
+            watcher.sub.close()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -555,16 +530,14 @@ class Daemon:
         if self._run_store is None:
             raise ConfigurationError(
                 "daemon has no checkpoint_dir configured")
-        with self._lock:
-            path = self._run_store.save(build_run_checkpoint(self))
+        path = self._run_store.save(build_run_checkpoint(self))
         obs.tracer().instant("daemon.checkpoint", path=path,
                              epochs=self.epochs)
         return path
 
     def close(self) -> None:
         """Tear down the scheduler's shard workers."""
-        with self._lock:
-            self.scheduler.close()
+        self.scheduler.close()
 
 
 def _finite(value: float | None) -> float | None:

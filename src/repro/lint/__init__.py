@@ -3,7 +3,7 @@
 The repo's correctness story (bit-identical golden parity across shard
 counts, content-keyed result caching, checkpoint round-trips through
 every stateful component) rests on invariants that ordinary linters
-cannot see. This package enforces them statically, in five rule
+cannot see. This package enforces them statically, in four rule
 families:
 
 ``determinism``
@@ -18,12 +18,9 @@ families:
 ``units``
     Watt-, joule-, hertz- and second-named quantities are never mixed
     additively.
-``concurrency``
-    Lock-protected attributes are written under their lock, thread
-    roots share state only through a common lock, lock acquisition
-    order is cycle-free, and no blocking call runs inside a critical
-    section (cross-module analysis over the whole source tree; see
-    :mod:`repro.lint.project`).
+
+Rules see the whole source tree through :mod:`repro.lint.project`, so
+they can follow imports and base classes across files.
 
 Run it with ``python -m repro.lint src/`` (see ``docs/LINTING.md``);
 silence an individual line with ``# repro-lint: disable=<rule>``.

@@ -18,8 +18,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant checks: determinism, checkpoint "
-                    "coverage, shard-boundary picklability, physical units, "
-                    "concurrency lock discipline. See docs/LINTING.md.")
+                    "coverage, shard-boundary picklability, physical "
+                    "units. See docs/LINTING.md.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),

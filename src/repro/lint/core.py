@@ -5,13 +5,8 @@ A *rule* is an object with an ``id``, a ``family`` and a
 operate on a parsed :class:`Module` (AST + source + import map) so each
 source file is read and parsed exactly once per run, plus the
 :class:`~repro.lint.project.Project` built from *every* module of the
-run — per-module rules may follow imports, base classes and
-annotations across files through it.
-
-Rules whose unit of analysis is the whole project (the concurrency
-family's lock graph, for instance) subclass :class:`ProjectRule` and
-implement ``check_project(project)`` instead; the driver calls it once
-per run and routes each finding back through its module's suppressions.
+run — rules may follow imports and base classes across files through
+it.
 
 Suppressions are per line: a trailing ``# repro-lint: disable=<rule>``
 comment (comma-separated rule ids or family names) silences findings
@@ -33,7 +28,6 @@ if TYPE_CHECKING:  # circular at runtime: project.py imports Module
 __all__ = [
     "Finding",
     "Module",
-    "ProjectRule",
     "Rule",
     "iter_python_files",
     "lint_file",
@@ -122,24 +116,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule whose unit of analysis is the whole project.
-
-    Subclasses implement :meth:`check_project`, called once per run;
-    each yielded :class:`Finding` must carry the path of the module it
-    belongs to (use :meth:`Rule.finding` with that module) so the
-    driver can apply the module's suppressions.
-    """
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def check(self, module: Module, project: "Project") -> Iterator[Finding]:
-        # Per-module dispatch never applies; the driver special-cases
-        # ProjectRule. Kept callable so duck-typed callers stay safe.
-        return iter(())
-
-
 def _collect_imports(tree: ast.Module) -> dict[str, str]:
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
@@ -199,17 +175,12 @@ def lint_project(project: "Project",
     order = {m.path: i for i, m in enumerate(project.modules)}
     findings: list[Finding] = []
     for rule in rules:
-        if isinstance(rule, ProjectRule):
-            raw: Iterable[Finding] = rule.check_project(project)
-        else:
-            raw = (f for m in project.modules for f in rule.check(m, project))
-        for finding in raw:
-            mod = project.by_path.get(finding.path)
-            if mod is not None:
+        for mod in project.modules:
+            for finding in rule.check(mod, project):
                 disabled = mod.suppressed(finding.line)
                 if finding.rule in disabled or finding.family in disabled:
                     continue
-            findings.append(finding)
+                findings.append(finding)
     findings.sort(key=lambda f: (order.get(f.path, 0), f.line, f.col, f.rule))
     return findings
 
@@ -219,9 +190,9 @@ def lint_file(module: Module, rules: Iterable[Rule],
     """Run ``rules`` over one parsed module, honouring suppressions.
 
     Without an explicit ``project`` the module is wrapped in a
-    single-module project, so project-wide rules still run (blind to
-    anything outside the file — exactly the unit-test entry point's
-    contract).
+    single-module project, so rules that follow imports or base
+    classes still run (blind to anything outside the file — exactly
+    the unit-test entry point's contract).
     """
     from repro.lint.project import Project
 

@@ -3,10 +3,9 @@
 The per-file :class:`~repro.lint.core.Module` sees one AST at a time,
 which is enough for purely local invariants (a ``time.time()`` call, a
 lock-typed dataclass field) but blind to anything that spans files: a
-``snapshot()`` that extends a base class defined elsewhere, a lock
-attribute acquired through a parameter annotated with a class from
-another module, a thread spawned here whose target mutates state owned
-there. :class:`Project` closes that gap.
+``snapshot()`` that extends a base class defined elsewhere, or a
+boundary field whose type is imported under an alias.
+:class:`Project` closes that gap.
 
 A :class:`Project` is built once per lint run from every parsed module
 and indexes:
@@ -20,12 +19,11 @@ and indexes:
   ``from .service import Daemon`` participates in resolution.
 
 On top of the indices it resolves the references rules actually
-follow: a name as written in a module to a class
-(:meth:`Project.resolve_class`), a parameter/field annotation to a
-class (:meth:`Project.resolve_annotation`, unwrapping ``Optional[X]``,
-``X | None`` and string forward references), and a class to its base
-classes and inherited methods (:meth:`Project.bases_of`,
-:meth:`Project.find_method`, :meth:`Project.iter_methods`).
+follow: a dotted name through a module's import aliases
+(:meth:`Project.resolve_name`), a name as written in a module to a
+class (:meth:`Project.resolve_class`), and a class to its base classes
+and inherited methods (:meth:`Project.bases_of`,
+:meth:`Project.iter_methods`).
 
 Resolution is deliberately conservative: an unresolvable reference is
 ``None``, never a guess — except for the *unique bare name* fallback
@@ -33,10 +31,8 @@ Resolution is deliberately conservative: an unresolvable reference is
 which keeps single-string fixtures in tests resolvable without import
 plumbing.
 
-Rules that need the whole project at once subclass
-:class:`~repro.lint.core.ProjectRule` and implement
-``check_project(project)``; per-module rules receive the project as a
-second argument to ``check(module, project)``.
+Rules receive the project as the second argument to
+``check(module, project)``.
 """
 
 from __future__ import annotations
@@ -92,7 +88,7 @@ class ClassInfo:
     methods:
         Name -> :class:`ast.FunctionDef` for methods defined *in this
         class body* (inherited methods come from
-        :meth:`Project.find_method`).
+        :meth:`Project.iter_methods`).
     """
 
     __slots__ = ("name", "qualname", "module", "node", "methods")
@@ -129,21 +125,14 @@ class Project:
 
     def __init__(self, modules: Iterable[Module]) -> None:
         self.modules: list[Module] = list(modules)
-        self.by_path: dict[str, Module] = {m.path: m for m in self.modules}
-        #: dotted module name -> Module (first wins on collisions).
-        self.module_names: dict[str, Module] = {}
         #: qualified class name -> ClassInfo.
         self.classes: dict[str, ClassInfo] = {}
-        #: rule-scoped memo space (e.g. the concurrency model), keyed
-        #: by whatever the rule chooses; cleared with the project.
-        self.cache: dict[str, object] = {}
         self._names: dict[str, str] = {}          # path -> dotted name
         self._bare: dict[str, list[ClassInfo]] = {}
         self._imports: dict[str, dict[str, str]] = {}
         for mod in self.modules:
             name = module_name(mod.path)
             self._names[mod.path] = name
-            self.module_names.setdefault(name, mod)
             self._index_classes(mod, name)
 
     def _index_classes(self, mod: Module, mod_name: str) -> None:
@@ -234,33 +223,6 @@ class Project:
                 return bare[0]
         return None
 
-    def resolve_annotation(self, module: Module,
-                           node: ast.AST | None) -> ClassInfo | None:
-        """Resolve a parameter/field annotation to a project class,
-        unwrapping ``Optional[X]``, ``X | None`` unions and string
-        forward references. None when the annotation does not name a
-        project class."""
-        if node is None:
-            return None
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, str):
-                return None
-            try:
-                node = ast.parse(node.value, mode="eval").body
-            except SyntaxError:
-                return None
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-            return (self.resolve_annotation(module, node.left)
-                    or self.resolve_annotation(module, node.right))
-        if isinstance(node, ast.Subscript):
-            head = _dotted(node.value)
-            if head and head.split(".")[-1] == "Optional":
-                return self.resolve_annotation(module, node.slice)
-            return None
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            return self.resolve_class(module, node)
-        return None
-
     # ------------------------------------------------------------------
     # Inheritance
     # ------------------------------------------------------------------
@@ -293,15 +255,3 @@ class Project:
                     seen.add(name)
                     yield cls, name, fn
             stack.extend(self.bases_of(cls))
-
-    def find_method(self, info: ClassInfo, name: str) -> \
-            tuple[ClassInfo, ast.FunctionDef] | None:
-        """The defining ``(owner, def)`` of method ``name`` on ``info``,
-        searching the class then its resolvable bases."""
-        for owner, method_name, fn in self.iter_methods(info):
-            if method_name == name:
-                return owner, fn
-        return None
-
-    def iter_classes(self) -> Iterator[ClassInfo]:
-        yield from self.classes.values()

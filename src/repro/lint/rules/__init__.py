@@ -23,11 +23,6 @@ from repro.lint.rules.determinism import (
     UnseededRngRule,
     WallClockRule,
 )
-from repro.lint.rules.concurrency import (
-    BlockingUnderLockRule,
-    LockOrderRule,
-    UnguardedWriteRule,
-)
 from repro.lint.rules.picklable import BoundaryFieldRule
 from repro.lint.rules.units import UnitMixRule, UnitSuffixRule
 
@@ -48,9 +43,6 @@ ALL_RULES: tuple[Rule, ...] = (
     BoundaryFieldRule(),
     UnitMixRule(),
     UnitSuffixRule(),
-    UnguardedWriteRule(),
-    LockOrderRule(),
-    BlockingUnderLockRule(),
 )
 
 

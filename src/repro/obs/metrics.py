@@ -115,10 +115,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple, tuple[str, dict[str, Any], Any]] = {}
-        # the daemon's client threads register instruments concurrently
-        # (e.g. a per-client bytes counter on first reply); the lock
-        # covers registration only — updates on an instrument stay
-        # unsynchronized single-opcode-ish operations
+        # any thread of the embedding program may register instruments
+        # concurrently; the lock covers registration only — updates on
+        # an instrument stay unsynchronized single-opcode-ish operations
         self._reg_lock = threading.Lock()
 
     def _get(self, kind: type, name: str, labels: dict[str, Any]) -> Any:

@@ -3,9 +3,10 @@
 The daemon (:mod:`repro.daemon`) runs a *simulated* cluster as a
 long-lived service: real clients connect over real sockets, so the
 simulation has to advance against real time. The exchange rate is
-``sim_rate`` simulated seconds per wall second; every driver tick the
-server asks how many whole epochs have come due since the last tick and
-runs exactly that many.
+``sim_rate`` simulated seconds per wall second; on every pass of its
+loop the server asks how many whole epochs have come due since the last
+pass and runs exactly that many, then waits at most until the next one
+is due.
 
 This module deliberately reads no clock. The server measures elapsed
 wall time through the audited :mod:`repro.daemon.hostio` module and
@@ -81,6 +82,11 @@ class EpochPacer:
         else:
             self._carry = owed - due
         return due
+
+    def wall_until_due(self) -> float:
+        """Wall seconds, from the last :meth:`epochs_due` reading, until
+        the next whole epoch is owed."""
+        return (1.0 - self._carry) * self.epoch / self.sim_rate
 
     def reset(self) -> None:
         """Forget any fractional debt (e.g. after a manual tick)."""

@@ -7,10 +7,14 @@ in seconds of uncapped lammps progress, exactly like the scheduler
 suite's fixtures.
 """
 
+import contextlib
+import threading
+
 import pytest
 
 from repro.daemon import protocol as proto
 from repro.daemon.profiles import DEMO_LAMMPS_RATE, demo_book
+from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
 from repro.scheduler import SchedulerConfig
 
@@ -34,6 +38,32 @@ def run_request(job_id, *, n_nodes=1, seconds=2.5, tol=None, priority=0):
         job_id=job_id, app_name="lammps", n_nodes=n_nodes,
         work_units=seconds * DEMO_LAMMPS_RATE, max_slowdown=tol,
         priority=priority, app_kwargs={"n_steps": 1_000_000})
+
+
+def start_server(daemon, tmp_path, name="repro.sock", pacer=None):
+    """Server on a fresh UDS, its loop on a background thread (manual
+    mode unless a pacer is given); returns (server, thread, path)."""
+    path = str(tmp_path / name)
+    server = DaemonServer(daemon, socket_path=path, pacer=pacer)
+    server.bind()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, path
+
+
+@contextlib.contextmanager
+def serving(tmp_path, pacer=None, **daemon_kwargs):
+    """A fresh daemon behind :func:`start_server`; yields
+    (daemon, path), then stops the loop and the daemon."""
+    daemon = make_daemon(**daemon_kwargs)
+    server, thread, path = start_server(daemon, tmp_path, pacer=pacer)
+    try:
+        yield daemon, path
+    finally:
+        server.shutdown()
+        thread.join(timeout=5.0)
+        daemon.close()
+    assert not thread.is_alive()
 
 
 def drain(daemon, max_epochs=500):

@@ -16,10 +16,9 @@ from repro.daemon import protocol as proto
 from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.client import DaemonClient
 from repro.daemon.profiles import DEMO_LAMMPS_RATE, demo_book
-from repro.daemon.server import DaemonServer
 from repro.scheduler import Job, PowerAwareScheduler
 
-from tests.daemon.conftest import make_daemon
+from tests.daemon.conftest import make_daemon, start_server
 
 pytestmark = pytest.mark.slow
 
@@ -30,17 +29,6 @@ WORKLOAD = [
     ("charlie", 2, 2.5, 0.25),
     ("delta", 1, 3.5, None),
 ]
-
-
-def start_server(daemon, tmp_path, name="repro.sock"):
-    """Manual-mode server on a fresh UDS; returns (server, thread)."""
-    path = str(tmp_path / name)
-    server = DaemonServer(daemon, socket_path=path, pacer=None,
-                          tick_wall=0.01)
-    server.bind()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread, path
 
 
 def submit_concurrently(path, workload):

@@ -108,3 +108,56 @@ class TestDecodeErrors:
     def test_version_mismatch_message_names_both_versions(self):
         with pytest.raises(ProtocolError, match="99"):
             proto.decode(b'{"v": 99, "type": "list_request", "body": {}}')
+
+
+#: Frames that break the daemon if admitted: each field mistyped or
+#: non-finite. Every one must be refused at decode time.
+BAD_FIELD_LINES = {
+    "n_nodes-float":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+        b' "app_name": "lammps", "n_nodes": 1.5, "work_units": 10}}',
+    "n_nodes-bool":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+        b' "app_name": "lammps", "n_nodes": true, "work_units": 10}}',
+    "work_units-Infinity":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+        b' "app_name": "lammps", "n_nodes": 1, "work_units": Infinity}}',
+    "work_units-overflow":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+        b' "app_name": "lammps", "n_nodes": 1, "work_units": 1e999}}',
+    "priority-NaN":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+        b' "app_name": "lammps", "n_nodes": 1, "work_units": 10,'
+        b' "priority": NaN}}',
+    "job_id-null":
+        b'{"v": 1, "type": "run_request", "body": {"job_id": null,'
+        b' "app_name": "lammps", "n_nodes": 1, "work_units": 10}}',
+    "hwm-NaN":
+        b'{"v": 1, "type": "watch_request", "body": {"watch_id": "w",'
+        b' "hwm": NaN}}',
+    "epochs-NaN":
+        b'{"v": 1, "type": "tick_request", "body": {"epochs": NaN}}',
+    "epochs-str":
+        b'{"v": 1, "type": "tick_request", "body": {"epochs": "3"}}',
+}
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("line", BAD_FIELD_LINES.values(),
+                             ids=BAD_FIELD_LINES.keys())
+    def test_mistyped_or_non_finite_field_raises(self, line):
+        with pytest.raises(ProtocolError):
+            proto.decode(line)
+
+    def test_int_is_accepted_for_a_float_field(self):
+        decoded = proto.decode(
+            b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+            b' "app_name": "lammps", "n_nodes": 2, "work_units": 10}}')
+        assert decoded.work_units == 10 and decoded.n_nodes == 2
+
+    def test_null_only_where_the_annotation_allows_it(self):
+        decoded = proto.decode(
+            b'{"v": 1, "type": "run_request", "body": {"job_id": "j",'
+            b' "app_name": "lammps", "n_nodes": 1, "work_units": 1.5,'
+            b' "max_slowdown": null, "app_kwargs": null}}')
+        assert decoded.max_slowdown is None and decoded.app_kwargs is None

@@ -1,11 +1,12 @@
-"""Daemon core tests: admission (including under thread contention),
-lifecycle, telemetry fan-out, and determinism."""
+"""Daemon core tests: admission (including many concurrent clients
+over a socket), lifecycle, telemetry fan-out, and determinism."""
 
 import threading
 
 import pytest
 
 from repro.daemon import protocol as proto
+from repro.daemon.client import DaemonClient
 from repro.scheduler import JobState
 
 from tests.daemon.conftest import (
@@ -13,6 +14,7 @@ from tests.daemon.conftest import (
     make_daemon,
     make_daemon_config,
     run_request,
+    serving,
 )
 
 pytestmark = pytest.mark.slow
@@ -77,89 +79,83 @@ class TestAdmission:
 
 
 class TestConcurrentAdmission:
-    """The ISSUE's concurrency contract: N threads submitting at once
-    lose nothing, duplicate nothing, and drain FIFO per priority."""
+    """The concurrency contract over a real socket: N clients
+    submitting at once to one server lose nothing, duplicate nothing,
+    and drain FIFO per priority."""
 
-    N_THREADS = 8
-    PER_THREAD = 4
+    N_CLIENTS = 8
+    PER_CLIENT = 4
 
-    def _submit_storm(self, daemon, priority_of):
-        barrier = threading.Barrier(self.N_THREADS)
+    def _submit_storm(self, path, priority_of):
+        barrier = threading.Barrier(self.N_CLIENTS)
         replies = {}
 
         def worker(t):
-            barrier.wait()
-            for i in range(self.PER_THREAD):
-                job_id = f"t{t}-{i}"
-                replies[job_id] = daemon.handle(
-                    run_request(job_id, seconds=2.5,
-                                priority=priority_of(t, i)))
+            with DaemonClient(socket_path=path, timeout=30.0) as client:
+                barrier.wait()
+                for i in range(self.PER_CLIENT):
+                    job_id = f"t{t}-{i}"
+                    replies[job_id] = client.request(
+                        run_request(job_id, seconds=2.5,
+                                    priority=priority_of(t, i)))
 
         threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(self.N_THREADS)]
+                   for t in range(self.N_CLIENTS)]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
         return replies
 
-    def test_no_lost_or_duplicated_submissions(self):
-        daemon = make_daemon(queue_capacity=64)
-        try:
-            replies = self._submit_storm(daemon, lambda t, i: 0)
-            assert all(isinstance(r, proto.RunReply)
-                       for r in replies.values())
-            seqs = sorted(r.seq for r in replies.values())
-            assert seqs == list(range(self.N_THREADS * self.PER_THREAD))
-            listed = daemon.handle(proto.ListRequest())
-            assert len(listed.jobs) == self.N_THREADS * self.PER_THREAD
-            assert len({j["job_id"] for j in listed.jobs}) == len(
-                listed.jobs)
-        finally:
-            daemon.close()
+    def test_no_lost_or_duplicated_submissions(self, tmp_path):
+        with serving(tmp_path, queue_capacity=64) as (_d, path):
+            replies = self._submit_storm(path, lambda t, i: 0)
+            with DaemonClient(socket_path=path, timeout=30.0) as client:
+                listed = client.list()
+        assert all(isinstance(r, proto.RunReply)
+                   for r in replies.values())
+        seqs = sorted(r.seq for r in replies.values())
+        assert seqs == list(range(self.N_CLIENTS * self.PER_CLIENT))
+        assert len(listed.jobs) == self.N_CLIENTS * self.PER_CLIENT
+        assert len({j["job_id"] for j in listed.jobs}) == len(listed.jobs)
 
-    def test_fifo_within_priority_across_threads(self):
-        daemon = make_daemon(queue_capacity=64)
-        try:
-            # threads 0-3 submit priority 0, threads 4-7 priority 5
+    def test_fifo_within_priority_across_threads(self, tmp_path):
+        with serving(tmp_path, queue_capacity=64) as (daemon, path):
+            # clients 0-3 submit priority 0, clients 4-7 priority 5
             replies = self._submit_storm(
-                daemon, lambda t, i: 5 if t >= 4 else 0)
-            daemon.tick(1)  # admit the buffer into the scheduler
-            submitted = [e.job_id for e in daemon.scheduler.events
-                         if type(e).__name__ == "JobSubmitted"]
-            by_seq = {jid: replies[jid].seq for jid in submitted}
-            high = [jid for jid in submitted
-                    if jid.startswith(("t4", "t5", "t6", "t7"))]
-            low = [jid for jid in submitted if jid not in set(high)]
-            # all high-priority jobs entered the scheduler first ...
-            assert submitted[:len(high)] == high
-            # ... and each band is FIFO in admission-sequence order
-            assert [by_seq[j] for j in high] == sorted(
-                by_seq[j] for j in high)
-            assert [by_seq[j] for j in low] == sorted(
-                by_seq[j] for j in low)
-        finally:
-            daemon.close()
+                path, lambda t, i: 5 if t >= 4 else 0)
+            with DaemonClient(socket_path=path, timeout=30.0) as client:
+                client.tick(1)  # admit the buffer into the scheduler
+        submitted = [e.job_id for e in daemon.scheduler.events
+                     if type(e).__name__ == "JobSubmitted"]
+        by_seq = {jid: replies[jid].seq for jid in submitted}
+        high = [jid for jid in submitted
+                if jid.startswith(("t4", "t5", "t6", "t7"))]
+        low = [jid for jid in submitted if jid not in set(high)]
+        # all high-priority jobs entered the scheduler first ...
+        assert submitted[:len(high)] == high
+        # ... and each band is FIFO in admission-sequence order
+        assert [by_seq[j] for j in high] == sorted(by_seq[j] for j in high)
+        assert [by_seq[j] for j in low] == sorted(by_seq[j] for j in low)
 
-    def test_capacity_enforced_under_contention(self):
+    def test_capacity_enforced_under_contention(self, tmp_path):
         capacity = 10
-        daemon = make_daemon(queue_capacity=capacity)
-        try:
-            replies = self._submit_storm(daemon, lambda t, i: 0)
-            accepted = [r for r in replies.values()
-                        if isinstance(r, proto.RunReply)]
-            rejected = [r for r in replies.values()
-                        if isinstance(r, proto.ErrorReply)]
-            assert len(accepted) == capacity
-            assert len(rejected) == \
-                self.N_THREADS * self.PER_THREAD - capacity
-            assert {r.code for r in rejected} == {"queue-full"}
+        with serving(tmp_path, queue_capacity=capacity) as (_d, path):
+            replies = self._submit_storm(path, lambda t, i: 0)
             # the accepted set still runs to completion
-            drain(daemon)
-            info = daemon.handle(proto.InfoRequest())
-            assert info.completed == capacity
-        finally:
-            daemon.close()
+            with DaemonClient(socket_path=path, timeout=30.0) as client:
+                while client.tick(50).epochs:
+                    pass
+                info = client.info()
+        accepted = [r for r in replies.values()
+                    if isinstance(r, proto.RunReply)]
+        rejected = [r for r in replies.values()
+                    if isinstance(r, proto.ErrorReply)]
+        assert len(accepted) == capacity
+        assert len(rejected) == \
+            self.N_CLIENTS * self.PER_CLIENT - capacity
+        assert {r.code for r in rejected} == {"queue-full"}
+        assert info.completed == capacity
 
 
 class TestLifecycle:

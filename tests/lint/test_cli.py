@@ -83,16 +83,9 @@ class TestRuleSelection:
         with pytest.raises(ValueError, match="unknown rule"):
             select_rules(["bogus"])
 
-    def test_list_rules_covers_all_five_families(self):
+    def test_list_rules_covers_all_four_families(self):
         assert {r.family for r in ALL_RULES} == {
-            "determinism", "checkpoint", "picklable", "units",
-            "concurrency"}
-
-    def test_select_concurrency_family(self):
-        rules = select_rules(["concurrency"])
-        assert {r.id for r in rules} == {
-            "conc-unguarded-write", "conc-lock-order",
-            "conc-blocking-under-lock"}
+            "determinism", "checkpoint", "picklable", "units"}
 
 
 class TestSuppressionSyntax:

@@ -95,39 +95,6 @@ class TestClassIndex:
         assert proj.resolve_class(c, "Dup") is None
 
 
-class TestAnnotationResolution:
-    def _fixture(self):
-        a = _mod("src/pkg/a.py", "class T:\n    pass\n")
-        b = _mod("src/pkg/b.py", "from pkg.a import T\n")
-        return _project(a, b), b
-
-    def _resolve(self, ann: str):
-        import ast
-        proj, mod = self._fixture()
-        node = ast.parse(ann, mode="eval").body
-        return proj.resolve_annotation(mod, node)
-
-    def test_plain_name(self):
-        assert self._resolve("T").qualname == "pkg.a.T"
-
-    def test_optional_unwrapped(self):
-        assert self._resolve("Optional[T]").qualname == "pkg.a.T"
-
-    def test_union_none_unwrapped(self):
-        assert self._resolve("T | None").qualname == "pkg.a.T"
-
-    def test_forward_reference_string(self):
-        assert self._resolve("'T'").qualname == "pkg.a.T"
-
-    def test_container_subscript_is_not_the_element(self):
-        # list[T] as a whole names no project class (element typing is
-        # the concurrency scanner's job, not resolve_annotation's)
-        assert self._resolve("list[T]") is None
-
-    def test_unknown_name_is_none(self):
-        assert self._resolve("Nothing") is None
-
-
 class TestInheritance:
     def _fixture(self):
         base = _mod("src/pkg/base.py", """
@@ -164,9 +131,3 @@ class TestInheritance:
         assert ("Sub", "overridden") in seen
         assert ("Base", "shared") in seen
         assert ("Base", "overridden") not in seen
-
-    def test_find_method_walks_bases(self):
-        proj, sub = self._fixture()
-        owner, fn = proj.find_method(sub, "shared")
-        assert owner.name == "Base" and fn.name == "shared"
-        assert proj.find_method(sub, "missing") is None

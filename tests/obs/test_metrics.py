@@ -1,6 +1,7 @@
 """Metrics registry unit tests: instruments, labels, reports, nulls."""
 
 import json
+import threading
 
 import pytest
 
@@ -68,6 +69,25 @@ class TestRegistry:
         reg.counter("x")
         with pytest.raises(TypeError, match="already registered"):
             reg.gauge("x")
+
+    def test_concurrent_registration_yields_one_instrument(self):
+        reg = MetricsRegistry()
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        got = [None] * n_threads
+
+        def register(i):
+            barrier.wait()
+            got[i] = reg.counter("bytes", client="c0")
+
+        threads = [threading.Thread(target=register, args=(i,))
+                   for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert all(c is got[0] for c in got)
+        assert len(reg.snapshot()) == 1
 
     def test_snapshot_is_sorted_plain_data(self):
         reg = MetricsRegistry()

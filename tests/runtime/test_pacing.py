@@ -65,3 +65,11 @@ class TestPacing:
         assert pacer.epochs_due(0.35) == 3
         pacer.reset()
         assert pacer.epochs_due(0.35) == 3
+
+    def test_wall_until_due_is_the_rest_of_one_epoch(self):
+        pacer = EpochPacer(10.0, 1.0)  # one epoch per 0.1 wall s
+        assert pacer.wall_until_due() == pytest.approx(0.1)
+        assert pacer.epochs_due(0.25) == 2
+        assert pacer.wall_until_due() == pytest.approx(0.05)
+        # exactly that much more wall time owes exactly one epoch
+        assert pacer.epochs_due(pacer.wall_until_due() + 1e-12) == 1
