@@ -456,11 +456,17 @@ class Engine:
             core = node.cores[t.core_id]
             s = core.effective_clock()
             link = cfg.core_link_bandwidth * core.duty
+            demand = 0.0
             if w.bytes > 0:
                 standalone = standalone_time(w.cycles, w.bytes, s, link)
-                demands.append(bandwidth_demand(w.bytes, standalone))
+                demand = bandwidth_demand(w.bytes, standalone)
+            if demand > 0:
+                demands.append(demand)
                 mem_tasks.append(t)
             else:
+                # no traffic, or so little (a subnormal byte count) that
+                # its demand underflows to zero and would grant a zero
+                # rate forever: the item is compute-bound
                 t.bytes_rate = 0.0
         if mem_tasks:
             grants = allocate_bandwidth(demands, node.effective_mem_bandwidth)
@@ -472,7 +478,7 @@ class Engine:
             w = t.work
             core = node.cores[t.core_id]
             s = core.effective_clock()
-            if w.bytes > 0:
+            if gi < len(mem_tasks) and mem_tasks[gi] is t:
                 granted = float(grants[gi])
                 gi += 1
                 t.bytes_rate = granted

@@ -307,14 +307,17 @@ class VectorGroup:
         cyc = self.w_cycles[ids]
         byt = self.w_bytes[ids]
         s2 = s[:, None]
-        membound = run & (byt > 0.0)
+        hasbytes = run & (byt > 0.0)
 
         # Demands: uncontended bandwidth each memory-bound worker would use.
         standalone = hk.standalone_time(cyc, byt, s2, link[:, None])
         demand = np.where(
-            membound,
-            hk.bandwidth_demand(byt, np.where(membound, standalone, 1.0)),
+            hasbytes,
+            hk.bandwidth_demand(byt, np.where(hasbytes, standalone, 1.0)),
             0.0)
+        # a subnormal byte count whose demand underflows to zero is
+        # compute-bound (Engine._recompute_rates does the same)
+        membound = hasbytes & (demand > 0.0)
 
         # Max-min fair allocation, batched. The demand sum and the
         # progressive fill visit the same W slots the object allocator

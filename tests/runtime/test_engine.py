@@ -375,3 +375,25 @@ def test_work_conservation(items):
     total_misses = sum(b for _, b in items) / node.cfg.cache_line
     assert snap.total("PAPI_TOT_INS") == pytest.approx(total_ins, rel=1e-9)
     assert snap.total("PAPI_L3_TCM") == pytest.approx(total_misses, rel=1e-9)
+
+
+def test_subnormal_bytes_do_not_stall_the_task():
+    """A byte count so small that its bandwidth demand underflows to
+    zero runs as compute-bound work instead of never progressing (a
+    periodic timer would otherwise keep the run loop alive forever)."""
+    node = SimulatedNode()
+    engine = Engine(node)
+    engine.add_timer(0.001, lambda now: None, period=0.0137)
+    cycles = 8932405657.414476
+    finished = []
+
+    def body():
+        yield Work(cycles=cycles, bytes=5e-324)
+        finished.append(node.clock.now)
+
+    engine.spawn(body(), core_id=0)
+    engine.run(until=60.0)  # bounded: a stalled task must not hang
+    assert finished == [pytest.approx(
+        cycles / node.cores[0].effective_clock())]
+    snap = node.counters.snapshot(node.clock.now)
+    assert snap.total("PAPI_TOT_INS") == pytest.approx(cycles, rel=1e-9)
