@@ -79,7 +79,7 @@ class ShardBalancer:
     Wall times are host measurements and therefore nondeterministic;
     that is safe *only* because placement cannot affect simulated
     results (the lockstep parity contract — see
-    :mod:`repro.runtime.hosttime` for the audit reasoning). Two runs of
+    :mod:`repro.obs.hostclock` for the audit reasoning). Two runs of
     the same seed may migrate differently and still produce
     bit-identical series.
 

@@ -58,7 +58,7 @@ from repro.exceptions import (
     ShardWorkerError,
     SimulationError,
 )
-from repro.runtime import hosttime
+from repro.obs import hostclock
 from repro.stack.spec import StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
@@ -68,6 +68,7 @@ __all__ = [
     "NodeTelemetry",
     "PayloadStats",
     "step_node",
+    "step_result",
     "node_rate",
     "ShardedLockstep",
 ]
@@ -192,6 +193,13 @@ def step_node(node: NodeInstance, req: StepRequest) -> StepResult:
     if req.set_budget:
         node.receive_budget(req.budget)
     node.advance(req.target)
+    return step_result(node, req)
+
+
+def step_result(node: NodeInstance, req: StepRequest) -> StepResult:
+    """What ``node`` reports for ``req`` once it has advanced: the
+    tail of :func:`step_node`, which the vector host calls after its
+    batched group advance."""
     rates = {w: node_rate(node, w) for w in req.windows}
     return StepResult(
         node_id=node.node_id,
@@ -231,9 +239,10 @@ class _ObjectHost:
     """The reference node host: one live NodeInstance per node.
 
     This is exactly the per-node behaviour the lockstep always had,
-    packaged behind the same surface :class:`repro.vector.host
-    .VectorEngine` implements so the serial path and the shard workers
-    select an engine instead of hard-coding one.
+    packaged as a host so the serial path and the shard workers select
+    an engine instead of hard-coding one. :class:`repro.vector.host
+    .VectorEngine` extends it: the same node table, holding vector slot
+    views next to object nodes, with its own ``build`` and ``step``.
     """
 
     def __init__(self) -> None:
@@ -781,7 +790,7 @@ class ShardedLockstep:
                 except (BrokenPipeError, OSError) as exc:
                     raise ShardWorkerError(
                         shard, cmd, self._worker_exitcode(shard)) from exc
-            start = hosttime.perf_s()
+            start = hostclock.perf_s()
             replies: dict[int, Any] = {}
             arrivals: dict[int, float] = {}
             pending = {self._pipes[shard]: shard for shard in per_shard}
@@ -793,7 +802,7 @@ class ShardedLockstep:
                     except (EOFError, OSError) as exc:
                         raise ShardWorkerError(
                             shard, cmd, self._worker_exitcode(shard)) from exc
-                    arrivals[shard] = hosttime.perf_s() - start
+                    arrivals[shard] = hostclock.perf_s() - start
                     if status != "ok":
                         raise SimulationError(
                             f"shard {shard} failed on {cmd!r}:\n{value}")

@@ -35,8 +35,6 @@ Layering — each module owns one concern:
   (``--resume`` picks a run up from the latest checkpoint in the
   epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch`` rewinds
   — time travel);
-* :mod:`repro.daemon.hostio` — the package's *only* wall-clock reads,
-  audited by the determinism lint;
 * :mod:`repro.daemon.profiles` — the offline-measured demo power book
   for socket smoke tests that cannot afford live characterization.
 
@@ -44,7 +42,8 @@ Determinism: everything under :class:`Daemon` is keyed off the
 simulation clock and the seeds — replaying the same sequence of
 admitted commands per tick reproduces the identical event trace and
 telemetry stream, bit for bit. Wall time exists only *outside* the
-core: the server decides when ticks happen, never what they compute.
+core: the server decides when ticks happen, never what they compute,
+and reads it only through the audited :mod:`repro.obs.hostclock`.
 
 Start a daemon with ``python -m repro.daemon --socket /tmp/repro.sock``
 and talk to it with ``python -m repro.daemon.client --socket

@@ -29,9 +29,9 @@ import json
 import socket
 import sys
 
-from repro.daemon import hostio
 from repro.daemon import protocol as proto
 from repro.exceptions import ConfigurationError, DaemonError
+from repro.obs import hostclock
 
 __all__ = ["DaemonClient", "main"]
 
@@ -152,11 +152,11 @@ class DaemonClient:
         ``wall_budget`` wall seconds elapse, or (with ``idle``) no
         frame arrives for ``idle`` wall seconds — the usual way to
         drain "everything the daemon has pushed so far"."""
-        start = hostio.monotonic_s()
+        start = hostclock.monotonic_s()
         quiet = start
         seen = 0
         while max_frames is None or seen < max_frames:
-            now = hostio.monotonic_s()
+            now = hostclock.monotonic_s()
             left = wall_budget - (now - start)
             if left <= 0:
                 return
@@ -165,7 +165,7 @@ class DaemonClient:
             frame = self.recv_frame(timeout=min(left, 0.25))
             if frame is None:
                 continue
-            quiet = hostio.monotonic_s()
+            quiet = hostclock.monotonic_s()
             seen += 1
             yield frame
 

@@ -24,7 +24,7 @@ Two driving modes:
 
 * **paced** — the loop owns an
   :class:`~repro.runtime.pacing.EpochPacer` and converts elapsed wall
-  time (read through the audited :mod:`repro.daemon.hostio` module)
+  time (read through the audited :mod:`repro.obs.hostclock` module)
   into simulated epochs; the ``select`` timeout is the wall time until
   the next whole epoch is due, so the simulation advances in real time
   while clients come and go;
@@ -45,10 +45,10 @@ import selectors
 import socket
 
 from repro import obs
-from repro.daemon import hostio
 from repro.daemon import protocol as proto
 from repro.daemon.service import Daemon
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.obs import hostclock
 from repro.runtime.pacing import EpochPacer
 
 __all__ = ["DaemonServer"]
@@ -172,17 +172,17 @@ class DaemonServer:
             pass  # already woken, or already torn down
 
     def _loop(self) -> None:
-        last = hostio.monotonic_s()
+        last = hostclock.monotonic_s()
         while not self._stopping:
             timeout = None
             if self.pacer is not None:
-                now = hostio.monotonic_s()
+                now = hostclock.monotonic_s()
                 due = self.pacer.epochs_due(now - last)
                 last = now
                 if due:
                     self.daemon.tick(due)
                 timeout = max(0.0, last + self.pacer.wall_until_due()
-                              - hostio.monotonic_s())
+                              - hostclock.monotonic_s())
             # a readable wake socket needs no handling: shutdown() set
             # _stopping before writing to it
             for key, events in self._sel.select(timeout):

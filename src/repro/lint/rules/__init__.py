@@ -13,7 +13,6 @@ from repro.lint.rules.checkpoint import (
     SnapshotAttrCoverageRule,
     SnapshotKeyDriftRule,
     SnapshotVersionRule,
-    SoaFieldCoverageRule,
 )
 from repro.lint.rules.determinism import (
     DatetimeRule,
@@ -39,7 +38,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SnapshotKeyDriftRule(),
     SnapshotAttrCoverageRule(),
     SnapshotVersionRule(),
-    SoaFieldCoverageRule(),
     BoundaryFieldRule(),
     UnitMixRule(),
     UnitSuffixRule(),

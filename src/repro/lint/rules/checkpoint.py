@@ -33,7 +33,6 @@ __all__ = [
     "SnapshotKeyDriftRule",
     "SnapshotAttrCoverageRule",
     "SnapshotVersionRule",
-    "SoaFieldCoverageRule",
     "checkpoint_classes",
 ]
 
@@ -205,78 +204,6 @@ class SnapshotAttrCoverageRule(Rule):
                     f"{cls.name}.{name} is mutated after __init__ but "
                     "appears in neither snapshot() nor restore(); a "
                     "checkpoint round-trip silently resets it")
-
-
-def _soa_fields(cls: ast.ClassDef) -> tuple[ast.AST, list[str]] | None:
-    """The class-level ``_SOA_FIELDS`` declaration, when it is a
-    tuple/list of string literals: ``(node, field_names)``."""
-    for item in cls.body:
-        targets = []
-        value = None
-        if isinstance(item, ast.Assign):
-            targets, value = item.targets, item.value
-        elif isinstance(item, ast.AnnAssign) and item.value is not None:
-            targets, value = [item.target], item.value
-        if not any(isinstance(t, ast.Name) and t.id == "_SOA_FIELDS"
-                   for t in targets):
-            continue
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            return None
-        names = []
-        for elt in value.elts:
-            if not (isinstance(elt, ast.Constant) and
-                    isinstance(elt.value, str)):
-                return None
-            names.append(elt.value)
-        return item, names
-    return None
-
-
-def _field_mentions(fn: ast.FunctionDef) -> set[str]:
-    """Names a structure-of-arrays snapshot/restore method touches:
-    ``self.<name>`` attribute accesses plus string-literal keys (the
-    flat payload uses the field names as its dict keys)."""
-    mentions = _self_attrs_mentioned(fn)
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            mentions.add(node.value)
-    return mentions
-
-
-class SoaFieldCoverageRule(Rule):
-    id = "ckpt-soa-coverage"
-    family = FAMILY
-    description = ("every _SOA_FIELDS entry must appear in the class's "
-                   "snapshot() and restore() methods")
-
-    def check(self, module: Module,
-              project: Project) -> Iterator[Finding]:
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            declared = _soa_fields(cls)
-            if declared is None:
-                continue
-            decl_node, names = declared
-            methods = {item.name: item for item in cls.body
-                       if isinstance(item, ast.FunctionDef)}
-            for method_name in ("snapshot", "restore"):
-                fn = methods.get(method_name)
-                if fn is None:
-                    yield self.finding(
-                        module, decl_node,
-                        f"{cls.name} declares _SOA_FIELDS but has no "
-                        f"{method_name}() method; per-node state cannot "
-                        "round-trip through checkpoints")
-                    continue
-                mentions = _field_mentions(fn)
-                for name in names:
-                    if name not in mentions:
-                        yield self.finding(
-                            module, fn,
-                            f"{cls.name}.{method_name}() never touches "
-                            f"_SOA_FIELDS entry {name!r}; a checkpoint "
-                            "round-trip silently resets that array")
 
 
 def _calls_super_snapshot(snap: ast.FunctionDef) -> bool:

@@ -22,7 +22,6 @@ from repro.lint.project import Project
 
 __all__ = [
     "AUDITED_CLOCK_MODULES",
-    "OBS_CLOCK_MODULES",
     "is_obs_clock_module",
     "WallClockRule",
     "DatetimeRule",
@@ -35,28 +34,17 @@ __all__ = [
 FAMILY = "determinism"
 
 #: The audited host-clock modules — the only places allowed to read
-#: host clocks. Three layers legitimately touch wall time:
-#: observability (a trace of where wall time goes is by definition a
-#: host-clock measurement — :mod:`repro.obs.hostclock`), the daemon's
-#: socket server, which paces simulated epochs against real time
-#: (:mod:`repro.daemon.hostio`), and the shard balancer's step timer
-#: (:mod:`repro.runtime.hosttime`), whose readings may steer node
-#: *placement* only — a decision the lockstep parity contract proves
-#: invisible to simulated results. Each allowance confines those reads
-#: to a module reviewed against its contract (clock readings never feed
-#: a simulated quantity, seed, or simulated control decision), so the
-#: clock rules keep protecting everything else without blanket per-line
+#: host clocks. There is one, :mod:`repro.obs.hostclock`; its docstring
+#: sets out the two tiers of readings it serves: describe-only
+#: (traces, manifests) and wall-clock steering (daemon pacing, shard
+#: placement), which may decide when an epoch runs or where a node
+#: runs but never a simulated quantity, seed, or simulated control
+#: decision. Confining the reads to one reviewed module keeps the clock
+#: rules protecting everything else without blanket per-line
 #: suppressions. Matched by path suffix so the rules work from any
 #: checkout root. Clock reads only: entropy, environment and RNG rules
-#: still apply inside these modules.
-AUDITED_CLOCK_MODULES: tuple[str, ...] = (
-    "repro/obs/hostclock.py",
-    "repro/daemon/hostio.py",
-    "repro/runtime/hosttime.py",
-)
-
-#: Backwards-compatible alias (pre-daemon name).
-OBS_CLOCK_MODULES: tuple[str, ...] = AUDITED_CLOCK_MODULES
+#: still apply inside it.
+AUDITED_CLOCK_MODULES: tuple[str, ...] = ("repro/obs/hostclock.py",)
 
 
 def is_obs_clock_module(path: str) -> bool:

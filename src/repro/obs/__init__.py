@@ -25,7 +25,8 @@ Enabling it must never change a simulated number — traced runs are
 bit-identical to untraced runs (pinned by ``tests/obs``), because
 observability only ever *describes* execution. Its host-clock reads are
 confined to the single audited module :mod:`repro.obs.hostclock`, which
-the determinism lint recognizes explicitly.
+the determinism lint recognizes explicitly and which also serves the
+daemon's pacing and the shard balancer's step timer.
 
 Usage::
 

@@ -1,31 +1,38 @@
-"""The observability layer's *only* host-clock source.
+"""The package's *only* host-clock source.
 
 Everything in the simulator runs on simulated time
 (:class:`repro.runtime.clock.SimClock`), and the determinism lint
 (:mod:`repro.lint.rules.determinism`) bans host-clock reads precisely so
-simulation results stay a pure function of the seed. Observability is
-the one legitimate exception: a trace of *where wall time goes* is by
-definition a host-clock measurement.
+simulation results stay a pure function of the seed. Every host-clock
+read in ``repro`` is confined to this module, which the determinism
+rules recognize by path as the single audited allowance (see
+``AUDITED_CLOCK_MODULES`` in :mod:`repro.lint.rules.determinism`).
 
-Rather than scattering per-line lint suppressions, every host-clock read
-the observability layer performs is confined to this module, which the
-determinism rules recognize by path as the single audited allowance
-(see ``OBS_CLOCK_MODULES`` in :mod:`repro.lint.rules.determinism`).
-The audit contract:
+Readings come in two tiers:
 
-* readings from this module may only ever *describe* a run (trace
-  timestamps, span durations, manifest wall-time), never *steer* one —
-  no simulated quantity, seed, schedule, or control decision may derive
-  from them;
-* no other host state (environment, entropy, PIDs of semantic import)
-  is read here — the allowance covers clocks only.
+* **describe-only** — trace timestamps, span durations, manifest
+  wall-time (:func:`perf_ns`, :func:`wall_s`). A trace of *where wall
+  time goes* is by definition a host-clock measurement; these readings
+  never reach anything but the trace or manifest they describe;
+* **wall-clock steering** — the daemon's epoch pacing and client
+  timeouts (:func:`monotonic_s`) and the shard balancer's step timer
+  (:func:`perf_s`). These may decide *when* an epoch runs or *which*
+  shard worker hosts a node. Both are provably invisible to simulated
+  results: a paced epoch computes what a manual ``tick`` computes, and
+  the lockstep parity contract (``tests/cluster/``, ``tests/vector/``)
+  gives bit-identical series for any node-to-shard assignment.
+
+In both tiers no simulated value, seed, RNG stream, budget, cap or
+schedule may ever derive from a reading, and no other host state
+(environment, entropy, PIDs of semantic import) is read here — the
+allowance covers clocks only.
 """
 
 from __future__ import annotations
 
 import time
 
-__all__ = ["perf_ns", "wall_s"]
+__all__ = ["perf_ns", "wall_s", "monotonic_s", "perf_s"]
 
 
 def perf_ns() -> int:
@@ -36,3 +43,13 @@ def perf_ns() -> int:
 def wall_s() -> float:
     """Wall-clock seconds since the epoch, for manifest timestamps."""
     return time.time()
+
+
+def monotonic_s() -> float:
+    """Monotonic host clock in seconds (daemon pacing and timeouts)."""
+    return time.monotonic()
+
+
+def perf_s() -> float:
+    """Monotonic high-resolution timestamp (s) for shard step timing."""
+    return time.perf_counter()

@@ -16,7 +16,7 @@ epoch loop, and the epoch-stamped
 :class:`~repro.runtime.runfile.CheckpointStore` directory format, and
 the one checkpoint cadence rule (:func:`~repro.runtime.runfile
 .checkpoint_due`) the loops share.
-:mod:`repro.runtime.hosttime` is the audited wall-clock the shard
+:mod:`repro.obs.hostclock` is the audited wall-clock the shard
 balancer times epochs with (placement-only; results invariant).
 """
 

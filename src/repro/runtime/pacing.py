@@ -9,7 +9,7 @@ pass and runs exactly that many, then waits at most until the next one
 is due.
 
 This module deliberately reads no clock. The server measures elapsed
-wall time through the audited :mod:`repro.daemon.hostio` module and
+wall time through the audited :mod:`repro.obs.hostclock` module and
 passes the reading in; :class:`EpochPacer` only does arithmetic on it.
 That split keeps the determinism contract auditable: pacing decides
 *when* epochs run (and therefore when telemetry is drained to

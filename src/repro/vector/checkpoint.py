@@ -12,7 +12,8 @@ Importing goes the other way: :func:`try_import_checkpoint` strictly
 validates that an object-engine checkpoint describes exactly the stack
 shape the vector engine models (stock timers, no userspace pins, the
 regular SPMD directive stream ...) and installs its state into a fresh
-one-slot :class:`~repro.vector.engine.VectorGroup`. ANY surprise raises
+one-slot :class:`~repro.vector.engine.VectorGroup`, returned as its
+:class:`~repro.vector.host.VectorNodeView`. ANY surprise raises
 :class:`~repro.exceptions.CheckpointError`, which the host catches to
 fall back to an object :class:`NodeInstance` — correctness never
 depends on the importer accepting a checkpoint.
@@ -41,7 +42,8 @@ from repro.vector.engine import (
     W_RUNNING,
     W_SPINNING,
 )
-from repro.vector.gate import build_profile, profile_key, supports_fast_path
+from repro.vector.gate import build_profile, supports_fast_path
+from repro.vector.host import VectorNodeView
 
 __all__ = ["export_checkpoint", "import_checkpoint", "try_import_checkpoint"]
 
@@ -202,18 +204,20 @@ def _overlay_engine(eng: dict, g: VectorGroup, slot: int) -> None:
 # ----------------------------------------------------------------------
 
 
-def try_import_checkpoint(host, node_id: int, state: object):
-    """Import ``state`` into ``host`` as a vectorized slot, or ``None``
-    when the checkpoint is not (provably) vector-representable — the
-    caller then builds an object NodeInstance from the very same dict."""
+def try_import_checkpoint(node_id: int,
+                          state: object) -> VectorNodeView | None:
+    """Import ``state`` as a vectorized slot, or ``None`` when the
+    checkpoint is not (provably) vector-representable — the caller then
+    builds an object NodeInstance from the very same dict."""
     try:
-        return import_checkpoint(host, node_id, state)
+        return import_checkpoint(node_id, state)
     except CheckpointError:
         return None
 
 
-def import_checkpoint(host, node_id: int, state: object):
-    """Strict import (raises :class:`CheckpointError` on any mismatch)."""
+def import_checkpoint(node_id: int, state: object) -> VectorNodeView:
+    """Strict import into a fresh one-slot group, returned as its view
+    (raises :class:`CheckpointError` on any mismatch)."""
     if not isinstance(state, dict) or state.get("version") != 1:
         raise CheckpointError("not a NodeInstance snapshot")
     cp = state.get("stack")
@@ -228,8 +232,7 @@ def import_checkpoint(host, node_id: int, state: object):
     group = VectorGroup(build_profile(spec), [(node_id, spec)])
     _install_slot(group, 0, spec, cp.state)
     group.energy_mark[0] = float(state["energy_mark"])
-    key = profile_key(spec) + ("checkpoint", node_id)
-    return host.adopt_group(key, group, node_id, spec)
+    return VectorNodeView(group, 0, node_id, spec)
 
 
 def _expect(cond: bool, what: str) -> None:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.apps.kernels import lognormal_factor, sample_quantities
 from repro.hardware import kernels as hk
 from repro.hardware.msr import (
@@ -82,24 +82,6 @@ class VectorGroup:
     tri-state) stays in per-slot Python lists — it is touched only on
     events.
     """
-
-    #: Every per-node state field; ``snapshot``/``restore`` must cover each
-    #: one (enforced by the repro.lint vector-state rule).
-    _SOA_FIELDS = (
-        "now", "pkg_energy", "dram_energy", "uncore_scale",
-        "freq_idx", "duty_idx", "freq_limit", "c_dyn", "leak",
-        "energy_mark", "started",
-        "wstatus", "frac", "rate", "w_cycles", "w_bytes", "w_ins", "w_miss",
-        "core_mode", "core_cf", "core_br", "ctr_ins", "ctr_cyc", "ctr_l3",
-        "queued_pub", "p_idx", "it",
-        "t_rapl", "t_mon", "t_pol",
-        "fw_limit", "fw_limit2", "fw_window", "fw_avgw",
-        "fw_enabled", "fw_ddcm", "fw_last_energy", "fw_last_time",
-        "mon_events", "bus_published", "bus_dropped", "bus_overflowed",
-        "ls_package", "ls_cores", "ls_uncore", "ls_dram", "ls_valid",
-        "rngs", "shared_rng", "bus_rng", "pending", "barrier_pos",
-        "mon_series", "cap_series", "pol_budget", "pol_applied",
-    )
 
     def __init__(self, profile: GroupProfile,
                  members: Sequence[tuple[int, StackSpec]]) -> None:
@@ -796,144 +778,6 @@ class VectorGroup:
             cached = (pl1.watts, pl1.window)
             self._limit_cache[watts] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    # Per-slot state transfer (flat format; repro.vector.checkpoint maps
-    # it to/from NodeCheckpoint)
-    # ------------------------------------------------------------------
-
-    def snapshot(self, slot: int) -> dict:
-        """Every _SOA_FIELDS entry for one node, as plain Python data
-        (generators/series as their own snapshot payloads)."""
-        i = slot
-        return {
-            "now": float(self.now[i]),
-            "pkg_energy": float(self.pkg_energy[i]),
-            "dram_energy": float(self.dram_energy[i]),
-            "uncore_scale": float(self.uncore_scale[i]),
-            "freq_idx": int(self.freq_idx[i]),
-            "duty_idx": int(self.duty_idx[i]),
-            "freq_limit": float(self.freq_limit[i]),
-            "c_dyn": float(self.c_dyn[i]),
-            "leak": float(self.leak[i]),
-            "energy_mark": float(self.energy_mark[i]),
-            "started": bool(self.started[i]),
-            "wstatus": [int(x) for x in self.wstatus[i]],
-            "frac": [float(x) for x in self.frac[i]],
-            "rate": [float(x) for x in self.rate[i]],
-            "w_cycles": [float(x) for x in self.w_cycles[i]],
-            "w_bytes": [float(x) for x in self.w_bytes[i]],
-            "w_ins": [float(x) for x in self.w_ins[i]],
-            "w_miss": [float(x) for x in self.w_miss[i]],
-            "core_mode": [int(x) for x in self.core_mode[i]],
-            "core_cf": [float(x) for x in self.core_cf[i]],
-            "core_br": [float(x) for x in self.core_br[i]],
-            "ctr_ins": [float(x) for x in self.ctr_ins[i]],
-            "ctr_cyc": [float(x) for x in self.ctr_cyc[i]],
-            "ctr_l3": [float(x) for x in self.ctr_l3[i]],
-            "queued_pub": float(self.queued_pub[i]),
-            "p_idx": int(self.p_idx[i]),
-            "it": int(self.it[i]),
-            "t_rapl": float(self.t_rapl[i]),
-            "t_mon": float(self.t_mon[i]),
-            "t_pol": float(self.t_pol[i]),
-            "fw_limit": float(self.fw_limit[i]),
-            "fw_limit2": float(self.fw_limit2[i]),
-            "fw_window": float(self.fw_window[i]),
-            "fw_avgw": float(self.fw_avgw[i]),
-            "fw_enabled": bool(self.fw_enabled[i]),
-            "fw_ddcm": bool(self.fw_ddcm[i]),
-            "fw_last_energy": float(self.fw_last_energy[i]),
-            "fw_last_time": float(self.fw_last_time[i]),
-            "mon_events": int(self.mon_events[i]),
-            "bus_published": int(self.bus_published[i]),
-            "bus_dropped": int(self.bus_dropped[i]),
-            "bus_overflowed": int(self.bus_overflowed[i]),
-            "ls_package": float(self.ls_package[i]),
-            "ls_cores": float(self.ls_cores[i]),
-            "ls_uncore": float(self.ls_uncore[i]),
-            "ls_dram": float(self.ls_dram[i]),
-            "ls_valid": bool(self.ls_valid[i]),
-            "rngs": [g.bit_generator.state for g in self.rngs[i]],
-            "shared_rng": (None if self.shared_rng[i] is None
-                           else self.shared_rng[i].bit_generator.state),
-            "bus_rng": self.bus_rng[i].bit_generator.state,
-            "pending": list(self.pending[i]),
-            "arrivals": [int(wid) for wid in np.argsort(self.barrier_pos[i])
-                         if self.barrier_pos[i, wid] >= 0],
-            "mon_series": self.mon_series[i].snapshot(),
-            "cap_series": self.cap_series[i].snapshot(),
-            "pol_budget": self.pol_budget[i],
-            "pol_applied": self.pol_applied[i],
-        }
-
-    def restore(self, slot: int, state: dict) -> None:
-        """Install a :meth:`snapshot` payload into one slot."""
-        i = slot
-        budget = check_budget(state["pol_budget"], CheckpointError)
-        self.now[i] = state["now"]
-        self.pkg_energy[i] = state["pkg_energy"]
-        self.dram_energy[i] = state["dram_energy"]
-        self.uncore_scale[i] = state["uncore_scale"]
-        self.freq_idx[i] = state["freq_idx"]
-        self.duty_idx[i] = state["duty_idx"]
-        self.freq_limit[i] = state["freq_limit"]
-        self.c_dyn[i] = state["c_dyn"]
-        self.leak[i] = state["leak"]
-        self.energy_mark[i] = state["energy_mark"]
-        self.started[i] = state["started"]
-        self.wstatus[i] = state["wstatus"]
-        self.frac[i] = state["frac"]
-        self.rate[i] = state["rate"]
-        self.w_cycles[i] = state["w_cycles"]
-        self.w_bytes[i] = state["w_bytes"]
-        self.w_ins[i] = state["w_ins"]
-        self.w_miss[i] = state["w_miss"]
-        self.core_mode[i] = state["core_mode"]
-        self.core_cf[i] = state["core_cf"]
-        self.core_br[i] = state["core_br"]
-        self.ctr_ins[i] = state["ctr_ins"]
-        self.ctr_cyc[i] = state["ctr_cyc"]
-        self.ctr_l3[i] = state["ctr_l3"]
-        self.queued_pub[i] = state["queued_pub"]
-        self.p_idx[i] = state["p_idx"]
-        self.it[i] = state["it"]
-        self.t_rapl[i] = state["t_rapl"]
-        self.t_mon[i] = state["t_mon"]
-        self.t_pol[i] = state["t_pol"]
-        self.fw_limit[i] = state["fw_limit"]
-        self.fw_limit2[i] = state["fw_limit2"]
-        self.fw_window[i] = state["fw_window"]
-        self.fw_avgw[i] = state["fw_avgw"]
-        self.fw_enabled[i] = state["fw_enabled"]
-        self.fw_ddcm[i] = state["fw_ddcm"]
-        self.fw_last_energy[i] = state["fw_last_energy"]
-        self.fw_last_time[i] = state["fw_last_time"]
-        self.mon_events[i] = state["mon_events"]
-        self.bus_published[i] = state["bus_published"]
-        self.bus_dropped[i] = state["bus_dropped"]
-        self.bus_overflowed[i] = state["bus_overflowed"]
-        self.ls_package[i] = state["ls_package"]
-        self.ls_cores[i] = state["ls_cores"]
-        self.ls_uncore[i] = state["ls_uncore"]
-        self.ls_dram[i] = state["ls_dram"]
-        self.ls_valid[i] = state["ls_valid"]
-        self.rngs[i] = [_generator_from(s) for s in state["rngs"]]
-        self.shared_rng[i] = (None if state["shared_rng"] is None
-                              else _generator_from(state["shared_rng"]))
-        self.bus_rng[i] = _generator_from(state["bus_rng"])
-        self.pending[i] = deque(tuple(entry) for entry in state["pending"])
-        self.barrier_pos[i] = -1
-        for pos, wid in enumerate(state["arrivals"]):
-            self.barrier_pos[i, wid] = pos
-        series = TimeSeries(self._mon_names[i])
-        series.restore(state["mon_series"])
-        self.mon_series[i] = series
-        caps = TimeSeries("budget-cap")
-        caps.restore(state["cap_series"])
-        self.cap_series[i] = caps
-        self.pol_budget[i] = budget
-        self.pol_applied[i] = tuple(state["pol_applied"])
 
 
 def _generator_from(state: dict) -> np.random.Generator:

@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.cluster.sharding import (
+    StepRequest,
+    StepResult,
+    _build_node,
+    _ObjectHost,
+    step_node,
+    step_result,
+)
+from repro.exceptions import ConfigurationError
 from repro.stack.spec import StackSpec
 from repro.vector.engine import VectorGroup
 from repro.vector.gate import build_profile, profile_key, supports_fast_path
@@ -134,35 +142,28 @@ class VectorNodeView:
                 f"f={self.node.frequency / 1e9:.1f}GHz)")
 
 
-class VectorEngine:
+class VectorEngine(_ObjectHost):
     """A node host that batches eligible nodes into vector groups.
 
-    The per-epoch seam is :meth:`step`: budgets go in with the step
-    requests, trailing rates and epoch energy come back — one batched
-    array advance per group instead of one engine loop per node.
+    The node table maps each id to a :class:`VectorNodeView` or an
+    object fallback NodeInstance; both are NodeInstance-shaped, so
+    membership, ``rate``, ``telemetry`` and ``checkpoint`` are the object
+    host's. The per-epoch seam is :meth:`step`: budgets go in with the
+    step requests, trailing rates and epoch energy come back — one
+    batched array advance per group instead of one engine loop per node.
+    A group lives exactly as long as a view of one of its slots does.
     """
-
-    def __init__(self) -> None:
-        self._groups: dict[tuple, VectorGroup] = {}
-        self._views: dict[int, VectorNodeView] = {}
-        self._fallback: dict = {}
-
-    # -- membership ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._views) + len(self._fallback)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._views or node_id in self._fallback
 
     @property
     def vector_node_ids(self) -> list[int]:
         """Nodes on the fast path (the rest run as object fallbacks)."""
-        return list(self._views)
+        return [node_id for node_id, node in self._nodes.items()
+                if isinstance(node, VectorNodeView)]
 
     @property
     def fallback_node_ids(self) -> list[int]:
-        return list(self._fallback)
+        return [node_id for node_id, node in self._nodes.items()
+                if not isinstance(node, VectorNodeView)]
 
     def build(self, items: Sequence[tuple[int, object]]) -> None:
         """Adopt ``(node_id, StackSpec | checkpoint)`` pairs.
@@ -172,68 +173,39 @@ class VectorEngine:
         specs, mid-run checkpoints the vector importer rejects) becomes
         an object NodeInstance.
         """
-        from repro.cluster.sharding import _build_node
         from repro.vector.checkpoint import try_import_checkpoint
 
         staged: dict[tuple, list[tuple[int, StackSpec]]] = {}
         for node_id, item in items:
-            if node_id in self:
+            if node_id in self._nodes:
                 raise ConfigurationError(f"node {node_id} already exists")
             if isinstance(item, StackSpec) and \
                     supports_fast_path(item) is None:
                 staged.setdefault(profile_key(item), []).append(
                     (node_id, item))
                 continue
-            if isinstance(item, dict):
-                imported = try_import_checkpoint(self, node_id, item)
-                if imported is not None:
-                    self._views[node_id] = imported
-                    continue
-            self._fallback[node_id] = _build_node(node_id, item)
-        for key, members in staged.items():
+            node = try_import_checkpoint(node_id, item) \
+                if isinstance(item, dict) else None
+            if node is None:
+                node = _build_node(node_id, item)
+            self._nodes[node_id] = node
+        for members in staged.values():
             group = VectorGroup(build_profile(members[0][1]), members)
-            self._groups[key + (min(nid for nid, _ in members),)] = group
             for node_id, spec in members:
-                self._views[node_id] = VectorNodeView(
+                self._nodes[node_id] = VectorNodeView(
                     group, group.slot_of(node_id), node_id, spec)
 
-    def adopt_group(self, key: tuple, group: VectorGroup,
-                    node_id: int, spec: StackSpec) -> VectorNodeView:
-        """Register a checkpoint-restored slot (checkpoint importer)."""
-        self._groups[key] = group
-        view = VectorNodeView(group, group.slot_of(node_id), node_id, spec)
-        return view
-
-    def node(self, node_id: int):
-        """The live node — a :class:`VectorNodeView` or a fallback
-        NodeInstance, both NodeInstance-shaped."""
-        view = self._views.get(node_id)
-        if view is not None:
-            return view
-        return self._fallback[node_id]
-
-    def remove(self, node_ids: Sequence[int]) -> None:
-        for node_id in node_ids:
-            if node_id in self._views:
-                del self._views[node_id]
-            else:
-                del self._fallback[node_id]
-
-    # -- the per-epoch seam --------------------------------------------
-
-    def step(self, requests: Sequence) -> list:
+    def step(self, requests: Sequence[StepRequest]) -> list[StepResult]:
         """Advance every requested node one epoch (budgets applied
         first), batching all same-group nodes into one array advance.
         Results come back in request order."""
-        from repro.cluster.sharding import StepResult, step_node
-
         batches: dict[int, tuple[VectorGroup, list[int], list[float]]] = {}
-        for req in requests:
-            view = self._views.get(req.node_id)
-            if view is None:
+        nodes = [self._nodes[req.node_id] for req in requests]
+        for req, view in zip(requests, nodes):
+            if not isinstance(view, VectorNodeView):
                 continue
             if req.set_budget:
-                view.group.receive_budget(view.slot, req.budget)
+                view.receive_budget(req.budget)
             group = view.group
             batch = batches.get(id(group))
             if batch is None:
@@ -243,54 +215,6 @@ class VectorEngine:
         for group, slots, targets in batches.values():
             group.advance(np.asarray(slots, dtype=np.intp),
                           np.asarray(targets, dtype=float))
-        results = []
-        for req in requests:
-            view = self._views.get(req.node_id)
-            if view is None:
-                results.append(step_node(self._fallback[req.node_id], req))
-                continue
-            results.append(StepResult(
-                node_id=req.node_id,
-                now=view.now,
-                energy=view.epoch_energy(),
-                cumulative=view.cumulative_progress(),
-                rates={w: self._guarded_rate(view, w) for w in req.windows},
-            ))
-        return results
-
-    # -- telemetry ------------------------------------------------------
-
-    @staticmethod
-    def _guarded_rate(view: VectorNodeView, window: float) -> float:
-        if view.monitor.series.is_empty():
-            return 0.0
-        return view.recent_rate(window=window)
-
-    def rate(self, node_id: int, window: float) -> float:
-        from repro.cluster.sharding import node_rate
-
-        view = self._views.get(node_id)
-        if view is not None:
-            return self._guarded_rate(view, window)
-        return node_rate(self._fallback[node_id], window)
-
-    def telemetry(self, node_id: int):
-        from repro.cluster.sharding import NodeTelemetry, _node_telemetry
-
-        view = self._views.get(node_id)
-        if view is None:
-            return _node_telemetry(self._fallback[node_id])
-        return NodeTelemetry(
-            node_id=node_id,
-            now=view.now,
-            progress=view.monitor.series.copy(),
-            interval=view.monitor.interval,
-            pkg_energy=view.node.pkg_energy,
-            frequency=view.node.frequency,
-        )
-
-    def checkpoint(self, node_id: int) -> dict:
-        view = self._views.get(node_id)
-        if view is not None:
-            return view.snapshot()
-        return self._fallback[node_id].snapshot()
+        return [step_result(node, req) if isinstance(node, VectorNodeView)
+                else step_node(node, req)
+                for req, node in zip(requests, nodes)]

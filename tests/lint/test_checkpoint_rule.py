@@ -192,85 +192,3 @@ class TestMissingVersion:
                 def restore(self, state):
                     pass
         """) == []
-
-
-class TestSoaFieldCoverage:
-    """ckpt-soa-coverage: classes declaring ``_SOA_FIELDS`` (the vector
-    engine's structure-of-arrays state) must move every listed field
-    through snapshot() and restore()."""
-
-    COVERED = """
-        class Group:
-            _SOA_FIELDS = ("now", "energy")
-
-            def snapshot(self, slot):
-                return {"now": float(self.now[slot]),
-                        "energy": float(self.energy[slot])}
-
-            def restore(self, slot, state):
-                self.now[slot] = state["now"]
-                self.energy[slot] = state["energy"]
-    """
-
-    def test_full_coverage_stays_quiet(self):
-        assert _ids(self.COVERED) == []
-
-    def test_field_missing_from_snapshot_fires(self):
-        findings = _ids("""
-            class Group:
-                _SOA_FIELDS = ("now", "energy")
-
-                def snapshot(self, slot):
-                    return {"now": float(self.now[slot])}
-
-                def restore(self, slot, state):
-                    self.now[slot] = state["now"]
-                    self.energy[slot] = state["energy"]
-        """)
-        assert "ckpt-soa-coverage" in findings
-
-    def test_field_missing_from_restore_fires(self):
-        findings = _ids("""
-            class Group:
-                _SOA_FIELDS = ("now", "energy")
-
-                def snapshot(self, slot):
-                    return {"now": float(self.now[slot]),
-                            "energy": float(self.energy[slot])}
-
-                def restore(self, slot, state):
-                    self.now[slot] = state["now"]
-        """)
-        assert "ckpt-soa-coverage" in findings
-
-    def test_missing_methods_fire(self):
-        findings = _ids("""
-            class Group:
-                _SOA_FIELDS = ("now",)
-        """)
-        assert findings.count("ckpt-soa-coverage") == 2
-
-    def test_non_literal_field_lists_are_ignored(self):
-        # A computed field list is out of syntactic reach; the rule
-        # stays quiet rather than guessing.
-        assert _ids("""
-            class Group:
-                _SOA_FIELDS = tuple(NAMES)
-
-                def snapshot(self, slot):
-                    return {}
-        """) == []
-
-    def test_suppression_comment_silences(self):
-        findings = _ids("""
-            class Group:
-                _SOA_FIELDS = ("now", "energy")
-
-                def snapshot(self, slot):  # repro-lint: disable=ckpt-soa-coverage
-                    return {"now": float(self.now[slot])}
-
-                def restore(self, slot, state):
-                    self.now[slot] = state["now"]
-                    self.energy[slot] = state["energy"]
-        """)
-        assert "ckpt-soa-coverage" not in findings

@@ -1,8 +1,17 @@
 """Determinism rules: fire on host-state reads, stay quiet on seeded code."""
 
+import pathlib
 import textwrap
 
+import pytest
+
 from repro.lint import lint_source
+from repro.lint.rules.determinism import (
+    AUDITED_CLOCK_MODULES,
+    is_obs_clock_module,
+)
+
+SRC = pathlib.Path(__file__).parents[2] / "src" / "repro"
 
 
 def _ids(source: str) -> list[str]:
@@ -257,18 +266,25 @@ class TestObsClockModule:
             / "obs" / "hostclock.py"
         assert "repro-lint: disable" not in module.read_text()
 
-    def test_daemon_hostio_is_audited_too(self):
-        # repro.daemon confines its wall-clock reads (pacing, socket
-        # timeouts) to repro/daemon/hostio.py; the linter must treat it
-        # like the obs host-clock module.
-        assert self._ids_at(
-            self.CLOCK_SOURCE, "src/repro/daemon/hostio.py") == []
-        ids = self._ids_at(self.CLOCK_SOURCE,
-                           "src/repro/daemon/service.py")
-        assert ids.count("det-wallclock") == 2
+    @pytest.mark.parametrize("package", ["daemon", "runtime"])
+    def test_former_clock_packages_get_no_pass(self, package):
+        # The daemon's pacing and the shard balancer's step timer once
+        # read the host clock through audited modules of their own in
+        # these packages; they now read repro.obs.hostclock, so every
+        # path in the packages — a clock module included — is linted
+        # like any other code.
+        package_dir = SRC / package
+        paths = [f"src/repro/{package}/{path.name}"
+                 for path in package_dir.glob("*.py")]
+        paths.append(f"src/repro/{package}/hostclock.py")
+        for path in paths:
+            ids = self._ids_at(self.CLOCK_SOURCE, path)
+            assert ids.count("det-wallclock") == 2, path
 
-    def test_shipped_hostio_module_needs_no_suppressions(self):
-        import pathlib
-        module = pathlib.Path(__file__).parents[2] / "src" / "repro" \
-            / "daemon" / "hostio.py"
-        assert "repro-lint: disable" not in module.read_text()
+    def test_shipped_tree_has_one_audited_clock_module(self):
+        audited = sorted(
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if is_obs_clock_module(str(path)))
+        assert audited == ["obs/hostclock.py"]
+        assert AUDITED_CLOCK_MODULES == ("repro/obs/hostclock.py",)

@@ -1,6 +1,8 @@
 """Eligibility gate: which specs take the fast path, and why not."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -94,3 +96,13 @@ class TestHostMembership:
                     (1, make_spec("candle", node_id=1))])
         host.remove([0, 1])
         assert len(host) == 0
+
+    def test_removed_nodes_free_their_group(self):
+        host = VectorEngine()
+        host.build([(0, make_spec("lammps", node_id=0)),
+                    (1, make_spec("lammps", node_id=1, seed=9))])
+        group = weakref.ref(host.node(0).group)
+        assert host.node(1).group is group()
+        host.remove([0, 1])
+        gc.collect()
+        assert group() is None
