@@ -81,7 +81,8 @@ def test_bench_sharding_speedup(benchmark, save_artifact):
         "",
         f"At {N_NODES} nodes the vector engine's batching has little to "
         "amortise; see",
-        "vector_speedup.txt for the thousand-node regime it targets.",
+        "perfbench's cluster_vector workload for the thousand-node regime "
+        "it targets.",
     ]
     save_artifact("sharding_speedup", "\n".join(lines))
 

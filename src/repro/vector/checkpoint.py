@@ -33,6 +33,7 @@ from repro.nrm.policies import check_budget
 from repro.runtime.engine import Publish, Work
 from repro.stack.checkpoint import NodeCheckpoint
 from repro.stack.spec import StackSpec
+from repro.telemetry.pubsub import Message
 from repro.vector.engine import (
     C_BUSY,
     C_IDLE,
@@ -73,6 +74,9 @@ def export_checkpoint(view) -> dict:
     :func:`try_import_checkpoint`)."""
     g: VectorGroup = view.group
     slot: int = view.slot
+    # Rewind the generators past their look-ahead blocks first: the
+    # overlays below read RNG states.
+    g.flush_draws(slot)
     cp = _template_state(view.spec)
     state = cp.state
     _overlay_node(state["node"], g, slot)
@@ -147,7 +151,8 @@ def _overlay_bus(bus: dict, g: VectorGroup, slot: int) -> None:
     bus["dropped"] = int(g.bus_dropped[slot])
     sub = bus["subs"][0]
     sub["overflowed"] = int(g.bus_overflowed[slot])
-    sub["queue"] = list(g.pending[slot])
+    sub["queue"] = [(t, Message(t, g.topic, value))
+                    for t, value in g.pending[slot]]
 
 
 def _overlay_engine(eng: dict, g: VectorGroup, slot: int) -> None:
@@ -298,6 +303,15 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     sub = subs[0]
     _expect(sub["topic"] == prof.topic and sub["hwm"] == 1000
             and not sub["closed"], "subscriber wiring differs")
+    bus_queue = []
+    for entry in sub["queue"]:
+        _expect(isinstance(entry, (tuple, list)) and len(entry) == 2,
+                "bus queue entry is not a (time, message) pair")
+        t, msg = entry
+        _expect(isinstance(msg, Message) and msg.time == t
+                and msg.topic == prof.topic,
+                "bus queue holds a delayed or foreign message")
+        bus_queue.append((t, msg.value))
 
     # -- monitors / controller -------------------------------------------
     monitors = s["monitors"]
@@ -396,10 +410,17 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
 
     _expect(sorted(pos for pos, _ in arrivals) ==
             list(range(len(arrivals))), "barrier arrival order is broken")
+    # The object body starts a phase's shared stream in the fill that
+    # enters the phase, so only a finished loop is left without one.
+    _expect(pre_start or shared_state is not None
+            or all(t["status"] == "done" for t in tasks),
+            "a running loop has no shared factor stream")
 
     # -- install ----------------------------------------------------------
     from repro.vector.engine import _generator_from
 
+    # The imported generators start with empty look-ahead blocks.
+    g.flush_draws(slot)
     g.now[slot] = node["now"]
     g.freq_idx[slot] = cfg.ladder_index(freq)
     _expect(float(cfg.freq_ladder[int(g.freq_idx[slot])]) == freq,
@@ -440,7 +461,7 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     g.bus_published[slot] = bus["published"]
     g.bus_dropped[slot] = bus["dropped"]
     g.bus_overflowed[slot] = sub["overflowed"]
-    g.pending[slot] = deque(tuple(entry) for entry in sub["queue"])
+    g.pending[slot] = deque(bus_queue)
 
     g.mon_series[slot].restore(mon["series"])
     g.mon_events[slot] = mon["events_seen"]

@@ -6,8 +6,11 @@ simultaneously: application progress and phase state, the power model,
 the RAPL window feedback and the hardware counters live in parallel
 numpy arrays keyed by node slot. Barrier arrivals, releases and
 iteration refills run as array ops over all rows they touch in one
-pass; only the RNG draws, bus appends, phase changes and the 1 Hz
-monitor/policy ticks stay per-row Python.
+pass, and so do the random draws: every generator draws a look-ahead
+block of values in one call, and each pass gathers from the blocks
+(:class:`_DrawBlocks`). Bus messages queue as plain ``(time, value)``
+pairs. Only the block refills, the bus appends, phase changes and the
+1 Hz monitor/policy ticks stay per-row Python.
 
 Bit-parity with the object engine is a design invariant, not an
 approximation: every per-epoch transfer function is the same
@@ -15,8 +18,9 @@ approximation: every per-epoch transfer function is the same
 array application of an IEEE-754 op equals the scalar op), reductions
 over cores/workers are written as the same sequential left folds
 ``accumulate_core_power`` performs, RNG draws come from per-(node,
-worker) ``Generator`` objects in the same order the object bodies draw
-them, and the timer/delivery epsilons are the engine's own constants.
+worker) ``Generator`` objects, each consumed in the order the object
+bodies draw from it, and the timer/delivery epsilons are the engine's
+own constants.
 The eligibility gate caps workers per node at 7 because ``numpy.sum``
 re-associates (pairwise) at 8 elements — see
 :data:`repro.vector.gate.MAX_VECTOR_WORKERS`.
@@ -41,7 +45,6 @@ from repro.hardware.msr import (
 )
 from repro.nrm.policies import check_budget
 from repro.stack.spec import StackSpec
-from repro.telemetry.pubsub import Message
 from repro.telemetry.timeseries import TimeSeries
 from repro.vector.gate import GroupProfile, check_member, member_seed
 
@@ -69,6 +72,75 @@ _POLICY_PERIOD = 1.0       # BudgetTrackingPolicy interval
 _BUS_HWM = 1000            # SubSocket high-water mark
 _PL1_WINDOW = 0.01         # LibMSR.set_pkg_power_limit default window
 _PL1_MASK = 0x00FFFFFF00FFFFFF  # MSR-safe writable bits of 0x610
+#: Values each generator draws ahead in one call (see _DrawBlocks).
+_DRAW_BLOCK = 32
+
+
+class _DrawBlocks:
+    """Look-ahead blocks of one kind of random stream, for every row.
+
+    Each row owns ``width`` generators that draw in lockstep (a row's
+    workers, or its single shared-factor or bus generator). When a row's
+    block runs out, every one of its generators draws its next
+    ``_DRAW_BLOCK`` values in one call; each pass then gathers one value
+    per generator. A block of K draws leaves a generator exactly where K
+    scalar draws would, and ``Generator.normal(0.0, s)`` computes
+    ``0.0 + s * standard_normal()``, so the consumed values are the
+    object path's bit for bit (``tests/vector/test_draws.py`` pins both
+    premises).
+
+    A refill records each generator's 128-bit LCG state from before the
+    draw. :meth:`flush` rewinds to it and replays the consumed count, so
+    a generator's state then counts only the values the simulation has
+    used — the state a checkpoint records.
+    """
+
+    def __init__(self, n: int, width: int, uniform: bool) -> None:
+        self.values = np.zeros((n, width, _DRAW_BLOCK))
+        # Next value to take; _DRAW_BLOCK marks an empty block.
+        self.cursor = np.full(n, _DRAW_BLOCK, dtype=np.int64)
+        self.base: list[list[int] | None] = [None] * n
+        self.uniform = uniform
+
+    def _draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return gen.random(count) if self.uniform \
+            else gen.standard_normal(count)
+
+    def take(self, rows: np.ndarray, gens_of) -> np.ndarray:
+        """The next value of every generator of each listed row, as a
+        ``(len(rows), width)`` array; ``gens_of(slot)`` lists a row's
+        generators, and is asked only for rows whose block refills."""
+        cur = self.cursor[rows]
+        empty = cur == _DRAW_BLOCK
+        if empty.any():
+            for slot in rows[empty].tolist():
+                gens = gens_of(slot)
+                self.base[slot] = [
+                    gen.bit_generator.state["state"]["state"] for gen in gens]
+                for j, gen in enumerate(gens):
+                    self.values[slot, j] = self._draw(gen, _DRAW_BLOCK)
+            cur[empty] = 0
+        self.cursor[rows] = cur + 1
+        return self.values[rows, :, cur]
+
+    def flush(self, slot: int, gens: Sequence[np.random.Generator]) -> None:
+        """Rewind ``slot``'s generators to the values taken, then empty
+        its block."""
+        base = self.base[slot]
+        used = int(self.cursor[slot])
+        if base is not None and used < _DRAW_BLOCK:
+            for gen, lcg in zip(gens, base):
+                state = gen.bit_generator.state
+                state["state"]["state"] = lcg
+                gen.bit_generator.state = state
+                self._draw(gen, used)
+        self.reset(slot)
+
+    def reset(self, slot: int) -> None:
+        """Drop ``slot``'s block without touching its generators."""
+        self.values[slot] = 0.0
+        self.cursor[slot] = _DRAW_BLOCK
+        self.base[slot] = None
 
 
 class VectorGroup:
@@ -80,7 +152,9 @@ class VectorGroup:
     its barrier's arrival order (``barrier_pos``, -1 when not arrived).
     Event-owned state (RNGs, bus queues, telemetry series, the policy's
     tri-state) stays in per-slot Python lists — it is touched only on
-    events.
+    events. The generators' look-ahead blocks are a cache in front of
+    them: :meth:`flush_draws` empties a slot's blocks and leaves its
+    generators exactly where the object path's would be.
     """
 
     def __init__(self, profile: GroupProfile,
@@ -135,6 +209,9 @@ class VectorGroup:
             [ppi if pub else math.nan
              for ppi, pub in zip(profile.ph_ppi, profile.ph_publish)],
             dtype=float)
+        self._ph_shared_jitter = np.asarray(profile.ph_shared_jitter,
+                                            dtype=float)
+        self._ph_jitter = np.asarray(profile.ph_jitter, dtype=float)
 
         # -- node / clock ------------------------------------------------
         self.now = np.zeros(n)
@@ -207,6 +284,10 @@ class VectorGroup:
         self.shared_rng: list[np.random.Generator | None] = [None] * n
         self.bus_rng = [np.random.default_rng(spec.seed + 1)
                         for spec in self.specs]
+        self.jitter_draws = _DrawBlocks(n, w, uniform=False)
+        self.shared_draws = _DrawBlocks(n, 1, uniform=False)
+        self.drop_draws = _DrawBlocks(n, 1, uniform=True)
+        # (time, value) per queued progress message
         self.pending: list[deque] = [deque() for _ in range(n)]
         self.mon_series = [TimeSeries(name) for name in self._mon_names]
         self.cap_series = [TimeSeries("budget-cap") for _ in range(n)]
@@ -267,6 +348,14 @@ class VectorGroup:
         delta = float(self.pkg_energy[slot] - self.energy_mark[slot])
         self.energy_mark[slot] = self.pkg_energy[slot]
         return delta
+
+    def flush_draws(self, slot: int) -> None:
+        """Empty ``slot``'s look-ahead draw blocks, rewinding each of its
+        generators to the values its simulation has consumed. Checkpoint
+        exporters call this before they read any RNG state."""
+        self.jitter_draws.flush(slot, self.rngs[slot])
+        self.shared_draws.flush(slot, [self.shared_rng[slot]])
+        self.drop_draws.flush(slot, [self.bus_rng[slot]])
 
     # ------------------------------------------------------------------
     # Micro-step pieces
@@ -480,13 +569,14 @@ class VectorGroup:
 
     def _fill(self, rows: np.ndarray) -> None:
         """One SpmdBody._fill per worker on every listed row: advance the
-        (phase, iteration) cursor, draw each row's shared factor once
+        (phase, iteration) cursor, take each row's shared factor once
         (all worker copies of the shared stream are in lockstep), then
         each worker's private jitter from its own generator.
 
-        Draws stay scalar calls on each row's own generators, so every
-        generator sees exactly the object path's sequence; the
-        exponentials and work quantities are one array op each.
+        Each draw is the next value of that generator's look-ahead
+        block, so every generator sees exactly the object path's
+        sequence; the draws, exponentials and work quantities are a few
+        array ops per pass.
         """
         prof = self.profile
         p = self.p_idx[rows]
@@ -501,24 +591,30 @@ class VectorGroup:
                 if not rows.size:
                     return
 
-        shared_rngs, rngs = self.shared_rng, self.rngs
-        shared_jitter, jitter = prof.ph_shared_jitter, prof.ph_jitter
-        draws: list[float] = []
-        draw = draws.append
-        for slot, ph in zip(rows.tolist(), p.tolist()):
-            shared = shared_rngs[slot]
-            if shared is None:
-                shared = shared_rngs[slot] = np.random.default_rng(
-                    [self._seeds[slot], 0, ph])
-            sj, jit = shared_jitter[ph], jitter[ph]
-            draw(shared.normal(0.0, sj) if sj > 0 else 0.0)
-            for gen in rngs[slot]:
-                draw(gen.normal(0.0, jit) if jit > 0 else 0.0)
-        # exp(0.0) == 1.0 exactly, so the zero stand-ins for undrawn
-        # jitter leave the factor bit-identical to the object's
-        # ``shared * private`` (or plain ``shared``).
-        e = lognormal_factor(
-            np.asarray(draws).reshape(len(rows), self.n_workers + 1))
+        # A phase's first fill starts its shared factor stream.
+        first = t == 0
+        if first.any():
+            for slot, ph in zip(rows[first].tolist(), p[first].tolist()):
+                if self.shared_rng[slot] is None:
+                    self.shared_rng[slot] = np.random.default_rng(
+                        [self._seeds[slot], 0, ph])
+        # Column 0 is the shared draw, 1..W the workers'. exp(0.0) == 1.0
+        # exactly, so the zero stand-ins for undrawn jitter leave the
+        # factor bit-identical to the object's ``shared * private`` (or
+        # plain ``shared``). ``0.0 + s * z`` is Generator.normal(0.0, s).
+        draws = np.zeros((len(rows), self.n_workers + 1))
+        sigma = self._ph_shared_jitter[p]
+        drawing = sigma > 0.0
+        if drawing.any():
+            z = self.shared_draws.take(
+                rows[drawing], lambda slot: [self.shared_rng[slot]])
+            draws[drawing, :1] = 0.0 + sigma[drawing, None] * z
+        sigma = self._ph_jitter[p]
+        drawing = sigma > 0.0
+        if drawing.any():
+            z = self.jitter_draws.take(rows[drawing], self.rngs.__getitem__)
+            draws[drawing, 1:] = 0.0 + sigma[drawing, None] * z
+        e = lognormal_factor(draws)
         factor = e[:, :1] * e[:, 1:]
         work = self._ph_work[p]
         cycles, nbytes, ins, misses = sample_quantities(
@@ -545,10 +641,12 @@ class VectorGroup:
         iters = self.profile.ph_iterations
         for k in np.nonzero(crossing)[0]:
             pk, tk = int(p[k]), int(t[k])
+            slot = int(rows[k])
             while pk < n_phases and tk >= iters[pk]:
                 pk += 1
                 tk = 0
-                self.shared_rng[int(rows[k])] = None
+                self.shared_rng[slot] = None
+                self.shared_draws.reset(slot)
             p[k], t[k] = pk, tk
 
     def _finish(self, rows: np.ndarray) -> None:
@@ -566,21 +664,22 @@ class VectorGroup:
 
     def _publish(self, rows: np.ndarray) -> None:
         """MessageBus._publish of each row's queued progress value on the
-        node's single progress topic (one bus generator per row)."""
+        node's single progress topic (one bus generator per row). The
+        queue holds ``(time, value)`` pairs; the exporter rebuilds the
+        Message of each."""
         self.bus_published[rows] += 1
         if self.drop_prob > 0.0:
-            drop = np.asarray([self.bus_rng[slot].random()
-                               for slot in rows.tolist()]) < self.drop_prob
+            u = self.drop_draws.take(rows, lambda slot: [self.bus_rng[slot]])
+            drop = u[:, 0] < self.drop_prob
             self.bus_dropped[rows[drop]] += 1
             rows = rows[~drop]
-        topic = self.topic
         for slot, now, value in zip(rows.tolist(), self.now[rows].tolist(),
                                     self.queued_pub[rows].tolist()):
             queue = self.pending[slot]
             if len(queue) >= _BUS_HWM:
                 self.bus_overflowed[slot] += 1
                 continue
-            queue.append((now, Message(now, topic, value)))
+            queue.append((now, value))
 
     # ------------------------------------------------------------------
     # Timers
@@ -731,7 +830,7 @@ class VectorGroup:
             total = 0
             count = 0
             while queue and queue[0][0] <= limit:
-                total = total + queue.popleft()[1].value
+                total = total + queue.popleft()[1]
                 count += 1
             self.mon_events[slot] += count
             self.mon_series[slot].append(now, total / interval)

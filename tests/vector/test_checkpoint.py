@@ -11,15 +11,20 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytestmark = pytest.mark.slow
 
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.sharding import ShardedLockstep, StepRequest
+from repro.exceptions import CheckpointError
+from repro.telemetry.pubsub import Message
 from repro.telemetry.timeseries import TimeSeries
 from repro.vector import VectorEngine
-from repro.vector.checkpoint import import_checkpoint
-from repro.vector.engine import W_RUNNING
+from repro.vector.checkpoint import _install_slot, import_checkpoint
+from repro.vector.engine import _DRAW_BLOCK, W_RUNNING, VectorGroup
+from repro.vector.gate import build_profile
 from tests.vector.conftest import (
     BUDGET_SCHEDULE,
     bits,
@@ -207,3 +212,111 @@ class TestLockstepMigration:
                 obj_results = obj_ls.step(requests(2.0))
             vec_results = vec_ls.step(requests(2.0))
         assert fingerprint(obj_results) == fingerprint(vec_results)
+
+
+def _vector_node(app_name):
+    host = VectorEngine()
+    host.build([(0, make_spec(app_name))])
+    return host.node(0)
+
+
+#: (app, start-time range, holds-at-the-export-point) per case. Every
+#: condition reads the slot's look-ahead draw blocks (repro.vector.engine).
+MID_BLOCK_CASES = {
+    # the workers' and the shared block are partly consumed
+    "partly_consumed": (
+        "lammps", (0.2, 2.5),
+        lambda g, s: 0 < g.jitter_draws.cursor[s] < _DRAW_BLOCK
+        and 0 < g.shared_draws.cursor[s] < _DRAW_BLOCK),
+    # the fill that entered amg's second phase reset the shared block
+    # and took the first value of a fresh one
+    "after_phase_crossing": (
+        "amg", (0.2, 1.8),
+        lambda g, s: g.p_idx[s] == 1 and g.it[s] == 1
+        and g.shared_draws.cursor[s] == 1),
+    # openmc's bus loses messages: its drop block is partly used
+    "bus_drop_block": (
+        "openmc", (0.6, 3.0),
+        lambda g, s: 0 < g.drop_draws.cursor[s] < _DRAW_BLOCK),
+}
+
+
+class TestMidBlockCheckpoints:
+    @pytest.mark.parametrize("case", sorted(MID_BLOCK_CASES))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_export_mid_block_continues_bit_equal(self, case, data):
+        """A slot exported while its draw blocks are partly used
+        restores into a fresh group and onto the object engine; the
+        exported slot, both restores and a control that was never
+        snapshotted then run bit-equal."""
+        app_name, (lo, hi), ready = MID_BLOCK_CASES[case]
+        start = data.draw(st.floats(lo, hi), label="start")
+        step = data.draw(st.floats(1e-3, 5e-3), label="step")
+        node, control = _vector_node(app_name), _vector_node(app_name)
+        t = start
+        for n in (node, control):
+            n.receive_budget(80.0)
+            n.advance(t)
+        while not ready(node.group, node.slot):
+            assert t < start + 10.0, "export point never reached"
+            t += step
+            node.advance(t)
+            control.advance(t)
+
+        first, second = node.snapshot(), node.snapshot()
+        assert bits(first) == bits(second)
+        restored = [import_checkpoint(0, first),
+                    NodeInstance.from_checkpoint(first)]
+        for budget in BUDGET_SCHEDULE[:3]:
+            t += 1.0
+            for n in [control, node, *restored]:
+                n.receive_budget(budget)
+                n.advance(t)
+            want = bits(surface(control))
+            for n in [node, *restored]:
+                assert bits(surface(n)) == want
+        want = bits(control.snapshot())
+        for n in [node, *restored]:
+            assert bits(n.snapshot()) == want
+
+
+def _queued_checkpoint():
+    """An openmc slot's checkpoint with progress messages on the bus."""
+    node = _vector_node("openmc")
+    while not node.group.pending[node.slot]:
+        node.advance(node.now + 0.05)
+    return node.snapshot()
+
+
+class TestImporterValidation:
+    @pytest.mark.parametrize("edit", ["delayed", "foreign_topic"])
+    def test_bad_bus_queue_entry_is_refused_before_install(self, edit):
+        checkpoint = _queued_checkpoint()
+        queue = checkpoint["stack"].state["bus"]["subs"][0]["queue"]
+        t, msg = queue[0]
+        queue[0] = (t + 0.5, msg) if edit == "delayed" \
+            else (t, Message(t, "other", msg.value))
+        spec = checkpoint["stack"].spec
+        group = VectorGroup(build_profile(spec), [(0, spec)])
+        before = {name: value.copy() for name, value in vars(group).items()
+                  if isinstance(value, np.ndarray)}
+        with pytest.raises(CheckpointError, match="bus queue"):
+            _install_slot(group, 0, spec, checkpoint["stack"].state)
+        for name, value in before.items():
+            assert bits(getattr(group, name)) == bits(value), name
+        host = VectorEngine()
+        host.build([(0, checkpoint)])
+        assert host.fallback_node_ids == [0]
+
+    def test_running_loop_without_shared_stream_is_refused(self):
+        """The object body starts a phase's shared factor stream in the
+        fill that enters the phase, so a running loop always has one; the
+        importer refuses a checkpoint that drops it."""
+        node = NodeInstance.from_spec(0, make_spec("lammps"))
+        node.advance(0.5)
+        checkpoint = node.snapshot()
+        for task in checkpoint["stack"].state["engine"]["tasks"]:
+            task["body"]["state"]["shared_rng"] = None
+        with pytest.raises(CheckpointError, match="shared factor stream"):
+            import_checkpoint(0, checkpoint)

@@ -259,3 +259,35 @@ class TestGroupedMultiRowParity:
             done = [_finished(objs[10 * a + k].snapshot())
                     for k in range(len(_SLOT_BUDGETS))]
             assert any(done) and not all(done), FAST_APPS[a]
+
+
+class TestClusterScaleParity:
+    @pytest.mark.slow
+    def test_thousand_node_cluster_matches_object_engine(self):
+        """1,000 lammps nodes under progress-aware rebalancing, with
+        per-node manufacturing variability, produce the same cluster
+        series and energy on both engines, bit for bit, over 2 epochs
+        (about 40 s on the object side)."""
+        from repro.cluster.policies import ProgressAwareRebalancer
+        from repro.cluster.simulation import ClusterSimulation
+
+        def run(engine):
+            sim = ClusterSimulation(
+                1000, "lammps",
+                ProgressAwareRebalancer(1000 * 95.0, min_node=60.0,
+                                        max_node=130.0),
+                app_kwargs={"n_steps": 10_000_000, "n_workers": 4},
+                variability=(0.05, 0.08), seed=7, engine=engine)
+            try:
+                sim.run(2.0, epoch=1.0)
+                return bits({
+                    name: (list(series.times), list(series.values))
+                    for name, series in (
+                        ("total_progress", sim.total_progress),
+                        ("critical_path", sim.critical_path),
+                        ("budget_history", sim.budget_history))
+                } | {"total_energy": sim.total_energy, "now": sim.now})
+            finally:
+                sim.close()
+
+        assert run("vector") == run("object")
