@@ -38,7 +38,6 @@ from repro.cluster.node_instance import NodeInstance
 from repro.cluster.policies import ProgressAwareRebalancer, UniformPowerPolicy
 from repro.cluster.sharding import (
     NodeTelemetry,
-    PayloadStats,
     ShardedLockstep,
     StepRequest,
     StepResult,
@@ -53,7 +52,6 @@ __all__ = [
     "UniformPowerPolicy",
     "ProgressAwareRebalancer",
     "perturb_config",
-    "PayloadStats",
     "ShardedLockstep",
     "StepRequest",
     "StepResult",

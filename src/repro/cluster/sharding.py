@@ -66,7 +66,6 @@ __all__ = [
     "StepRequest",
     "StepResult",
     "NodeTelemetry",
-    "PayloadStats",
     "step_node",
     "step_result",
     "node_rate",
@@ -115,42 +114,6 @@ class StepResult:
     energy: float         #: package joules since the previous epoch mark
     cumulative: float     #: total progress units published so far
     rates: dict[float, float] = field(default_factory=dict)
-
-
-@dataclass
-class PayloadStats:
-    """Pickled IPC payload accounting for one :class:`ShardedLockstep`.
-
-    ``epoch_payloads`` records one ``(bytes_down, bytes_up)`` pair per
-    ``step2`` dispatch (i.e. per epoch, summed over the involved shards);
-    the totals cover every command. Sizes are measured by re-pickling
-    the exact ``(command, payload)`` tuples that cross the pipe, so they
-    track what :mod:`multiprocessing` actually ships.
-    """
-
-    bytes_down: int = 0          #: total pickled request bytes, all commands
-    bytes_up: int = 0            #: total pickled reply bytes, all commands
-    dispatches: int = 0          #: dispatch rounds measured (all commands)
-    epoch_payloads: list[tuple[int, int]] = field(default_factory=list)
-
-    def record(self, cmd: str, down: int, up: int) -> None:
-        self.bytes_down += down
-        self.bytes_up += up
-        self.dispatches += 1
-        if cmd == "step2":
-            self.epoch_payloads.append((down, up))
-
-    @property
-    def epochs(self) -> int:
-        return len(self.epoch_payloads)
-
-    def mean_epoch_bytes(self) -> tuple[float, float]:
-        """Mean per-epoch ``(bytes_down, bytes_up)`` of step traffic."""
-        if not self.epoch_payloads:
-            return 0.0, 0.0
-        n = len(self.epoch_payloads)
-        return (sum(d for d, _ in self.epoch_payloads) / n,
-                sum(u for _, u in self.epoch_payloads) / n)
 
 
 @dataclass(frozen=True)
@@ -394,17 +357,6 @@ class ShardedLockstep:
         :mod:`repro.vector`). Results are bit-identical either way;
         ineligible nodes silently fall back to object stacks inside the
         vector host.
-    start_method:
-        multiprocessing start method; default prefers ``fork`` (cheap,
-        and the workers rebuild their nodes from specs anyway) and falls
-        back to the platform default.
-    measure_payloads:
-        Measure the pickled size of every dispatched payload into
-        :attr:`payload_stats`. Off by
-        default — sizing re-pickles each payload — and forced on while
-        :mod:`repro.obs` tracing is enabled, which additionally emits
-        one ``shard.payload`` instant per involved shard per dispatch.
-        Payload sizes never influence execution.
     balancer:
         An elastic rebalancer (duck-typed as
         :class:`repro.cluster.elastic.ShardBalancer`): after every
@@ -417,8 +369,6 @@ class ShardedLockstep:
     """
 
     def __init__(self, shards: int = 1, *, engine: str = "object",
-                 start_method: str | None = None,
-                 measure_payloads: bool = False,
                  balancer=None) -> None:
         # Assigned before any validation so close() — and therefore
         # __del__ — is safe on a partially constructed instance.
@@ -435,9 +385,7 @@ class ShardedLockstep:
                 f"engine must be one of {_ENGINES}, got {engine!r}")
         self.shards = shards
         self.engine = engine
-        self.measure_payloads = measure_payloads
         self.balancer = balancer
-        self.payload_stats = PayloadStats()
         #: Per-shard wall seconds of the most recent sharded epoch step
         #: (send-complete to reply-arrival, host clock). Placement
         #: telemetry only — never feeds a simulated quantity.
@@ -446,10 +394,10 @@ class ShardedLockstep:
         self.migrations = 0
         self._host = _make_host(engine) if shards == 1 else None
         if shards > 1:
-            if start_method is None:
-                methods = mp.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else methods[0]
-            ctx = mp.get_context(start_method)
+            # fork is cheap, and the workers rebuild their nodes from
+            # specs anyway; elsewhere use the platform default
+            ctx = mp.get_context(
+                "fork" if "fork" in mp.get_all_start_methods() else None)
             try:
                 for _ in range(shards):
                     parent_conn, child_conn = ctx.Pipe()
@@ -770,20 +718,20 @@ class ShardedLockstep:
         hang), and each shard's send-to-reply wall time is measured —
         for ``step2`` these land in :attr:`shard_times` as the
         balancer's signal. Worker-side exceptions ship back as formatted
-        tracebacks and re-raise here as :class:`SimulationError`. With
-        payload measurement on (explicitly or via tracing), each
-        direction's pickled size is recorded — observation only, the
-        bytes on the pipe are untouched.
+        tracebacks and re-raise here as :class:`SimulationError`. While
+        :mod:`repro.obs` tracing is enabled, each direction's pickled
+        size feeds the ``shard.pickle_bytes`` counter, one
+        ``shard.payload`` instant per shard and the span's attributes
+        — observation only, the bytes on the pipe are untouched.
         """
         if self._closed:
             raise SimulationError("ShardedLockstep is closed")
         tracer = obs.tracer()
-        measure = self.measure_payloads or tracer.enabled
         sizes_down: dict[int, int] = {}
         with tracer.span("shard.dispatch", cmd=cmd,
                          shards=len(per_shard)) as span:
             for shard, payload in per_shard.items():
-                if measure:
+                if tracer.enabled:
                     sizes_down[shard] = len(pickle.dumps((cmd, payload)))
                 try:
                     self._pipes[shard].send((cmd, payload))
@@ -809,7 +757,7 @@ class ShardedLockstep:
                     replies[shard] = value
             if cmd == "step2":
                 self._record_step_times(arrivals)
-            if measure:
+            if tracer.enabled:
                 total_down = total_up = 0
                 for shard in per_shard:
                     up = len(pickle.dumps(("ok", replies[shard])))
@@ -818,7 +766,6 @@ class ShardedLockstep:
                     total_up += up
                     tracer.instant("shard.payload", cmd=cmd, shard=shard,
                                    bytes_down=down, bytes_up=up)
-                self.payload_stats.record(cmd, total_down, total_up)
                 span.set(bytes_down=total_down, bytes_up=total_up)
                 registry = obs.metrics()
                 registry.counter("shard.pickle_bytes",

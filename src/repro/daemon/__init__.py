@@ -50,9 +50,9 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.checkpointing import build_run_checkpoint, resume_daemon
+from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.client import DaemonClient
-from repro.daemon.protocol import PROTOCOL_VERSION, decode, encode
+from repro.daemon.protocol import decode, encode
 from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
 
@@ -61,9 +61,7 @@ __all__ = [
     "DaemonConfig",
     "DaemonServer",
     "DaemonClient",
-    "build_run_checkpoint",
     "resume_daemon",
-    "PROTOCOL_VERSION",
     "encode",
     "decode",
 ]

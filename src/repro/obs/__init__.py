@@ -47,14 +47,13 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.obs.export import load_trace, write_trace
+from repro.obs.export import write_trace
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.provenance import build_manifest, write_manifest
 from repro.obs.summarize import summarize
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "ObsSession",
     "enable",
     "disable",
     "enabled",
@@ -63,12 +62,10 @@ __all__ = [
     "session",
     "build_manifest",
     "write_manifest",
-    "load_trace",
     "write_trace",
     "summarize",
     "Tracer",
     "NullTracer",
-    "MetricsRegistry",
     "NullMetrics",
 ]
 

@@ -113,9 +113,6 @@ class RunExecutor:
         Process count. ``1`` (the default) runs serially in-process —
         the fallback path and the reference for numerical identity.
         ``None`` selects :func:`default_workers`.
-    start_method:
-        Multiprocessing start method; default prefers ``fork`` (cheap,
-        inherits the imported simulator) and falls back to ``spawn``.
     cache_dir:
         Directory for content-keyed on-disk result caching. ``None``
         (default) consults the :data:`CACHE_ENV` environment variable;
@@ -133,32 +130,20 @@ class RunExecutor:
     """
 
     def __init__(self, workers: int | None = 1, *,
-                 start_method: str | None = None,
                  cache_dir: str | os.PathLike | None = None) -> None:
         if workers is None:
             workers = default_workers()
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"unknown start method {start_method!r}")
         if cache_dir is None:
             # The cache is a pure memoization layer: hits return the
             # same bytes the computation would produce, so the env
             # opt-in cannot change simulation results.
             cache_dir = os.environ.get(CACHE_ENV) or None  # repro-lint: disable=det-environ
         self.workers = workers
-        self.start_method = start_method
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None \
             else None
-        #: Result-cache tallies for this executor instance (the
-        #: process-wide view is :func:`cache_stats`).
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -201,8 +186,6 @@ class RunExecutor:
                 else:
                     tracer.instant("executor.cache_hit", index=i)
             hits = len(work) - len(misses)
-            self.cache_hits += hits
-            self.cache_misses += len(misses)
             _CACHE_TALLY["hits"] += hits
             _CACHE_TALLY["misses"] += len(misses)
             metrics = obs.metrics()
@@ -236,7 +219,11 @@ class RunExecutor:
                                  queue_wait_ms=wait_ns / 1e6):
                     out.append(fn(item))
             return out
-        ctx = multiprocessing.get_context(self.start_method)
+        # fork is cheap and inherits the imported simulator; elsewhere
+        # use the platform default
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
         n = min(self.workers, len(work))
         try:
             with ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool, \
@@ -246,7 +233,7 @@ class RunExecutor:
             raise SimulationError(
                 f"a RunExecutor worker process died while mapping "
                 f"{getattr(fn, '__name__', fn)!r} over {len(work)} runs "
-                f"({n} workers, start method {self.start_method!r}); "
+                f"({n} workers, start method {ctx.get_start_method()!r}); "
                 "the usual causes are the OOM killer or a native crash "
                 "in a dependency"
             ) from exc
@@ -296,5 +283,4 @@ class RunExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RunExecutor(workers={self.workers}, "
-                f"start_method={self.start_method!r}, "
                 f"cache_dir={self.cache_dir!r})")

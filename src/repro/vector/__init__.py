@@ -21,9 +21,7 @@ Entry points:
 from repro.vector.engine import VectorGroup
 from repro.vector.gate import (
     FAST_APPS,
-    MAX_VECTOR_WORKERS,
     GroupProfile,
-    build_profile,
     profile_key,
     supports_fast_path,
 )
@@ -31,12 +29,10 @@ from repro.vector.host import VectorEngine, VectorNodeView
 
 __all__ = [
     "FAST_APPS",
-    "MAX_VECTOR_WORKERS",
     "GroupProfile",
     "VectorEngine",
     "VectorGroup",
     "VectorNodeView",
-    "build_profile",
     "profile_key",
     "supports_fast_path",
 ]

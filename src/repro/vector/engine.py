@@ -20,10 +20,9 @@ over cores/workers are written as the same sequential left folds
 ``accumulate_core_power`` performs, RNG draws come from per-(node,
 worker) ``Generator`` objects, each consumed in the order the object
 bodies draw from it, and the timer/delivery epsilons are the engine's
-own constants.
-The eligibility gate caps workers per node at 7 because ``numpy.sum``
-re-associates (pairwise) at 8 elements — see
-:data:`repro.vector.gate.MAX_VECTOR_WORKERS`.
+own constants. Worker counts therefore need no cap beyond the node's
+core count: the only worker-axis ``sum``/``cumsum`` calls count
+integers, where association cannot change the result.
 """
 
 from __future__ import annotations

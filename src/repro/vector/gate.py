@@ -4,8 +4,8 @@ The structure-of-arrays fast path (:class:`repro.vector.engine.VectorGroup`)
 batches many nodes into one numpy step, which is only bit-identical to the
 object engine when every batched node runs the *same* shape of stack: the
 default budget-controller wiring (firmware + libmsr + bus + one 1 Hz
-monitor + tracking policy), one of the regular SPMD applications, and a
-worker count small enough that numpy's reductions stay sequential.
+monitor + tracking policy), one of the regular SPMD applications, and
+no more workers than the node has cores.
 
 :func:`supports_fast_path` answers "can this spec run vectorized?" with a
 human-readable refusal reason (``None`` means eligible); ineligible specs
@@ -27,7 +27,6 @@ from repro.stack.spec import BUDGET, StackSpec
 
 __all__ = [
     "FAST_APPS",
-    "MAX_VECTOR_WORKERS",
     "PER_NODE_CFG_FIELDS",
     "GroupProfile",
     "supports_fast_path",
@@ -40,11 +39,6 @@ __all__ = [
 #: replicates. The irregular codes (candle, hacc, imbalance, nek5000,
 #: urban) use bespoke bodies/components and take the object fallback.
 FAST_APPS = ("lammps", "amg", "qmcpack", "stream", "openmc")
-
-#: numpy's pairwise summation only degenerates to a strict sequential fold
-#: below 8 elements; with more workers per node the vectorized reductions
-#: would reassociate and break bit-parity with the object engine.
-MAX_VECTOR_WORKERS = 7
 
 #: NodeConfig fields allowed to differ between members of one group (the
 #: cluster's process-variation perturbation touches exactly these).
@@ -62,8 +56,9 @@ def supports_fast_path(spec: object) -> str | None:
 
     The checks mirror exactly what :class:`repro.vector.engine.VectorGroup`
     models: budget controller, no userspace pins, stock firmware, default
-    topics, no node-state tap, a regular SPMD app, and a worker count
-    below numpy's pairwise-summation threshold.
+    topics, no node-state tap, a regular SPMD app, and at most one
+    worker per core (the object runtimes refuse to pin more, so such a
+    spec must fall back and raise the same error there).
     """
     if not isinstance(spec, StackSpec):
         return "not a StackSpec (mid-run checkpoints restore separately)"
@@ -87,9 +82,9 @@ def supports_fast_path(spec: object) -> str | None:
     if "cfg" in kwargs:
         return "explicit cfg in app_kwargs shadows the node config"
     n_workers = kwargs.get("n_workers", _DEFAULT_N_WORKERS)
-    if not isinstance(n_workers, int) or not 1 <= n_workers <= MAX_VECTOR_WORKERS:
-        return (f"n_workers={n_workers!r} outside 1..{MAX_VECTOR_WORKERS} "
-                "(numpy reductions reassociate at >= 8 elements)")
+    n_cores = _spec_cfg(spec).n_cores
+    if not isinstance(n_workers, int) or not 1 <= n_workers <= n_cores:
+        return f"n_workers={n_workers!r} outside 1..{n_cores} cores"
     try:
         hash(tuple(sorted(kwargs.items())))
     except TypeError:

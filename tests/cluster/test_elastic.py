@@ -294,6 +294,36 @@ class TestBalancerInLoop:
 
         assert got == expected
 
+    def test_skewed_and_balanced_runs_match_serial(self):
+        """A 6-vs-2 placement over two shards reproduces the serial run
+        with the real balancer off and on; with it on, the overloaded
+        shard gives nodes away."""
+        ids = list(range(8))
+        items = [(i, _spec(i, seed=7 + 1000 * i)) for i in ids]
+
+        def run(shards, balancer=None):
+            ls = ShardedLockstep(shards=shards, balancer=balancer)
+            try:
+                if shards == 1:
+                    ls.add_nodes(items)
+                else:
+                    ls.add_nodes(items[:6], shard=0)
+                    ls.add_nodes(items[6:], shard=1)
+                series = _series(ls, ids, 0.0, 6.0)
+                return series, ls.migrations, ls.shard_nodes()
+            finally:
+                ls.close()
+
+        serial, _, _ = run(1)
+        skewed, skewed_moves, _ = run(2)
+        balanced, balanced_moves, placement = run(
+            2, ShardBalancer(threshold=1.25, warmup=1, cooldown=1))
+        assert skewed == serial
+        assert balanced == serial
+        assert skewed_moves == 0
+        assert balanced_moves >= 1
+        assert len(placement[0]) < 6
+
     def test_cluster_simulation_balance_flag(self):
         """balance=True end-to-end: whether or not the real balancer
         fires (wall times are nondeterministic), the series must equal

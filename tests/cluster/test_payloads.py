@@ -1,13 +1,29 @@
-"""Per-epoch pickle payload accounting on the sharded lockstep."""
+"""Per-epoch pickle payload accounting on the sharded lockstep.
+
+Payload sizes are recorded only through :mod:`repro.obs`: while tracing
+is enabled, every dispatch adds its pickled bytes to the
+``shard.pickle_bytes`` counter and emits one ``shard.payload`` instant
+per shard.
+"""
+
+import types
 
 import pytest
 
-from repro.cluster import PayloadStats, ShardedLockstep, StepRequest
+from repro import obs
+from repro.cluster import ShardedLockstep, StepRequest, sharding
 from repro.stack import BUDGET, StackSpec
 
 pytestmark = pytest.mark.slow
 
 APP_KW = {"n_workers": 4}
+
+
+@pytest.fixture(autouse=True)
+def _obs_off():
+    obs.disable()
+    yield
+    obs.disable()
 
 
 def _spec(node_id, seed=0):
@@ -21,65 +37,62 @@ def _requests(target):
             for i in range(2)]
 
 
-class TestPayloadStats:
-    def test_only_step_dispatches_count_as_epochs(self):
-        stats = PayloadStats()
-        stats.record("add_nodes", 500, 20)
-        stats.record("step2", 100, 40)
-        stats.record("step2", 120, 44)
-        stats.record("rates", 60, 30)
-        assert stats.epochs == 2
-        assert stats.epoch_payloads == [(100, 40), (120, 44)]
-        assert stats.dispatches == 4
-        assert stats.bytes_down == 780
-        assert stats.bytes_up == 134
+def _pickle_bytes(session):
+    return tuple(
+        session.metrics.counter("shard.pickle_bytes",
+                                direction=d).snapshot()
+        for d in ("down", "up"))
 
-    def test_mean_epoch_bytes(self):
-        stats = PayloadStats()
-        stats.record("step2", 100, 40)
-        stats.record("step2", 200, 60)
-        assert stats.mean_epoch_bytes() == (150.0, 50.0)
 
-    def test_mean_of_no_epochs_is_zero(self):
-        assert PayloadStats().mean_epoch_bytes() == (0.0, 0.0)
+def _payload_instants(session, cmd):
+    return [ev for ev in session.tracer.events
+            if ev["name"] == "shard.payload" and ev["args"]["cmd"] == cmd]
 
 
 class TestShardedMeasurement:
-    def test_off_by_default(self):
+    def test_off_by_default(self, monkeypatch):
+        """Untraced dispatches never re-pickle a payload to size it."""
+        sized = []
+        monkeypatch.setattr(sharding, "pickle", types.SimpleNamespace(
+            dumps=lambda obj: sized.append(obj) or b""))
         with ShardedLockstep(shards=2) as ls:
             ls.add_nodes([(i, _spec(i, seed=i)) for i in range(2)])
             ls.step(_requests(1.0))
-            assert ls.measure_payloads is False
-            assert ls.payload_stats.epochs == 0
+        assert sized == []
 
     def test_measured_sharded_epochs_record_bytes(self):
-        with ShardedLockstep(shards=2, measure_payloads=True) as ls:
+        session = obs.enable()
+        with ShardedLockstep(shards=2) as ls:
             ls.add_nodes([(i, _spec(i, seed=i)) for i in range(2)])
+            add_down, _ = _pickle_bytes(session)
             ls.step(_requests(1.0))
             ls.step(_requests(2.0))
-            stats = ls.payload_stats
-            assert stats.epochs == 2
-            down, up = stats.mean_epoch_bytes()
-            assert down > 0 and up > 0
-            # add_nodes ships whole StackSpecs; steps ship only budgets
-            # down and (rates, energy) up, so they must be far smaller.
-            assert stats.bytes_down > sum(
-                d for d, _ in stats.epoch_payloads)
+        down, up = _pickle_bytes(session)
+        step_down = down - add_down
+        assert step_down > 0 and up > 0
+        # one instant per shard per epoch
+        assert len(_payload_instants(session, "step2")) == 4
+        # add_nodes ships whole StackSpecs; steps ship only budgets
+        # down and (rates, energy) up, so they must be far smaller.
+        assert add_down > step_down
 
     def test_measurement_does_not_change_results(self):
-        def run(measure):
-            with ShardedLockstep(shards=2,
-                                 measure_payloads=measure) as ls:
+        def run():
+            with ShardedLockstep(shards=2) as ls:
                 ls.add_nodes([(i, _spec(i, seed=i)) for i in range(2)])
                 results = ls.step(_requests(1.0))
                 return [(r.node_id, r.now, r.energy,
                          sorted(r.rates.items())) for r in results]
 
-        assert run(True) == run(False)
+        untraced = run()
+        obs.enable()
+        assert run() == untraced
 
     def test_serial_lockstep_records_nothing(self):
-        with ShardedLockstep(shards=1, measure_payloads=True) as ls:
+        session = obs.enable()
+        with ShardedLockstep(shards=1) as ls:
             ls.add_nodes([(0, _spec(0))])
             ls.step([StepRequest(node_id=0, target=1.0, budget=90.0,
                                  set_budget=True, windows=(1.0,))])
-            assert ls.payload_stats.epochs == 0
+        assert _pickle_bytes(session) == (0, 0)
+        assert _payload_instants(session, "step2") == []

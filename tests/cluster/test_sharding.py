@@ -42,10 +42,10 @@ def _policy(name):
     return ProgressAwareRebalancer(360.0, min_node=60.0, max_node=130.0)
 
 
-def _run_cluster(policy_name, shards):
+def _run_cluster(policy_name, shards, engine="object"):
     sim = ClusterSimulation(3, "lammps", _policy(policy_name),
                             app_kwargs=APP_KW, variability=(0.05, 0.08),
-                            seed=11, shards=shards)
+                            seed=11, shards=shards, engine=engine)
     try:
         sim.run(10.0, epoch=1.0)
         return {
@@ -71,6 +71,13 @@ class TestGoldenParity:
     def test_matches_pre_refactor_fixture(self, policy_name, shards):
         golden = _golden()[policy_name]
         got = _run_cluster(policy_name, shards)
+        for key, expected in golden.items():
+            assert got[key] == expected, f"{key} diverged at shards={shards}"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_vector_engine_matches_pre_refactor_fixture(self, shards):
+        golden = _golden()["progress"]
+        got = _run_cluster("progress", shards, engine="vector")
         for key, expected in golden.items():
             assert got[key] == expected, f"{key} diverged at shards={shards}"
 

@@ -1,6 +1,7 @@
 """The single-loop socket server: malformed and oversized input, the
-TCP endpoint, paced mode, and both ways to stop it."""
+TCP endpoint, watch fan-out, paced mode, and both ways to stop it."""
 
+import contextlib
 import socket
 import threading
 import time
@@ -62,6 +63,37 @@ class TestMalformedInput:
             assert isinstance(other.request(run_request("after")),
                               proto.RunReply)
             assert isinstance(other.info(), proto.InfoReply)
+
+
+class TestWatchFanOut:
+    def test_every_watcher_sees_the_same_full_stream(self, served):
+        """Telemetry fans out per subscription: each of several
+        watchers gets every progress frame, none is shared or lost."""
+        _daemon, path = served
+        with contextlib.ExitStack() as stack:
+            watchers = [stack.enter_context(
+                DaemonClient(socket_path=path, timeout=30.0))
+                for _ in range(3)]
+            for w, client in enumerate(watchers):
+                client.watch(f"w{w}", topic="progress", hwm=100_000,
+                             events=False)
+            with DaemonClient(socket_path=path, timeout=30.0) as driver:
+                for job_id in ("alpha", "bravo"):
+                    assert isinstance(driver.request(run_request(job_id)),
+                                      proto.RunReply)
+                while True:
+                    info = driver.info()
+                    if info.queued == 0 and info.running == 0:
+                        break
+                    driver.tick(5)
+            streams = [
+                [(f.time, f.topic, f.value)
+                 for f in client.frames(wall_budget=30.0, idle=1.0)
+                 if isinstance(f, proto.StreamTelemetry)]
+                for client in watchers]
+        assert info.completed == 2
+        assert streams[0]
+        assert streams[1] == streams[0] and streams[2] == streams[0]
 
 
 class TestTcpEndpoint:

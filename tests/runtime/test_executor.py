@@ -79,10 +79,6 @@ class TestRunExecutor:
         with pytest.raises(ConfigurationError):
             RunExecutor(0)
 
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(ConfigurationError):
-            RunExecutor(2, start_method="teleport")
-
     def test_default_workers_positive(self):
         assert default_workers() >= 1
         assert RunExecutor(None).workers == default_workers()

@@ -6,16 +6,24 @@ import weakref
 
 import pytest
 
+from repro.cluster.node_instance import NodeInstance
+from repro.exceptions import ConfigurationError
+from repro.hardware.config import skylake_config
 from repro.stack import BUDGET, StackSpec
 from repro.vector import (
     FAST_APPS,
-    MAX_VECTOR_WORKERS,
     VectorEngine,
-    build_profile,
     profile_key,
     supports_fast_path,
 )
+from repro.vector.gate import build_profile
 from tests.vector.conftest import IRREGULAR_APPS, make_spec
+
+
+def _overpinned_spec():
+    return StackSpec(app_name="lammps", cfg=skylake_config(n_cores=4),
+                     app_kwargs={"n_steps": 1000, "n_workers": 6},
+                     seed=0, controller=BUDGET)
 
 
 class TestSupportsFastPath:
@@ -39,12 +47,17 @@ class TestSupportsFastPath:
         assert "initial_budget" in supports_fast_path(spec)
 
     def test_too_many_workers_are_refused(self):
-        spec = StackSpec(
-            app_name="lammps",
-            app_kwargs={"n_steps": 1000,
-                        "n_workers": MAX_VECTOR_WORKERS + 1},
-            seed=0, controller=BUDGET)
-        assert "n_workers" in supports_fast_path(spec)
+        assert "n_workers" in supports_fast_path(_overpinned_spec())
+
+    def test_overpinned_node_raises_on_both_engines(self):
+        """More workers than cores is a configuration error, not a
+        vector row: the gate sends the node to the object fallback,
+        which refuses to pin it exactly as the object engine does."""
+        spec = _overpinned_spec()
+        with pytest.raises(ConfigurationError, match="cannot pin 6"):
+            NodeInstance.from_spec(0, spec)
+        with pytest.raises(ConfigurationError, match="cannot pin 6"):
+            VectorEngine().build([(0, spec)])
 
     def test_checkpoint_dict_is_refused(self):
         assert supports_fast_path({"version": 1}) is not None
@@ -66,8 +79,6 @@ class TestProfileKey:
         assert profile_key(a) != profile_key(b)
 
     def test_build_profile_refuses_ineligible_specs(self):
-        from repro.exceptions import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             build_profile(make_spec("candle"))
 
@@ -83,8 +94,6 @@ class TestHostMembership:
         assert len(host) == 3 and 1 in host and 3 not in host
 
     def test_duplicate_node_id_raises(self):
-        from repro.exceptions import ConfigurationError
-
         host = VectorEngine()
         host.build([(0, make_spec("lammps"))])
         with pytest.raises(ConfigurationError):

@@ -177,6 +177,47 @@ class TestGroupedParity:
         assert obj.recent_rate(1.0) == 0.0  # it actually finished
 
 
+class TestWorkerCountParity:
+    @pytest.mark.parametrize("n_workers", [8, 24])
+    @pytest.mark.parametrize("app_name", FAST_APPS)
+    def test_wide_nodes_match_object_nodes(self, app_name, n_workers):
+        """Nodes with 8 and with 24 workers (the paper's node: one rank
+        per core) take the vector path and stay bit-identical to object
+        nodes: a perturbed 2-node group over the whole budget schedule,
+        per-epoch surfaces and the final full checkpoint."""
+        import dataclasses
+
+        import numpy as np
+
+        specs = []
+        for i in range(2):
+            cfg = perturb_config(skylake_config(),
+                                 np.random.default_rng([13, i]),
+                                 sigma_dynamic=0.05, sigma_static=0.08)
+            spec = make_spec(app_name, node_id=i, seed=7 + 1000 * i,
+                             cfg=cfg)
+            specs.append((i, dataclasses.replace(
+                spec, app_kwargs={**spec.app_kwargs,
+                                  "n_workers": n_workers})))
+        host = VectorEngine()
+        host.build(specs)
+        assert sorted(host.vector_node_ids) == [0, 1]
+        objs = [NodeInstance.from_spec(i, spec) for i, spec in specs]
+
+        for epoch, budget in enumerate(BUDGET_SCHEDULE):
+            per_node = (budget, BUDGET_SCHEDULE[-1 - epoch])
+            for obj, (i, _), b in zip(objs, specs, per_node):
+                obj.receive_budget(b)
+                host.node(i).receive_budget(b)
+                obj.advance(epoch + 1.0)
+                host.node(i).advance(epoch + 1.0)
+                assert bits(surface(host.node(i))) == bits(surface(obj)), \
+                    (epoch, i)
+
+        for obj, (i, _) in zip(objs, specs):
+            assert bits(host.node(i).snapshot()) == bits(obj.snapshot()), i
+
+
 #: Short runs per app, so rows finish (and cross phases) mid-test. The
 #: work count is part of the group key, so one group per app.
 _SHORT_RUNS = {
