@@ -77,7 +77,11 @@ class SyntheticApp:
         bit-identical.
     """
 
-    def __init__(self, spec: AppSpec, n_workers: int = 24, seed: int = 0) -> None:
+    #: Default worker count (the paper's 24).
+    N_WORKERS = 24
+
+    def __init__(self, spec: AppSpec, n_workers: int = N_WORKERS,
+                 seed: int = 0) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         self.spec = spec

@@ -13,10 +13,36 @@ from repro.exceptions import ConfigurationError, check_snapshot_version
 from repro.hardware.config import NodeConfig
 from repro.stack import BUDGET, NodeStack, StackSpec
 
-__all__ = ["NodeInstance"]
+__all__ = ["NodeInstance", "ProgressReadouts"]
 
 
-class NodeInstance:
+class ProgressReadouts:
+    """Progress readouts from ``monitor.series``, ``monitor.interval``
+    and ``now``, shared by NodeInstance and the vector slot views."""
+
+    def recent_rate(self, window: float = 5.0) -> float:
+        """Mean progress rate over the trailing ``window`` seconds
+        (zeros included). A node whose monitor has not closed its first
+        window yet (every node in the first epoch) reports 0.0 rather
+        than poisoning the allocation with NaNs."""
+        series = self.monitor.series
+        if series.is_empty():
+            return 0.0
+        recent = series.window(self.now - window, self.now + 1e-9)
+        if recent.is_empty():
+            return 0.0
+        return float(recent.values.mean())
+
+    def cumulative_progress(self) -> float:
+        """Total progress units published so far (the 1 Hz monitor's
+        rate samples integrated over their collection windows)."""
+        series = self.monitor.series
+        if series.is_empty():
+            return 0.0
+        return float(series.values.sum()) * self.monitor.interval
+
+
+class NodeInstance(ProgressReadouts):
     """A self-contained node running one application under a budget."""
 
     def __init__(self, node_id: int, cfg: NodeConfig, app_name: str,
@@ -123,25 +149,6 @@ class NodeInstance:
     @property
     def now(self) -> float:
         return self.stack.now
-
-    def recent_rate(self, window: float = 5.0) -> float:
-        """Mean progress rate over the trailing ``window`` seconds
-        (zeros included; 0.0 when nothing has been collected yet)."""
-        series = self.monitor.series
-        if series.is_empty():
-            return 0.0
-        recent = series.window(self.now - window, self.now + 1e-9)
-        if recent.is_empty():
-            return 0.0
-        return float(recent.values.mean())
-
-    def cumulative_progress(self) -> float:
-        """Total progress units published so far (the 1 Hz monitor's
-        rate samples integrated over their collection windows)."""
-        series = self.monitor.series
-        if series.is_empty():
-            return 0.0
-        return float(series.values.sum()) * self.monitor.interval
 
     def epoch_energy(self) -> float:
         """Package energy consumed since the previous call (joules)."""

@@ -54,6 +54,7 @@ from typing import Any, Sequence
 from repro import obs
 from repro.cluster.node_instance import NodeInstance
 from repro.exceptions import (
+    CheckpointError,
     ConfigurationError,
     ShardWorkerError,
     SimulationError,
@@ -68,7 +69,6 @@ __all__ = [
     "NodeTelemetry",
     "step_node",
     "step_result",
-    "node_rate",
     "ShardedLockstep",
 ]
 
@@ -133,19 +133,6 @@ class NodeTelemetry:
 # ----------------------------------------------------------------------
 
 
-def node_rate(node: NodeInstance, window: float) -> float:
-    """Trailing progress rate over ``window`` seconds.
-
-    A node whose monitor has not produced a sample yet — every node in
-    the first epoch, since the 1 Hz monitor only closes its first
-    window at t = interval — reports 0.0 rather than poisoning the
-    allocation with NaNs.
-    """
-    if node.monitor.series.is_empty():
-        return 0.0
-    return node.recent_rate(window=window)
-
-
 def step_node(node: NodeInstance, req: StepRequest) -> StepResult:
     """Advance one node by one epoch and report back.
 
@@ -163,7 +150,7 @@ def step_result(node: NodeInstance, req: StepRequest) -> StepResult:
     """What ``node`` reports for ``req`` once it has advanced: the
     tail of :func:`step_node`, which the vector host calls after its
     batched group advance."""
-    rates = {w: node_rate(node, w) for w in req.windows}
+    rates = {w: node.recent_rate(w) for w in req.windows}
     return StepResult(
         node_id=node.node_id,
         now=node.now,
@@ -217,10 +204,26 @@ class _ObjectHost:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._nodes
 
-    def build(self, items: Sequence[tuple[int, object]]) -> None:
+    def _admit(self, items: Sequence[tuple[int, object]]
+               ) -> list[tuple[int, object]]:
+        """The entry check of every host's :meth:`build`: refuse an id
+        that is taken or listed twice, and a checkpoint added under an
+        id other than its own, before any of the batch is built."""
+        items = list(items)
+        taken = set(self._nodes)
         for node_id, item in items:
-            if node_id in self._nodes:
+            if node_id in taken:
                 raise ConfigurationError(f"node {node_id} already exists")
+            taken.add(node_id)
+            if isinstance(item, dict) and item.get("node_id") != node_id:
+                raise CheckpointError(
+                    f"checkpoint of node {item.get('node_id')!r} "
+                    f"added as node {node_id}")
+        return items
+
+    def build(self, items: Sequence[tuple[int, object]]) -> None:
+        """Adopt ``(node_id, StackSpec | checkpoint)`` pairs."""
+        for node_id, item in self._admit(items):
             self._nodes[node_id] = _build_node(node_id, item)
 
     def node(self, node_id: int) -> NodeInstance:
@@ -235,7 +238,7 @@ class _ObjectHost:
                 for req in requests]
 
     def rate(self, node_id: int, window: float) -> float:
-        return node_rate(self._nodes[node_id], window)
+        return self._nodes[node_id].recent_rate(window)
 
     def telemetry(self, node_id: int) -> NodeTelemetry:
         return _node_telemetry(self._nodes[node_id])

@@ -128,7 +128,7 @@ class ClusterSimulation:
         self._now = 0.0
         self._epochs = 0  #: completed epochs (RunCheckpoint file index)
         # Rates the next allocation will use, keyed by window; empty
-        # until the first epoch (node_rate reports 0.0 at t=0).
+        # until the first epoch (recent_rate reports 0.0 at t=0).
         self._alloc_rates: dict[float, list[float]] = {}
         self.budget_history = TimeSeries("allocated-total")
         self.total_progress = TimeSeries("job-total-progress")

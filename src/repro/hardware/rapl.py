@@ -82,9 +82,16 @@ class RaplFirmware:
         this fraction of full speed).
     """
 
+    #: Stock parameters (the keyword defaults).
+    CONTROL_INTERVAL = 0.01
+    HEADROOM = 0.03
+    MAX_STEPS = 5
+    MIN_UNCORE_SCALE = 0.4
+
     def __init__(self, node: "SimulatedNode", engine: "Engine", *,
-                 control_interval: float = 0.01, headroom: float = 0.03,
-                 max_steps: int = 5, min_uncore_scale: float = 0.4) -> None:
+                 control_interval: float = CONTROL_INTERVAL,
+                 headroom: float = HEADROOM, max_steps: int = MAX_STEPS,
+                 min_uncore_scale: float = MIN_UNCORE_SCALE) -> None:
         if control_interval <= 0:
             raise ConfigurationError("control_interval must be positive")
         if not 0.0 < headroom < 1.0:

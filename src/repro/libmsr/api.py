@@ -66,6 +66,9 @@ class LibMSR:
         Time source used to stamp energy polls.
     """
 
+    #: Default PL1 averaging window (seconds).
+    PL1_WINDOW = 0.01
+
     def __init__(self, msr: MSRSafe, clock) -> None:
         self.msr = msr
         self.clock = clock
@@ -90,7 +93,7 @@ class LibMSR:
         )
         return pl1
 
-    def set_pkg_power_limit(self, watts: float, window: float = 0.01,
+    def set_pkg_power_limit(self, watts: float, window: float = PL1_WINDOW,
                             clamp: bool = True) -> None:
         """Program and enable a PL1 package power cap."""
         if watts <= 0:
@@ -103,7 +106,7 @@ class LibMSR:
     def remove_pkg_power_limit(self) -> None:
         """Disable package capping (uncapped execution)."""
         limit = PowerLimit(watts=self.get_tdp(), enabled=False, clamped=False,
-                           window=0.01)
+                           window=self.PL1_WINDOW)
         self.msr.write(MSR_PKG_POWER_LIMIT,
                        encode_power_limit(limit, units=self.units))
 

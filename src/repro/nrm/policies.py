@@ -52,8 +52,11 @@ def check_budget(watts: float | None,
 class BudgetTrackingPolicy:
     """Enforce the most recent budget received from above."""
 
+    #: Stock enforcement period (seconds).
+    INTERVAL = 1.0
+
     def __init__(self, engine: "Engine", libmsr: LibMSR, *,
-                 interval: float = 1.0) -> None:
+                 interval: float = INTERVAL) -> None:
         if interval <= 0:
             raise ConfigurationError(f"interval must be positive, got {interval}")
         self.libmsr = libmsr

@@ -67,7 +67,10 @@ __all__ = [
     "Engine",
 ]
 
-_COMPLETION_RTOL = 1e-12
+#: Relative slack under which a task's work counts as complete.
+COMPLETION_RTOL = 1e-12
+#: Slack within which a timer, wake-up or message delivery is due.
+TIMER_EPS = 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -351,13 +354,13 @@ class Engine:
 
             # Completions.
             for t in running:
-                if t.frac_done >= 1.0 - _COMPLETION_RTOL:
+                if t.frac_done >= 1.0 - COMPLETION_RTOL:
                     t.frac_done = 1.0
                     t.work = None
                     t.status = _READY
                     self._ready.append(t)
             for t in sleeping:
-                if t.wake_time <= now + 1e-15:
+                if t.wake_time <= now + TIMER_EPS:
                     t.status = _READY
                     self._ready.append(t)
             # Resume completed/woken tasks *before* firing timers due at
@@ -376,7 +379,7 @@ class Engine:
         return self._timers[0].time if self._timers else None
 
     def _fire_timers(self, now: float) -> None:
-        while self._timers and self._timers[0].time <= now + 1e-15:
+        while self._timers and self._timers[0].time <= now + TIMER_EPS:
             timer = heapq.heappop(self._timers)
             if timer.cancelled:
                 continue

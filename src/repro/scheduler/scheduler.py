@@ -202,7 +202,7 @@ class _RunningJob:
         self.start = start
         self.stalled = 0
         self.last_cumulative = 0.0
-        # Fresh monitors report rate 0.0 (node_rate semantics).
+        # Fresh monitors report rate 0.0 (recent_rate semantics).
         self.last_rates = [0.0] * len(node_ids)
         self.pending_budgets: dict[int, float] = {}
         self.last_results: dict = {}

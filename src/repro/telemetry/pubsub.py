@@ -30,6 +30,7 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.runtime.clock import SimClock
+from repro.runtime.engine import TIMER_EPS
 
 __all__ = ["Message", "MessageBus", "PubSocket", "SubSocket"]
 
@@ -58,6 +59,9 @@ class MessageBus:
         Seed for the loss process (losses are deterministic per seed).
     """
 
+    #: Default subscriber high-water mark (queued messages).
+    HWM = 1000
+
     def __init__(self, clock: SimClock, *, delay: float = 0.0,
                  drop_prob: float = 0.0, seed: int = 0) -> None:
         if delay < 0:
@@ -80,7 +84,7 @@ class MessageBus:
         """Create a publisher endpoint."""
         return PubSocket(self)
 
-    def sub_socket(self, topic: str, hwm: int = 1000) -> "SubSocket":
+    def sub_socket(self, topic: str, hwm: int = HWM) -> "SubSocket":
         """Create and connect a subscriber with a topic-prefix filter."""
         sub = SubSocket(self, topic, hwm)
         self._subs.append(sub)
@@ -195,7 +199,7 @@ class SubSocket:
             raise TelemetryError("recv on a closed SUB socket")
         now = self._bus.clock.now
         out: list[Message] = []
-        while self._queue and self._queue[0][0] <= now + 1e-15:
+        while self._queue and self._queue[0][0] <= now + TIMER_EPS:
             out.append(self._queue.popleft()[1])
         return out
 

@@ -8,15 +8,16 @@ registration order, tap series names) and the slot's dynamic state is
 overlaid onto the template's snapshot leaves. The result restores into
 either engine.
 
-Importing goes the other way: :func:`try_import_checkpoint` strictly
-validates that an object-engine checkpoint describes exactly the stack
-shape the vector engine models (stock timers, no userspace pins, the
-regular SPMD directive stream ...) and installs its state into a fresh
-one-slot :class:`~repro.vector.engine.VectorGroup`, returned as its
-:class:`~repro.vector.host.VectorNodeView`. ANY surprise raises
-:class:`~repro.exceptions.CheckpointError`, which the host catches to
-fall back to an object :class:`NodeInstance` — correctness never
-depends on the importer accepting a checkpoint.
+Importing goes the other way: :meth:`~repro.vector.host.VectorEngine
+.build` groups a checkpoint by :func:`checkpoint_spec` with the specs of
+the same build, and :func:`read_slot` strictly validates, against the
+group's profile, that it describes exactly the stack shape the vector
+engine models (stock timers, no userspace pins, the regular SPMD
+directive stream ...), returning the values of its row. ANY surprise
+raises :class:`~repro.exceptions.CheckpointError` before the group
+exists; the host then restores the same dict as an object
+:class:`NodeInstance` — correctness never depends on the importer
+accepting a checkpoint.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ import numpy as np
 from repro.exceptions import CheckpointError
 from repro.hardware.msr import MSRDevice
 from repro.hardware.power import PowerSample
-from repro.nrm.policies import check_budget
+from repro.hardware.rapl import RaplFirmware
+from repro.nrm.policies import BudgetTrackingPolicy, check_budget
 from repro.runtime.engine import Publish, Work
 from repro.stack.checkpoint import NodeCheckpoint
 from repro.stack.spec import StackSpec
-from repro.telemetry.pubsub import Message
+from repro.telemetry.pubsub import Message, MessageBus
+from repro.telemetry.timeseries import TimeSeries
 from repro.vector.engine import (
     C_BUSY,
     C_IDLE,
@@ -42,17 +45,31 @@ from repro.vector.engine import (
     W_DONE,
     W_RUNNING,
     W_SPINNING,
+    _generator_from,
 )
-from repro.vector.gate import build_profile, supports_fast_path
-from repro.vector.host import VectorNodeView
+from repro.vector.gate import GroupProfile
 
-__all__ = ["export_checkpoint", "import_checkpoint", "try_import_checkpoint"]
+__all__ = ["checkpoint_spec", "export_checkpoint", "read_slot"]
 
 _BARRIER = "__barrier__"
 _MODE_NAME = {C_IDLE: "idle", C_BUSY: "busy", C_SPIN: "spin"}
 _MODE_CODE = {name: code for code, name in _MODE_NAME.items()}
 _STATUS_NAME = {W_RUNNING: "running", W_SPINNING: "spinning", W_DONE: "done"}
 _STATUS_CODE = {name: code for code, name in _STATUS_NAME.items()}
+#: Group fields that each hold one snapshot entry as it is, by snapshot
+#: section: (entry, field) pairs. Export and import both read them.
+_SCALARS = {
+    "node": (("now", "now"), ("pkg_energy", "pkg_energy"),
+             ("dram_energy", "dram_energy"), ("freq_limit", "freq_limit"),
+             ("uncore_scale", "uncore_scale")),
+    "firmware": (("limit", "fw_limit"), ("limit2", "fw_limit2"),
+                 ("enabled", "fw_enabled"), ("ddcm_engaged", "fw_ddcm"),
+                 ("window", "fw_window"), ("last_energy", "fw_last_energy"),
+                 ("last_time", "fw_last_time")),
+    "bus": (("published", "bus_published"), ("dropped", "bus_dropped")),
+}
+#: The group field of each stock timer's next fire time, by timer seq.
+_TIMERS = ("t_rapl", "t_mon", "t_pol")
 
 
 def _template_state(spec: StackSpec) -> NodeCheckpoint:
@@ -71,7 +88,7 @@ def _template_state(spec: StackSpec) -> NodeCheckpoint:
 def export_checkpoint(view) -> dict:
     """A ``NodeInstance.snapshot()``-format checkpoint of one vector slot
     (restorable by :meth:`NodeInstance.from_checkpoint` or re-imported by
-    :func:`try_import_checkpoint`)."""
+    :meth:`~repro.vector.host.VectorEngine.build`)."""
     g: VectorGroup = view.group
     slot: int = view.slot
     # Rewind the generators past their look-ahead blocks first: the
@@ -79,6 +96,10 @@ def export_checkpoint(view) -> dict:
     g.flush_draws(slot)
     cp = _template_state(view.spec)
     state = cp.state
+    for section, pairs in _SCALARS.items():
+        for entry, field in pairs:
+            # .item() gives the Python float, bool or int of the dtype
+            state[section][entry] = getattr(g, field)[slot].item()
     _overlay_node(state["node"], g, slot)
     _overlay_firmware(state["firmware"], g, slot)
     _overlay_bus(state["bus"], g, slot)
@@ -109,7 +130,6 @@ def _overlay_node(node: dict, g: VectorGroup, slot: int) -> None:
     w = g.n_workers
     freq = float(cfg.freq_ladder[int(g.freq_idx[slot])])
     duty = float(cfg.duty_levels[int(g.duty_idx[slot])])
-    node["now"] = float(g.now[slot])
     for core_id, core in enumerate(node["cores"]):
         core["freq"] = freq
         core["duty"] = duty
@@ -121,10 +141,6 @@ def _overlay_node(node: dict, g: VectorGroup, slot: int) -> None:
     counters["ins"][:w] = [float(x) for x in g.ctr_ins[slot]]
     counters["cyc"][:w] = [float(x) for x in g.ctr_cyc[slot]]
     counters["l3"][:w] = [float(x) for x in g.ctr_l3[slot]]
-    node["pkg_energy"] = float(g.pkg_energy[slot])
-    node["dram_energy"] = float(g.dram_energy[slot])
-    node["freq_limit"] = float(g.freq_limit[slot])
-    node["uncore_scale"] = float(g.uncore_scale[slot])
     node["last_sample"] = (PowerSample(
         package=float(g.ls_package[slot]),
         cores=float(g.ls_cores[slot]),
@@ -135,20 +151,11 @@ def _overlay_node(node: dict, g: VectorGroup, slot: int) -> None:
 
 def _overlay_firmware(fw: dict, g: VectorGroup, slot: int) -> None:
     avgw = float(g.fw_avgw[slot])
-    fw["limit"] = float(g.fw_limit[slot])
-    fw["limit2"] = float(g.fw_limit2[slot])
-    fw["enabled"] = bool(g.fw_enabled[slot])
-    fw["ddcm_engaged"] = bool(g.fw_ddcm[slot])
-    fw["window"] = float(g.fw_window[slot])
     fw["avg_windowed"] = None if math.isnan(avgw) else avgw
-    fw["last_energy"] = float(g.fw_last_energy[slot])
-    fw["last_time"] = float(g.fw_last_time[slot])
 
 
 def _overlay_bus(bus: dict, g: VectorGroup, slot: int) -> None:
     bus["rng"] = g.bus_rng[slot].bit_generator.state
-    bus["published"] = int(g.bus_published[slot])
-    bus["dropped"] = int(g.bus_dropped[slot])
     sub = bus["subs"][0]
     sub["overflowed"] = int(g.bus_overflowed[slot])
     sub["queue"] = [(t, Message(t, g.topic, value))
@@ -200,44 +207,24 @@ def _overlay_engine(eng: dict, g: VectorGroup, slot: int) -> None:
         }
     eng["ready"] = []
     for rec in eng["timers"]:
-        rec["time"] = float(
-            {0: g.t_rapl, 1: g.t_mon, 2: g.t_pol}[rec["seq"]][slot])
+        rec["time"] = float(getattr(g, _TIMERS[rec["seq"]])[slot])
 
 
 # ----------------------------------------------------------------------
-# Import: NodeInstance snapshot dict -> one-slot vector group
+# Import: NodeInstance snapshot dict -> values of one slot of a group
 # ----------------------------------------------------------------------
 
 
-def try_import_checkpoint(node_id: int,
-                          state: object) -> VectorNodeView | None:
-    """Import ``state`` as a vectorized slot, or ``None`` when the
-    checkpoint is not (provably) vector-representable — the caller then
-    builds an object NodeInstance from the very same dict."""
-    try:
-        return import_checkpoint(node_id, state)
-    except CheckpointError:
-        return None
-
-
-def import_checkpoint(node_id: int, state: object) -> VectorNodeView:
-    """Strict import into a fresh one-slot group, returned as its view
-    (raises :class:`CheckpointError` on any mismatch)."""
+def checkpoint_spec(state: object) -> StackSpec | None:
+    """The spec of a mid-run ``NodeInstance`` checkpoint (what the host
+    groups it by); ``None`` for payloads the importer never takes."""
     if not isinstance(state, dict) or state.get("version") != 1:
-        raise CheckpointError("not a NodeInstance snapshot")
+        return None
     cp = state.get("stack")
-    if not isinstance(cp, NodeCheckpoint) or cp.version != 1:
-        raise CheckpointError("not a version-1 NodeCheckpoint")
-    spec = cp.spec
-    reason = supports_fast_path(spec)
-    if reason is not None:
-        raise CheckpointError(f"spec is not vectorizable: {reason}")
-    if not cp.state.get("launched"):
-        raise CheckpointError("unlaunched stacks restore via the object path")
-    group = VectorGroup(build_profile(spec), [(node_id, spec)])
-    _install_slot(group, 0, spec, cp.state)
-    group.energy_mark[0] = float(state["energy_mark"])
-    return VectorNodeView(group, 0, node_id, spec)
+    if not isinstance(cp, NodeCheckpoint) or cp.version != 1 \
+            or not cp.state.get("launched"):
+        return None
+    return cp.spec
 
 
 def _expect(cond: bool, what: str) -> None:
@@ -245,11 +232,15 @@ def _expect(cond: bool, what: str) -> None:
         raise CheckpointError(f"checkpoint is not vector-representable: {what}")
 
 
-def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
-                  s: dict) -> None:
-    cfg = g.cfg
-    prof = g.profile
-    w = g.n_workers
+def read_slot(prof: GroupProfile, state: dict) -> dict[str, object]:
+    """Each :class:`VectorGroup` field's value, by name, for a fresh
+    slot of a group of ``prof`` holding ``state``. Every check runs
+    here, before any group exists, so a refused checkpoint
+    (:class:`CheckpointError`) never writes to a group."""
+    cfg = prof.cfg
+    w = prof.n_workers
+    spec = state["stack"].spec
+    s = state["stack"].state
 
     # -- static structure must match a stock budget stack ---------------
     tmpl = _template_state(spec).state
@@ -289,6 +280,8 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     sample = node["last_sample"]
     _expect(sample is None or isinstance(sample, PowerSample),
             "unknown last_sample type")
+    last = sample if sample is not None else \
+        PowerSample(package=0.0, cores=0.0, uncore=0.0, dram=0.0)
 
     # -- firmware ---------------------------------------------------------
     fw = s["firmware"]
@@ -301,7 +294,7 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     subs = bus["subs"]
     _expect(len(subs) == 1, "bus has extra subscribers")
     sub = subs[0]
-    _expect(sub["topic"] == prof.topic and sub["hwm"] == 1000
+    _expect(sub["topic"] == prof.topic and sub["hwm"] == MessageBus.HWM
             and not sub["closed"], "subscriber wiring differs")
     bus_queue = []
     for entry in sub["queue"]:
@@ -322,8 +315,14 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     _expect(isinstance(ctl, dict) and ctl.get("version") == 1
             and "budget" in ctl and "applied" in ctl,
             "controller is not the budget-tracking policy")
-    kind, _value = ctl["applied"]
+    kind, value = ctl["applied"]
     _expect(kind in ("set", "unset"), "unknown applied tri-state")
+    # Restoring checks each series' name against the template's.
+    mon_series = TimeSeries(tmpl["monitors"][prof.topic]["series"]["name"])
+    mon_series.restore(mon["series"])
+    cap_series = TimeSeries(tmpl["controller"]["cap_series"]["name"])
+    cap_series.restore(ctl["cap_series"])
+    budget = check_budget(ctl["budget"], CheckpointError)
 
     # -- engine -----------------------------------------------------------
     eng = s["engine"]
@@ -334,7 +333,8 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
             "core pinning differs")
     timers = {rec["seq"]: rec for rec in eng["timers"]}
     _expect(set(timers) == {0, 1, 2}, "timer set differs")
-    periods = {0: 0.01, 1: prof.monitor_interval, 2: 1.0}
+    periods = {0: RaplFirmware.CONTROL_INTERVAL, 1: prof.monitor_interval,
+               2: BudgetTrackingPolicy.INTERVAL}
     for seq, rec in timers.items():
         _expect(not rec["cancelled"], "a stock timer was cancelled")
         _expect(rec["period"] == periods[seq], "timer period differs")
@@ -346,9 +346,14 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
     if not pre_start:
         _expect(eng["ready"] == [], "tasks are mid-dispatch")
 
-    p_idx = it = None
+    p_idx = it = 0
     shared_state = None
-    arrivals: list[tuple[int, int]] = []
+    wstatus = np.full(w, W_RUNNING)
+    frac = np.zeros(w)
+    # cycles, bytes, instructions, misses of each running worker
+    work_rows = np.zeros((4, w))
+    barrier_pos = np.full(w, -1)
+    arrivals: list[int] = []
     queued_pub = math.nan
     for wid, task in enumerate(tasks):
         _expect(task["tid"] == wid and task["core_id"] == wid
@@ -388,16 +393,15 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
             work = task["work"]
             _expect(isinstance(work, Work) and work.instructions is not None,
                     "running task carries no regular work")
-            g.w_cycles[slot, wid] = work.cycles
-            g.w_bytes[slot, wid] = work.bytes
-            g.w_ins[slot, wid] = work.ins
-            g.w_miss[slot, wid] = work.misses(cfg.cache_line)
+            work_rows[:, wid] = (work.cycles, work.bytes, work.ins,
+                                 work.misses(cfg.cache_line))
         else:
             _expect(task["work"] is None, "idle task carries work")
             if code == W_SPINNING:
                 _expect(isinstance(task["barrier_pos"], int),
                         "spinning task without barrier position")
-                arrivals.append((task["barrier_pos"], wid))
+                arrivals.append(task["barrier_pos"])
+                barrier_pos[wid] = task["barrier_pos"]
         if wid == 0 and code != W_DONE:
             if queue:
                 pub = queue.pop(0)
@@ -405,87 +409,57 @@ def _install_slot(g: VectorGroup, slot: int, spec: StackSpec,
                         "foreign directive in the publish slot")
                 queued_pub = pub.value
         _expect(queue == [], "unrecognized directives queued")
-        g.wstatus[slot, wid] = code
-        g.frac[slot, wid] = task["frac_done"]
+        wstatus[wid] = code
+        frac[wid] = task["frac_done"]
 
-    _expect(sorted(pos for pos, _ in arrivals) ==
-            list(range(len(arrivals))), "barrier arrival order is broken")
+    _expect(sorted(arrivals) == list(range(len(arrivals))),
+            "barrier arrival order is broken")
     # The object body starts a phase's shared stream in the fill that
     # enters the phase, so only a finished loop is left without one.
     _expect(pre_start or shared_state is not None
             or all(t["status"] == "done" for t in tasks),
             "a running loop has no shared factor stream")
 
-    # -- install ----------------------------------------------------------
-    from repro.vector.engine import _generator_from
-
-    # The imported generators start with empty look-ahead blocks.
-    g.flush_draws(slot)
-    g.now[slot] = node["now"]
-    g.freq_idx[slot] = cfg.ladder_index(freq)
-    _expect(float(cfg.freq_ladder[int(g.freq_idx[slot])]) == freq,
-            "frequency does not quantize back")
-    g.duty_idx[slot] = list(cfg.duty_levels).index(duty)
-    g.freq_limit[slot] = node["freq_limit"]
-    g.uncore_scale[slot] = node["uncore_scale"]
-    g.pkg_energy[slot] = node["pkg_energy"]
-    g.dram_energy[slot] = node["dram_energy"]
-    for wid in range(w):
-        core = cores[wid]
-        g.core_mode[slot, wid] = _MODE_CODE[core["mode"]]
-        g.core_cf[slot, wid] = core["compute_frac"]
-        g.core_br[slot, wid] = core["bytes_rate"]
-    g.ctr_ins[slot] = counters["ins"][:w]
-    g.ctr_cyc[slot] = counters["cyc"][:w]
-    g.ctr_l3[slot] = counters["l3"][:w]
-    if sample is None:
-        g.ls_valid[slot] = False
-    else:
-        g.ls_valid[slot] = True
-        g.ls_package[slot] = sample.package
-        g.ls_cores[slot] = sample.cores
-        g.ls_uncore[slot] = sample.uncore
-        g.ls_dram[slot] = sample.dram
-
-    g.fw_limit[slot] = fw["limit"]
-    g.fw_limit2[slot] = fw["limit2"]
-    g.fw_enabled[slot] = fw["enabled"]
-    g.fw_ddcm[slot] = fw["ddcm_engaged"]
-    g.fw_window[slot] = fw["window"]
     avgw = fw["avg_windowed"]
-    g.fw_avgw[slot] = math.nan if avgw is None else avgw
-    g.fw_last_energy[slot] = fw["last_energy"]
-    g.fw_last_time[slot] = fw["last_time"]
-
-    g.bus_rng[slot] = _generator_from(bus["rng"])
-    g.bus_published[slot] = bus["published"]
-    g.bus_dropped[slot] = bus["dropped"]
-    g.bus_overflowed[slot] = sub["overflowed"]
-    g.pending[slot] = deque(bus_queue)
-
-    g.mon_series[slot].restore(mon["series"])
-    g.mon_events[slot] = mon["events_seen"]
-    g.cap_series[slot].restore(ctl["cap_series"])
-    g.pol_budget[slot] = check_budget(ctl["budget"], CheckpointError)
-    g.pol_applied[slot] = ("unset", None) if kind == "unset" \
-        else ("set", ctl["applied"][1])
-
-    g.t_rapl[slot] = timers[0]["time"]
-    g.t_mon[slot] = timers[1]["time"]
-    g.t_pol[slot] = timers[2]["time"]
-
-    g.started[slot] = not pre_start
-    if pre_start:
-        g.p_idx[slot] = 0
-        g.it[slot] = 0
-    else:
-        g.p_idx[slot] = p_idx
-        g.it[slot] = it
-    g.queued_pub[slot] = queued_pub
-    g.shared_rng[slot] = None if shared_state is None \
-        else _generator_from(shared_state)
-    g.rngs[slot] = [_generator_from(t["body"]["state"]["rng"])
-                    for t in tasks]
-    g.barrier_pos[slot] = -1
-    for pos, wid in arrivals:
-        g.barrier_pos[slot, wid] = pos
+    return {
+        **{field: s[section][entry]
+           for section, pairs in _SCALARS.items() for entry, field in pairs},
+        **{field: timers[seq]["time"] for seq, field in enumerate(_TIMERS)},
+        "energy_mark": float(state["energy_mark"]),
+        "freq_idx": cfg.ladder_index(freq),
+        "duty_idx": list(cfg.duty_levels).index(duty),
+        "core_mode": [_MODE_CODE[core["mode"]] for core in cores[:w]],
+        "core_cf": [core["compute_frac"] for core in cores[:w]],
+        "core_br": [core["bytes_rate"] for core in cores[:w]],
+        "ctr_ins": counters["ins"][:w],
+        "ctr_cyc": counters["cyc"][:w],
+        "ctr_l3": counters["l3"][:w],
+        "ls_valid": sample is not None,
+        "ls_package": last.package,
+        "ls_cores": last.cores,
+        "ls_uncore": last.uncore,
+        "ls_dram": last.dram,
+        "fw_avgw": math.nan if avgw is None else avgw,
+        "bus_rng": _generator_from(bus["rng"]),
+        "bus_overflowed": sub["overflowed"],
+        "pending": deque(bus_queue),
+        "mon_series": mon_series,
+        "mon_events": mon["events_seen"],
+        "cap_series": cap_series,
+        "pol_budget": budget,
+        "pol_applied": (kind, None if kind == "unset" else value),
+        "started": not pre_start,
+        "p_idx": 0 if pre_start else p_idx,
+        "it": 0 if pre_start else it,
+        "queued_pub": queued_pub,
+        "shared_rng": None if shared_state is None
+        else _generator_from(shared_state),
+        "rngs": [_generator_from(t["body"]["state"]["rng"]) for t in tasks],
+        "barrier_pos": barrier_pos,
+        "wstatus": wstatus,
+        "frac": frac,
+        "w_cycles": work_rows[0],
+        "w_bytes": work_rows[1],
+        "w_ins": work_rows[2],
+        "w_miss": work_rows[3],
+    }

@@ -37,13 +37,19 @@ from repro.exceptions import ConfigurationError
 from repro.apps.kernels import lognormal_factor, sample_quantities
 from repro.hardware import kernels as hk
 from repro.hardware.msr import (
+    MSR_PKG_POWER_LIMIT,
     PowerLimit,
     RaplUnits,
     decode_power_limit,
     encode_power_limit,
 )
-from repro.nrm.policies import check_budget
+from repro.hardware.msr_safe import DEFAULT_WHITELIST
+from repro.hardware.rapl import RaplFirmware
+from repro.libmsr.api import LibMSR
+from repro.nrm.policies import BudgetTrackingPolicy, check_budget
+from repro.runtime.engine import COMPLETION_RTOL, TIMER_EPS
 from repro.stack.spec import StackSpec
+from repro.telemetry.pubsub import MessageBus
 from repro.telemetry.timeseries import TimeSeries
 from repro.vector.gate import GroupProfile, check_member, member_seed
 
@@ -55,22 +61,9 @@ W_RUNNING, W_SPINNING, W_DONE = 0, 1, 2
 # Core activity modes (core_mode array); map onto CoreMode at checkpoint.
 C_IDLE, C_BUSY, C_SPIN = 0, 1, 2
 
-#: Engine timer/delivery slack (same constant as runtime.engine / pubsub).
-_TIMER_EPS = 1e-15
-#: Completion tolerance (same constant as runtime.engine).
-_COMPLETION_RTOL = 1e-12
-
-# Stock component parameters; the gate rejects specs that override any of
-# these (firmware_kwargs, custom policy intervals are not expressible via
-# StackSpec), so they are structural constants of the fast path.
-_RAPL_PERIOD = 0.01        # RaplFirmware control_interval
-_RAPL_HEADROOM = 0.03      # RaplFirmware headroom
-_RAPL_MAX_STEPS = 5        # RaplFirmware max_steps
-_RAPL_MIN_UNCORE = 0.4     # RaplFirmware min_uncore_scale
-_POLICY_PERIOD = 1.0       # BudgetTrackingPolicy interval
-_BUS_HWM = 1000            # SubSocket high-water mark
-_PL1_WINDOW = 0.01         # LibMSR.set_pkg_power_limit default window
-_PL1_MASK = 0x00FFFFFF00FFFFFF  # MSR-safe writable bits of 0x610
+# The stock component parameters (RaplFirmware, BudgetTrackingPolicy,
+# MessageBus, LibMSR and msr-safe defaults) are structural constants of
+# the fast path: the gate rejects specs that override any of them.
 #: Values each generator draws ahead in one call (see _DrawBlocks).
 _DRAW_BLOCK = 32
 
@@ -145,7 +138,8 @@ class _DrawBlocks:
 class VectorGroup:
     """All per-node simulation state of one uniform group, as arrays.
 
-    ``members`` fixes the slot order; ``slot_of`` maps node ids back.
+    ``members`` fixes the slot order (the host checks their ids are
+    unique).
     Scalars per node are ``(n,)`` float/int/bool arrays; per-(node,
     worker) state is ``(n, W)``, including each spinning worker's rank in
     its barrier's arrival order (``barrier_pos``, -1 when not arrived).
@@ -169,9 +163,6 @@ class VectorGroup:
 
         self.node_ids = [nid for nid, _ in members]
         self.specs = [spec for _, spec in members]
-        self._slots = {nid: i for i, (nid, _) in enumerate(members)}
-        if len(self._slots) != len(members):
-            raise ConfigurationError("duplicate node ids in vector group")
         for _, spec in members:
             check_member(profile, spec)
 
@@ -250,14 +241,14 @@ class VectorGroup:
         self.ctr_l3 = np.zeros((n, w))
 
         # -- timers (next-fire times; seq order rapl=0, mon=1, policy=2) ---
-        self.t_rapl = np.full(n, _RAPL_PERIOD)
+        self.t_rapl = np.full(n, RaplFirmware.CONTROL_INTERVAL)
         self.t_mon = np.full(n, self.interval)
-        self.t_pol = np.full(n, _POLICY_PERIOD)
+        self.t_pol = np.full(n, BudgetTrackingPolicy.INTERVAL)
 
         # -- firmware -----------------------------------------------------
         self.fw_limit = np.full(n, cfg.tdp)
         self.fw_limit2 = np.full(n, 1.2 * cfg.tdp)
-        self.fw_window = np.full(n, _RAPL_PERIOD)
+        self.fw_window = np.full(n, RaplFirmware.CONTROL_INTERVAL)
         self.fw_avgw = np.full(n, math.nan)   # nan encodes "no EWMA yet"
         self.fw_enabled = np.ones(n, dtype=bool)
         self.fw_ddcm = np.zeros(n, dtype=bool)
@@ -301,9 +292,6 @@ class VectorGroup:
 
     def __len__(self) -> int:
         return len(self.node_ids)
-
-    def slot_of(self, node_id: int) -> int:
-        return self._slots[node_id]
 
     def receive_budget(self, slot: int, watts: float | None) -> None:
         """Deliver a budget to one node's tracking policy (enforced on
@@ -540,7 +528,7 @@ class VectorGroup:
         arrival's rank replicates it exactly.
         """
         comp = (self.wstatus[ids] == W_RUNNING) & \
-            (self.frac[ids] >= 1.0 - _COMPLETION_RTOL)
+            (self.frac[ids] >= 1.0 - COMPLETION_RTOL)
         if not comp.any():
             return
         arrived = (self.barrier_pos[ids] >= 0).sum(axis=1) + comp.sum(axis=1)
@@ -675,7 +663,7 @@ class VectorGroup:
         for slot, now, value in zip(rows.tolist(), self.now[rows].tolist(),
                                     self.queued_pub[rows].tolist()):
             queue = self.pending[slot]
-            if len(queue) >= _BUS_HWM:
+            if len(queue) >= MessageBus.HWM:
                 self.bus_overflowed[slot] += 1
                 continue
             queue.append((now, value))
@@ -689,7 +677,7 @@ class VectorGroup:
         firmware (seq 0) wins ties against the monitor (seq 1), which
         wins against the policy (seq 2). One timer per node per round."""
         for _ in range(8):
-            nw = self.now[ids] + _TIMER_EPS
+            nw = self.now[ids] + TIMER_EPS
             tr = self.t_rapl[ids]
             tm = self.t_mon[ids]
             tp = self.t_pol[ids]
@@ -704,7 +692,8 @@ class VectorGroup:
             if fire_r.any():
                 rows = ids[fire_r]
                 self._rapl_tick(rows)
-                self.t_rapl[rows] = self.t_rapl[rows] + _RAPL_PERIOD
+                self.t_rapl[rows] = \
+                    self.t_rapl[rows] + RaplFirmware.CONTROL_INTERVAL
             if fire_m.any():
                 rows = ids[fire_m]
                 self._monitor_tick(rows)
@@ -712,7 +701,8 @@ class VectorGroup:
             if fire_p.any():
                 rows = ids[fire_p]
                 self._policy_tick(rows)
-                self.t_pol[rows] = self.t_pol[rows] + _POLICY_PERIOD
+                self.t_pol[rows] = \
+                    self.t_pol[rows] + BudgetTrackingPolicy.INTERVAL
         raise ConfigurationError("vector timer rounds did not converge")
 
     def _rapl_tick(self, rows: np.ndarray) -> None:
@@ -744,7 +734,8 @@ class VectorGroup:
         capping = enabled & (self.fw_limit[sub] < cfg.tdp)
         self.uncore_scale[sub] = np.where(
             capping,
-            hk.uncore_dvfs_scale_array(freq, cfg.f_nominal, _RAPL_MIN_UNCORE),
+            hk.uncore_dvfs_scale_array(freq, cfg.f_nominal,
+                                       RaplFirmware.MIN_UNCORE_SCALE),
             1.0)
 
         # PL2: hard proportional drop on the instantaneous average.
@@ -752,7 +743,7 @@ class VectorGroup:
         if pl2.any():
             hot = sub[pl2]
             self.freq_idx[hot] = np.maximum(
-                0, self.freq_idx[hot] - _RAPL_MAX_STEPS)
+                0, self.freq_idx[hot] - RaplFirmware.MAX_STEPS)
         rest = ~pl2
         if not rest.any():
             return
@@ -764,7 +755,7 @@ class VectorGroup:
         if over.any():
             hot = sub[over]
             steps = hk.throttle_steps_array(windowed[over], cap[over],
-                                            _RAPL_MAX_STEPS)
+                                            RaplFirmware.MAX_STEPS)
             fi = self.freq_idx[hot]
             can_dvfs = fi > 0
             if can_dvfs.any():
@@ -778,7 +769,7 @@ class VectorGroup:
                     self.duty_idx[ddcm] = self.duty_idx[ddcm] - 1
                     self.fw_ddcm[ddcm] = True
 
-        under = ~over & (windowed < cap * (1.0 - _RAPL_HEADROOM))
+        under = ~over & (windowed < cap * (1.0 - RaplFirmware.HEADROOM))
         if not under.any():
             return
         cool = sub[under]
@@ -825,7 +816,7 @@ class VectorGroup:
             slot = int(slot)
             now = float(self.now[slot])
             queue = self.pending[slot]
-            limit = now + _TIMER_EPS
+            limit = now + TIMER_EPS
             total = 0
             count = 0
             while queue and queue[0][0] <= limit:
@@ -869,9 +860,10 @@ class VectorGroup:
         if cached is None:
             value = encode_power_limit(
                 PowerLimit(watts=watts, enabled=True, clamped=True,
-                           window=_PL1_WINDOW),
+                           window=LibMSR.PL1_WINDOW),
                 units=self._units)
-            pl1, _pl2, _locked = decode_power_limit(value & _PL1_MASK,
+            writable = DEFAULT_WHITELIST[MSR_PKG_POWER_LIMIT]
+            pl1, _pl2, _locked = decode_power_limit(value & writable,
                                                     units=self._units)
             cached = (pl1.watts, pl1.window)
             self._limit_cache[watts] = cached

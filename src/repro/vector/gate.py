@@ -44,8 +44,6 @@ FAST_APPS = ("lammps", "amg", "qmcpack", "stream", "openmc")
 #: cluster's process-variation perturbation touches exactly these).
 PER_NODE_CFG_FIELDS = ("c_dyn", "leak_per_volt")
 
-_DEFAULT_N_WORKERS = 24  # SyntheticApp's default
-
 
 def _spec_cfg(spec: StackSpec) -> NodeConfig:
     return spec.cfg if spec.cfg is not None else NodeConfig()
@@ -81,7 +79,7 @@ def supports_fast_path(spec: object) -> str | None:
     kwargs = dict(spec.app_kwargs or {})
     if "cfg" in kwargs:
         return "explicit cfg in app_kwargs shadows the node config"
-    n_workers = kwargs.get("n_workers", _DEFAULT_N_WORKERS)
+    n_workers = kwargs.get("n_workers", SyntheticApp.N_WORKERS)
     n_cores = _spec_cfg(spec).n_cores
     if not isinstance(n_workers, int) or not 1 <= n_workers <= n_cores:
         return f"n_workers={n_workers!r} outside 1..{n_cores} cores"

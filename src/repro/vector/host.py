@@ -2,10 +2,11 @@
 
 :class:`VectorEngine` owns a set of nodes the way a shard worker (or the
 serial :class:`~repro.cluster.sharding.ShardedLockstep`) does, but routes
-every eligible :class:`~repro.stack.spec.StackSpec` into shared
-:class:`~repro.vector.engine.VectorGroup` arrays and advances each group
-with ONE batched call per epoch. Ineligible specs and foreign
-checkpoints fall back to ordinary object
+every eligible :class:`~repro.stack.spec.StackSpec` and importable
+mid-run checkpoint of one build into one shared
+:class:`~repro.vector.engine.VectorGroup` per profile key, and advances
+each group with ONE batched call per epoch. Ineligible specs and
+refused checkpoints fall back to ordinary object
 :class:`~repro.cluster.node_instance.NodeInstance`\\ s inside the same
 host, so callers never need to know which nodes took which path.
 
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cluster.node_instance import ProgressReadouts
 from repro.cluster.sharding import (
     StepRequest,
     StepResult,
@@ -29,8 +31,13 @@ from repro.cluster.sharding import (
     step_node,
     step_result,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.stack.spec import StackSpec
+from repro.vector.checkpoint import (
+    checkpoint_spec,
+    export_checkpoint,
+    read_slot,
+)
 from repro.vector.engine import VectorGroup
 from repro.vector.gate import build_profile, profile_key, supports_fast_path
 
@@ -86,7 +93,7 @@ class _MonitorShim:
         return int(self._group.mon_events[self._slot])
 
 
-class VectorNodeView:
+class VectorNodeView(ProgressReadouts):
     """One vectorized node through the NodeInstance surface."""
 
     def __init__(self, group: VectorGroup, slot: int, node_id: int,
@@ -112,29 +119,12 @@ class VectorNodeView:
                 f"from {self.now}")
         self.group.advance(np.asarray([self.slot]), np.asarray([until]))
 
-    def recent_rate(self, window: float = 5.0) -> float:
-        series = self.monitor.series
-        if series.is_empty():
-            return 0.0
-        recent = series.window(self.now - window, self.now + 1e-9)
-        if recent.is_empty():
-            return 0.0
-        return float(recent.values.mean())
-
-    def cumulative_progress(self) -> float:
-        series = self.monitor.series
-        if series.is_empty():
-            return 0.0
-        return float(series.values.sum()) * self.monitor.interval
-
     def epoch_energy(self) -> float:
         return self.group.epoch_energy(self.slot)
 
     def snapshot(self) -> dict:
         """A NodeInstance-format checkpoint (restorable by either
         engine); see :mod:`repro.vector.checkpoint`."""
-        from repro.vector.checkpoint import export_checkpoint
-
         return export_checkpoint(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -168,32 +158,40 @@ class VectorEngine(_ObjectHost):
     def build(self, items: Sequence[tuple[int, object]]) -> None:
         """Adopt ``(node_id, StackSpec | checkpoint)`` pairs.
 
-        Eligible specs with equal profiles batch into one new
-        :class:`VectorGroup` per call; everything else (ineligible
-        specs, mid-run checkpoints the vector importer rejects) becomes
-        an object NodeInstance.
+        Eligible specs and importable checkpoints with equal profile
+        keys share one new :class:`VectorGroup` per call (the only place
+        one is made), a checkpoint's state in its own row. Everything
+        else becomes an object NodeInstance and takes no row.
         """
-        from repro.vector.checkpoint import try_import_checkpoint
-
-        staged: dict[tuple, list[tuple[int, StackSpec]]] = {}
-        for node_id, item in items:
-            if node_id in self._nodes:
-                raise ConfigurationError(f"node {node_id} already exists")
-            if isinstance(item, StackSpec) and \
-                    supports_fast_path(item) is None:
-                staged.setdefault(profile_key(item), []).append(
-                    (node_id, item))
-                continue
-            node = try_import_checkpoint(node_id, item) \
-                if isinstance(item, dict) else None
-            if node is None:
-                node = _build_node(node_id, item)
-            self._nodes[node_id] = node
+        staged: dict[tuple, list[tuple[int, StackSpec, object]]] = {}
+        for node_id, item in self._admit(items):
+            spec = item if isinstance(item, StackSpec) \
+                else checkpoint_spec(item)
+            if spec is not None and supports_fast_path(spec) is None:
+                staged.setdefault(profile_key(spec), []).append(
+                    (node_id, spec, item))
+            else:
+                self._nodes[node_id] = _build_node(node_id, item)
         for members in staged.values():
-            group = VectorGroup(build_profile(members[0][1]), members)
-            for node_id, spec in members:
-                self._nodes[node_id] = VectorNodeView(
-                    group, group.slot_of(node_id), node_id, spec)
+            profile = build_profile(members[0][1])
+            rows = []
+            for node_id, spec, item in members:
+                try:
+                    values = {} if isinstance(item, StackSpec) \
+                        else read_slot(profile, item)
+                except CheckpointError:
+                    self._nodes[node_id] = _build_node(node_id, item)
+                    continue
+                rows.append((node_id, spec, values))
+            if not rows:
+                continue
+            group = VectorGroup(profile,
+                                [(nid, spec) for nid, spec, _ in rows])
+            for slot, (node_id, spec, values) in enumerate(rows):
+                for name, value in values.items():
+                    getattr(group, name)[slot] = value
+                self._nodes[node_id] = VectorNodeView(group, slot, node_id,
+                                                      spec)
 
     def step(self, requests: Sequence[StepRequest]) -> list[StepResult]:
         """Advance every requested node one epoch (budgets applied

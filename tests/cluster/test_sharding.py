@@ -22,7 +22,6 @@ from repro.cluster import (
     StepRequest,
     UniformPowerPolicy,
 )
-from repro.cluster.sharding import node_rate
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.stack import BUDGET, StackSpec
 
@@ -208,7 +207,7 @@ class TestNodeStep:
         # guard must report 0.0 instead of NaN-poisoning an allocator.
         ls, nodes = _local(2)
         with ls:
-            assert [node_rate(node, 3.0) for node in nodes] == [0.0, 0.0]
+            assert [node.recent_rate(3.0) for node in nodes] == [0.0, 0.0]
             assert ls.rates([(0, 3.0), (1, 3.0)]) == [0.0, 0.0]
 
     def test_rates_positive_after_progress(self):

@@ -94,6 +94,21 @@ def build_pair(app_name: str, seed: int = 7):
     return obj, host
 
 
+def queued_openmc_host(n: int) -> VectorEngine:
+    """A vector host of ``n`` openmc nodes, run until node 1 has progress
+    messages on its bus; every node then stands at node 1's clock."""
+    host = VectorEngine()
+    host.build([(nid, make_spec("openmc", node_id=nid, seed=7 + nid))
+                for nid in range(n)])
+    node = host.node(1)
+    node.receive_budget(80.0)
+    while not node.group.pending[node.slot]:
+        node.advance(node.now + 0.05)
+    for nid in range(n):
+        host.node(nid).advance(node.now)
+    return host
+
+
 def checkpoint_fingerprint(snapshot: dict):
     """Bit-level form of a full NodeInstance checkpoint."""
     return bits(snapshot)

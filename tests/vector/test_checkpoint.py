@@ -1,9 +1,9 @@
 """Checkpoint round-trips between the engines.
 
 A vector slot exports a standard :meth:`NodeInstance.snapshot`
-checkpoint, and the vector host re-imports object checkpoints into
-fresh groups — so nodes can cross engine boundaries mid-run with bit
-parity in all four directions (vector->object, object->vector,
+checkpoint, and ``VectorEngine.build`` re-imports object checkpoints
+into the groups it builds — so nodes can cross engine boundaries mid-run
+with bit parity in all four directions (vector->object, object->vector,
 vector->vector, and the pre-start case).
 """
 
@@ -22,14 +22,15 @@ from repro.exceptions import CheckpointError
 from repro.telemetry.pubsub import Message
 from repro.telemetry.timeseries import TimeSeries
 from repro.vector import VectorEngine
-from repro.vector.checkpoint import _install_slot, import_checkpoint
-from repro.vector.engine import _DRAW_BLOCK, W_RUNNING, VectorGroup
+from repro.vector.checkpoint import read_slot
+from repro.vector.engine import _DRAW_BLOCK, W_RUNNING
 from repro.vector.gate import build_profile
 from tests.vector.conftest import (
     BUDGET_SCHEDULE,
     bits,
     build_pair,
     make_spec,
+    queued_openmc_host,
     surface,
 )
 
@@ -166,7 +167,7 @@ class TestRoundTrips:
         vec.advance(2.0)
         while (group.barrier_pos[slot] >= 0).sum() < 2:
             vec.advance(vec.now + 0.001)
-        twin = import_checkpoint(1, vec.snapshot())
+        twin = _import_vector(vec.snapshot(), node_id=1)
         running = group.wstatus[slot] == W_RUNNING
         per_node = [name for name, value in vars(group).items()
                     if isinstance(value, (np.ndarray, list))
@@ -266,7 +267,7 @@ class TestMidBlockCheckpoints:
 
         first, second = node.snapshot(), node.snapshot()
         assert bits(first) == bits(second)
-        restored = [import_checkpoint(0, first),
+        restored = [_import_vector(first),
                     NodeInstance.from_checkpoint(first)]
         for budget in BUDGET_SCHEDULE[:3]:
             t += 1.0
@@ -281,33 +282,61 @@ class TestMidBlockCheckpoints:
             assert bits(n.snapshot()) == want
 
 
-def _queued_checkpoint():
-    """An openmc slot's checkpoint with progress messages on the bus."""
-    node = _vector_node("openmc")
-    while not node.group.pending[node.slot]:
-        node.advance(node.now + 0.05)
-    return node.snapshot()
+def _per_node_fields(group):
+    """Every per-node field of ``group`` as plain comparable data."""
+    return {name: bits(_plain(value)) for name, value in vars(group).items()
+            if isinstance(value, (np.ndarray, list))
+            and len(value) == len(group)}
+
+
+def _delay_first_message(state):
+    queue = state["bus"]["subs"][0]["queue"]
+    t, msg = queue[0]
+    queue[0] = (t + 0.5, msg)
+
+
+def _foreign_first_message(state):
+    queue = state["bus"]["subs"][0]["queue"]
+    t, msg = queue[0]
+    queue[0] = (t, Message(t, "other", msg.value))
+
+
+def _drop_shared_stream(state):
+    for task in state["engine"]["tasks"]:
+        task["body"]["state"]["shared_rng"] = None
+
+
+#: refusal -> (reason the importer gives, edit of a checkpoint's state)
+REFUSALS = {
+    "delayed": ("bus queue", _delay_first_message),
+    "foreign_topic": ("bus queue", _foreign_first_message),
+    "no_shared_stream": ("shared factor stream", _drop_shared_stream),
+}
 
 
 class TestImporterValidation:
-    @pytest.mark.parametrize("edit", ["delayed", "foreign_topic"])
+    @pytest.mark.parametrize("edit", sorted(REFUSALS))
     def test_bad_bus_queue_entry_is_refused_before_install(self, edit):
-        checkpoint = _queued_checkpoint()
-        queue = checkpoint["stack"].state["bus"]["subs"][0]["queue"]
-        t, msg = queue[0]
-        queue[0] = (t + 0.5, msg) if edit == "delayed" \
-            else (t, Message(t, "other", msg.value))
-        spec = checkpoint["stack"].spec
-        group = VectorGroup(build_profile(spec), [(0, spec)])
-        before = {name: value.copy() for name, value in vars(group).items()
-                  if isinstance(value, np.ndarray)}
-        with pytest.raises(CheckpointError, match="bus queue"):
-            _install_slot(group, 0, spec, checkpoint["stack"].state)
-        for name, value in before.items():
-            assert bits(getattr(group, name)) == bits(value), name
-        host = VectorEngine()
-        host.build([(0, checkpoint)])
-        assert host.fallback_node_ids == [0]
+        """Every refusal happens before any group exists: a build that
+        mixes the refused checkpoint with accepted ones leaves their
+        shared group bit-equal to a build without it, and the refused
+        node restores as an object node."""
+        reason, apply = REFUSALS[edit]
+        host = queued_openmc_host(2)
+        checkpoints = [host.node(nid).snapshot() for nid in range(2)]
+        apply(checkpoints[1]["stack"].state)
+        spec = checkpoints[1]["stack"].spec
+        with pytest.raises(CheckpointError, match=reason):
+            read_slot(build_profile(spec), checkpoints[1])
+
+        mixed, clean = VectorEngine(), VectorEngine()
+        fresh = make_spec("openmc", node_id=2, seed=9)
+        mixed.build([(0, checkpoints[0]), (1, checkpoints[1]), (2, fresh)])
+        clean.build([(0, checkpoints[0]), (2, fresh)])
+        assert mixed.fallback_node_ids == [1]
+        assert isinstance(mixed.node(1), NodeInstance)
+        assert _per_node_fields(mixed.node(0).group) == \
+            _per_node_fields(clean.node(0).group)
 
     def test_running_loop_without_shared_stream_is_refused(self):
         """The object body starts a phase's shared factor stream in the
@@ -316,7 +345,9 @@ class TestImporterValidation:
         node = NodeInstance.from_spec(0, make_spec("lammps"))
         node.advance(0.5)
         checkpoint = node.snapshot()
-        for task in checkpoint["stack"].state["engine"]["tasks"]:
-            task["body"]["state"]["shared_rng"] = None
+        _drop_shared_stream(checkpoint["stack"].state)
         with pytest.raises(CheckpointError, match="shared factor stream"):
-            import_checkpoint(0, checkpoint)
+            read_slot(build_profile(checkpoint["stack"].spec), checkpoint)
+        host = VectorEngine()
+        host.build([(0, checkpoint)])
+        assert host.fallback_node_ids == [0]
