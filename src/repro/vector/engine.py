@@ -27,6 +27,7 @@ integers, where association cannot change the result.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from typing import Sequence
@@ -66,6 +67,11 @@ C_IDLE, C_BUSY, C_SPIN = 0, 1, 2
 # the fast path: the gate rejects specs that override any of them.
 #: Values each generator draws ahead in one call (see _DrawBlocks).
 _DRAW_BLOCK = 32
+#: The per-row Python-object fields of a VectorGroup (None on a retired
+#: row); its per-row arrays are the keys of ``VectorGroup._blank``.
+_ROW_OBJECTS = ("node_ids", "_seeds", "rngs", "shared_rng", "bus_rng",
+                "pending", "mon_series", "cap_series", "pol_budget",
+                "pol_applied")
 
 
 class _DrawBlocks:
@@ -128,6 +134,14 @@ class _DrawBlocks:
                 self._draw(gen, used)
         self.reset(slot)
 
+    def grow(self, count: int) -> None:
+        """Append ``count`` rows with empty blocks."""
+        self.values = np.concatenate(
+            [self.values, np.zeros((count, *self.values.shape[1:]))])
+        self.cursor = np.concatenate(
+            [self.cursor, np.full(count, _DRAW_BLOCK, dtype=np.int64)])
+        self.base.extend([None] * count)
+
     def reset(self, slot: int) -> None:
         """Drop ``slot``'s block without touching its generators."""
         self.values[slot] = 0.0
@@ -138,8 +152,11 @@ class _DrawBlocks:
 class VectorGroup:
     """All per-node simulation state of one uniform group, as arrays.
 
-    ``members`` fixes the slot order (the host checks their ids are
-    unique).
+    A group starts empty and lives as long as its host keeps it: nodes
+    join through :meth:`admit`, which hands each one a row, and leave
+    through :meth:`retire`. A retired row is reused by a later
+    admission; rows are never compacted, so a live node's slot index
+    never changes. ``len(group)`` counts rows, live and retired.
     Scalars per node are ``(n,)`` float/int/bool arrays; per-(node,
     worker) state is ``(n, W)``, including each spinning worker's rank in
     its barrier's arrival order (``barrier_pos``, -1 when not arrived).
@@ -150,10 +167,7 @@ class VectorGroup:
     generators exactly where the object path's would be.
     """
 
-    def __init__(self, profile: GroupProfile,
-                 members: Sequence[tuple[int, StackSpec]]) -> None:
-        if not members:
-            raise ConfigurationError("a vector group needs at least one node")
+    def __init__(self, profile: GroupProfile) -> None:
         self.profile = profile
         self.cfg = profile.cfg
         self.topic = profile.topic
@@ -161,13 +175,8 @@ class VectorGroup:
         self.interval = profile.monitor_interval
         self.n_workers = profile.n_workers
 
-        self.node_ids = [nid for nid, _ in members]
-        self.specs = [spec for _, spec in members]
-        for _, spec in members:
-            check_member(profile, spec)
-
         cfg = self.cfg
-        n, w = len(members), self.n_workers
+        w = self.n_workers
         self._ladder = np.asarray(cfg.freq_ladder, dtype=float)
         self._duties = np.asarray(cfg.duty_levels, dtype=float)
         self._duty_top = len(cfg.duty_levels) - 1
@@ -177,12 +186,6 @@ class VectorGroup:
         # What software reads back from MSR_PKG_POWER_INFO (quantized TDP).
         self._tdp_msr = (round(cfg.tdp / cfg.power_unit) & 0x7FFF) * cfg.power_unit
         self._limit_cache: dict[float, tuple[float, float]] = {}
-        self._mon_names = [
-            f"{spec.name}:{self.topic}" if spec.name else self.topic
-            for spec in self.specs
-        ]
-        seeds = [member_seed(spec) for spec in self.specs]
-        self._seeds = seeds
         # Per-phase parameters as arrays, indexed by each row's p_idx.
         # The trailing 0 makes a finished row (p_idx == n_phases) read as
         # past its phase, so it takes the per-row cursor path.
@@ -203,88 +206,93 @@ class VectorGroup:
                                             dtype=float)
         self._ph_jitter = np.asarray(profile.ph_jitter, dtype=float)
 
-        # -- node / clock ------------------------------------------------
-        self.now = np.zeros(n)
-        self.pkg_energy = np.zeros(n)
-        self.dram_energy = np.zeros(n)
-        self.uncore_scale = np.ones(n)
-        self.freq_idx = np.full(n, cfg.ladder_index(cfg.f_nominal), dtype=np.int64)
-        self.duty_idx = np.full(n, self._duty_top, dtype=np.int64)
-        self.freq_limit = np.full(n, cfg.f_turbo)
-        self.c_dyn = np.asarray([
-            (s.cfg if s.cfg is not None else cfg).c_dyn for s in self.specs])
-        self.leak = np.asarray([
-            (s.cfg if s.cfg is not None else cfg).leak_per_volt
-            for s in self.specs])
-        self.energy_mark = np.zeros(n)
-        self.started = np.zeros(n, dtype=bool)
+        def node(dtype, value=0):
+            return np.asarray(value, dtype=dtype)
 
-        # -- tasks / app bodies -------------------------------------------
-        self.wstatus = np.full((n, w), W_RUNNING, dtype=np.int8)
-        self.frac = np.zeros((n, w))
-        self.rate = np.zeros((n, w))
-        self.w_cycles = np.zeros((n, w))
-        self.w_bytes = np.zeros((n, w))
-        self.w_ins = np.zeros((n, w))
-        self.w_miss = np.zeros((n, w))
-        self.queued_pub = np.full(n, math.nan)
-        self.p_idx = np.zeros(n, dtype=np.int64)
-        self.it = np.zeros(n, dtype=np.int64)
-        self.barrier_pos = np.full((n, w), -1, dtype=np.int8)
+        def worker(dtype, value=0):
+            return np.full(w, value, dtype=dtype)
 
-        # -- cores / counters ---------------------------------------------
-        self.core_mode = np.full((n, w), C_IDLE, dtype=np.int8)
-        self.core_cf = np.zeros((n, w))
-        self.core_br = np.zeros((n, w))
-        self.ctr_ins = np.zeros((n, w))
-        self.ctr_cyc = np.zeros((n, w))
-        self.ctr_l3 = np.zeros((n, w))
-
-        # -- timers (next-fire times; seq order rapl=0, mon=1, policy=2) ---
-        self.t_rapl = np.full(n, RaplFirmware.CONTROL_INTERVAL)
-        self.t_mon = np.full(n, self.interval)
-        self.t_pol = np.full(n, BudgetTrackingPolicy.INTERVAL)
-
-        # -- firmware -----------------------------------------------------
-        self.fw_limit = np.full(n, cfg.tdp)
-        self.fw_limit2 = np.full(n, 1.2 * cfg.tdp)
-        self.fw_window = np.full(n, RaplFirmware.CONTROL_INTERVAL)
-        self.fw_avgw = np.full(n, math.nan)   # nan encodes "no EWMA yet"
-        self.fw_enabled = np.ones(n, dtype=bool)
-        self.fw_ddcm = np.zeros(n, dtype=bool)
-        self.fw_last_energy = np.zeros(n)
-        self.fw_last_time = np.zeros(n)
-
-        # -- telemetry / bus counters -------------------------------------
-        self.mon_events = np.zeros(n, dtype=np.int64)
-        self.bus_published = np.zeros(n, dtype=np.int64)
-        self.bus_dropped = np.zeros(n, dtype=np.int64)
-        self.bus_overflowed = np.zeros(n, dtype=np.int64)
-
-        # -- last power sample (node.accrue caches it for the snapshot) ---
-        self.ls_package = np.zeros(n)
-        self.ls_cores = np.zeros(n)
-        self.ls_uncore = np.zeros(n)
-        self.ls_dram = np.zeros(n)
-        self.ls_valid = np.zeros(n, dtype=bool)
-
-        # -- event-owned per-slot objects ---------------------------------
-        self.rngs = [[np.random.default_rng([seed, wid + 1])
-                      for wid in range(w)] for seed in seeds]
-        self.shared_rng: list[np.random.Generator | None] = [None] * n
-        self.bus_rng = [np.random.default_rng(spec.seed + 1)
-                        for spec in self.specs]
-        self.jitter_draws = _DrawBlocks(n, w, uniform=False)
-        self.shared_draws = _DrawBlocks(n, 1, uniform=False)
-        self.drop_draws = _DrawBlocks(n, 1, uniform=True)
+        # Every per-node array field and the value of a row that has not
+        # run yet (what a fresh NodeStack holds); _fresh_row adds the
+        # values that depend on the node's spec.
+        self._blank: dict[str, np.ndarray] = {
+            # -- node / clock --------------------------------------------
+            "now": node(float),
+            "pkg_energy": node(float),
+            "dram_energy": node(float),
+            "uncore_scale": node(float, 1.0),
+            "freq_idx": node(np.int64, cfg.ladder_index(cfg.f_nominal)),
+            "duty_idx": node(np.int64, self._duty_top),
+            "freq_limit": node(float, cfg.f_turbo),
+            "c_dyn": node(float, cfg.c_dyn),
+            "leak": node(float, cfg.leak_per_volt),
+            "energy_mark": node(float),
+            "started": node(bool, False),
+            # -- tasks / app bodies ---------------------------------------
+            "wstatus": worker(np.int8, W_RUNNING),
+            "frac": worker(float),
+            "rate": worker(float),
+            "w_cycles": worker(float),
+            "w_bytes": worker(float),
+            "w_ins": worker(float),
+            "w_miss": worker(float),
+            "queued_pub": node(float, math.nan),
+            "p_idx": node(np.int64),
+            "it": node(np.int64),
+            "barrier_pos": worker(np.int8, -1),
+            # -- cores / counters -----------------------------------------
+            "core_mode": worker(np.int8, C_IDLE),
+            "core_cf": worker(float),
+            "core_br": worker(float),
+            "ctr_ins": worker(float),
+            "ctr_cyc": worker(float),
+            "ctr_l3": worker(float),
+            # -- timers (next-fire times; seq order rapl=0, mon=1, policy=2)
+            "t_rapl": node(float, RaplFirmware.CONTROL_INTERVAL),
+            "t_mon": node(float, self.interval),
+            "t_pol": node(float, BudgetTrackingPolicy.INTERVAL),
+            # -- firmware -------------------------------------------------
+            "fw_limit": node(float, cfg.tdp),
+            "fw_limit2": node(float, 1.2 * cfg.tdp),
+            "fw_window": node(float, RaplFirmware.CONTROL_INTERVAL),
+            "fw_avgw": node(float, math.nan),   # nan encodes "no EWMA yet"
+            "fw_enabled": node(bool, True),
+            "fw_ddcm": node(bool, False),
+            "fw_last_energy": node(float),
+            "fw_last_time": node(float),
+            # -- telemetry / bus counters ---------------------------------
+            "mon_events": node(np.int64),
+            "bus_published": node(np.int64),
+            "bus_dropped": node(np.int64),
+            "bus_overflowed": node(np.int64),
+            # -- last power sample (node.accrue caches it for the snapshot)
+            "ls_package": node(float),
+            "ls_cores": node(float),
+            "ls_uncore": node(float),
+            "ls_dram": node(float),
+            "ls_valid": node(bool, False),
+        }
+        for name, value in self._blank.items():
+            setattr(self, name, np.empty((0, *value.shape), value.dtype))
+        # -- event-owned per-slot objects (None on a retired row) ---------
+        self.node_ids: list[int | None] = []
+        self._seeds: list[int | None] = []
+        self.rngs: list[list[np.random.Generator] | None] = []
+        self.shared_rng: list[np.random.Generator | None] = []
+        self.bus_rng: list[np.random.Generator | None] = []
         # (time, value) per queued progress message
-        self.pending: list[deque] = [deque() for _ in range(n)]
-        self.mon_series = [TimeSeries(name) for name in self._mon_names]
-        self.cap_series = [TimeSeries("budget-cap") for _ in range(n)]
-        self.pol_budget: list[float | None] = [None] * n
+        self.pending: list[deque | None] = []
+        self.mon_series: list[TimeSeries | None] = []
+        self.cap_series: list[TimeSeries | None] = []
+        self.pol_budget: list[float | None] = []
         # ("unset", None) until the first tick applies something, then
         # ("set", value) — the picklable tri-state BudgetTrackingPolicy uses.
-        self.pol_applied: list[tuple[str, float | None]] = [("unset", None)] * n
+        self.pol_applied: list[tuple[str, float | None] | None] = []
+        self.jitter_draws = _DrawBlocks(0, w, uniform=False)
+        self.shared_draws = _DrawBlocks(0, 1, uniform=False)
+        self.drop_draws = _DrawBlocks(0, 1, uniform=True)
+        # Retired rows, smallest first.
+        self._free: list[int] = []
 
     # ------------------------------------------------------------------
     # Public surface
@@ -292,6 +300,42 @@ class VectorGroup:
 
     def __len__(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def n_live(self) -> int:
+        """Rows that hold a node (the rest are retired, awaiting reuse)."""
+        return len(self.node_ids) - len(self._free)
+
+    def admit(self, members: Sequence[tuple[int, StackSpec]]) -> list[int]:
+        """Give each ``(node_id, spec)`` a row holding a node that has
+        not run yet, and return the rows in member order. Retired rows
+        are reused first, smallest first; the arrays grow only by what
+        is still missing. Every member is checked before any row is
+        written, so a refused one leaves the group as it was."""
+        rows = [self._fresh_row(node_id, spec) for node_id, spec in members]
+        missing = len(rows) - len(self._free)
+        if missing > 0:
+            self._grow(missing)
+        slots = [heapq.heappop(self._free) for _ in rows]
+        for name, value in self._blank.items():
+            getattr(self, name)[slots] = value
+        for slot, row in zip(slots, rows):
+            for name, value in row.items():
+                getattr(self, name)[slot] = value
+        return slots
+
+    def retire(self, slot: int) -> None:
+        """Free ``slot`` for a later admission, dropping the node's
+        event-owned objects and look-ahead draws. The row is not stepped
+        again until an admission rewrites every field of it."""
+        if self.node_ids[slot] is None:
+            raise ConfigurationError(f"vector row {slot} is not in use")
+        for name in _ROW_OBJECTS:
+            getattr(self, name)[slot] = None
+        for blocks in (self.jitter_draws, self.shared_draws,
+                       self.drop_draws):
+            blocks.reset(slot)
+        heapq.heappush(self._free, slot)
 
     def receive_budget(self, slot: int, watts: float | None) -> None:
         """Deliver a budget to one node's tracking policy (enforced on
@@ -320,10 +364,12 @@ class VectorGroup:
         while active.any():
             ids = slots[active]
             tgt = targets[active]
-            self._recompute(ids)
+            # no timer fires before _integrate, so one clock serves all three
+            clock = self._clock_arrays(ids)
+            self._recompute(ids, clock)
             dt = self._timestep(ids, tgt)
-            self._accrue(ids, dt)
-            self._integrate(ids, dt)
+            self._accrue(ids, dt, clock)
+            self._integrate(ids, dt, clock)
             self.now[ids] = self.now[ids] + dt
             self._completions(ids)
             self._fire_timers(ids)
@@ -335,6 +381,55 @@ class VectorGroup:
         delta = float(self.pkg_energy[slot] - self.energy_mark[slot])
         self.energy_mark[slot] = self.pkg_energy[slot]
         return delta
+
+    def _fresh_row(self, node_id: int, spec: StackSpec) -> dict[str, object]:
+        """The values of ``spec``'s node before it has run that differ
+        from :attr:`_blank` or are objects: what ``NodeStack(spec)``
+        builds, an admission-time cap included. With the blank row under
+        them, this is the one way a row is made; a restored checkpoint's
+        values are written over it."""
+        check_member(self.profile, spec)
+        cfg = spec.cfg if spec.cfg is not None else self.cfg
+        row: dict[str, object] = {"c_dyn": cfg.c_dyn,
+                                  "leak": cfg.leak_per_volt}
+        budget = spec.initial_budget
+        if budget is not None:
+            # NodeStack writes the cap through libmsr, then hands the
+            # policy the same budget; the policy's first tick re-applies
+            # it and records the first cap point, as pol_applied is unset.
+            row["fw_limit"], row["fw_window"] = self._quantized_limit(budget)
+            row["fw_enabled"] = True
+            budget = check_budget(budget)
+        seed = member_seed(spec)
+        row.update(
+            node_ids=node_id,
+            _seeds=seed,
+            rngs=[np.random.default_rng([seed, wid + 1])
+                  for wid in range(self.n_workers)],
+            shared_rng=None,
+            bus_rng=np.random.default_rng(spec.seed + 1),
+            pending=deque(),
+            mon_series=TimeSeries(
+                f"{spec.name}:{self.topic}" if spec.name else self.topic),
+            cap_series=TimeSeries("budget-cap"),
+            pol_budget=budget,
+            pol_applied=("unset", None),
+        )
+        return row
+
+    def _grow(self, count: int) -> None:
+        """Append ``count`` retired rows."""
+        n = len(self)
+        for name, value in self._blank.items():
+            extra = np.broadcast_to(value, (count, *value.shape))
+            setattr(self, name, np.concatenate([getattr(self, name), extra]))
+        for name in _ROW_OBJECTS:
+            getattr(self, name).extend([None] * count)
+        for blocks in (self.jitter_draws, self.shared_draws,
+                       self.drop_draws):
+            blocks.grow(count)
+        for slot in range(n, n + count):
+            heapq.heappush(self._free, slot)
 
     def flush_draws(self, slot: int) -> None:
         """Empty ``slot``'s look-ahead draw blocks, rewinding each of its
@@ -353,11 +448,12 @@ class VectorGroup:
         duty = self._duties[self.duty_idx[ids]]
         return freq, duty, hk.effective_clock(freq, duty)
 
-    def _recompute(self, ids: np.ndarray) -> None:
+    def _recompute(self, ids: np.ndarray, clock) -> None:
         """Per-worker progress rates + core activity states (the batched
-        Engine._recompute_rates)."""
+        Engine._recompute_rates). ``clock`` is :meth:`_clock_arrays` of
+        ``ids``."""
         w = self.n_workers
-        _freq, duty, s = self._clock_arrays(ids)
+        _freq, duty, s = clock
         link = self.cfg.core_link_bandwidth * duty
         st = self.wstatus[ids]
         run = st == W_RUNNING
@@ -445,10 +541,10 @@ class VectorGroup:
             raise ConfigurationError("vector engine has no next event")
         return np.maximum(dt, 0.0)
 
-    def _accrue(self, ids: np.ndarray, dt: np.ndarray) -> None:
+    def _accrue(self, ids: np.ndarray, dt: np.ndarray, clock) -> None:
         """Power sample + energy accrual (runs even for dt == 0, exactly
         like SimulatedNode.accrue at the head of Engine._integrate)."""
-        freq, duty, _s = self._clock_arrays(ids)
+        freq, duty, _s = clock
         volt = self._volt_table[self.freq_idx[ids]]
         package, cores, uncore, dram = self._power_sample(
             ids, volt, freq, duty)
@@ -463,7 +559,10 @@ class VectorGroup:
     def _power_sample(self, rows: np.ndarray, volt, freq, duty):
         """PowerModel.sample over rows: same core_power kernel, same
         sequential left fold over the 24 cores (workers first, then the
-        identical idle cores one by one — fold order is bit-relevant)."""
+        identical idle cores one by one — fold order is bit-relevant).
+        One kernel call covers every worker core, in a ``(W, n)`` layout
+        whose rows the fold then adds in order; ``np.add.reduce`` would
+        not do, as it sums some shapes pairwise."""
         cfg = self.cfg
         cmode = self.core_mode[rows]
         act = np.where(
@@ -472,11 +571,13 @@ class VectorGroup:
             np.where(cmode == C_SPIN, cfg.spin_activity, cfg.sleep_activity))
         cd = self.c_dyn[rows]
         lk = self.leak[rows]
+        power = hk.core_power(volt, freq, duty, act.T, cd, lk)
+        bytes_rate = self.core_br[rows].T
         total = np.zeros(len(rows))
         traffic = np.zeros(len(rows))
         for col in range(self.n_workers):
-            total = total + hk.core_power(volt, freq, duty, act[:, col], cd, lk)
-            traffic = traffic + self.core_br[rows, col]
+            total = total + power[col]
+            traffic = traffic + bytes_rate[col]
         idle_p = hk.core_power(volt, freq, duty, cfg.sleep_activity, cd, lk)
         for _ in range(cfg.n_cores - self.n_workers):
             total = total + idle_p
@@ -491,11 +592,11 @@ class VectorGroup:
             rows, volt, freq, duty)
         return package
 
-    def _integrate(self, ids: np.ndarray, dt: np.ndarray) -> None:
+    def _integrate(self, ids: np.ndarray, dt: np.ndarray, clock) -> None:
         """Progress + counter accrual. Zero increments on dt == 0 rows are
         bitwise no-ops (x + 0.0 == x for the non-negative quantities
         here), so no masking is needed for them."""
-        _freq, _duty, s = self._clock_arrays(ids)
+        _freq, _duty, s = clock
         st = self.wstatus[ids]
         run = st == W_RUNNING
         spin = st == W_SPINNING
@@ -840,9 +941,6 @@ class VectorGroup:
                     self.uncore_scale[slot] = 1.0
                 else:
                     watts, window = self._quantized_limit(budget)
-                    if watts <= 0:
-                        raise ConfigurationError(
-                            f"power limit must be positive, got {watts}")
                     self.fw_limit[slot] = watts
                     self.fw_enabled[slot] = True
                     self.fw_window[slot] = window
@@ -855,7 +953,8 @@ class VectorGroup:
         """What the firmware actually receives for a requested PL1: the
         encode/merge/decode round trip through MSR_PKG_POWER_LIMIT
         quantizes watts to the power unit and snaps the window to its
-        7-bit representation."""
+        7-bit representation. A limit that quantizes to zero is refused,
+        as ``RaplFirmware.set_limit`` refuses it."""
         cached = self._limit_cache.get(watts)
         if cached is None:
             value = encode_power_limit(
@@ -867,6 +966,9 @@ class VectorGroup:
                                                     units=self._units)
             cached = (pl1.watts, pl1.window)
             self._limit_cache[watts] = cached
+        if cached[0] <= 0:
+            raise ConfigurationError(
+                f"power limit must be positive, got {cached[0]}")
         return cached
 
 

@@ -12,7 +12,8 @@ human-readable refusal reason (``None`` means eligible); ineligible specs
 fall back to the object :class:`~repro.cluster.node_instance.NodeInstance`
 transparently. :func:`profile_key` buckets eligible specs into groups that
 may share one :class:`GroupProfile` — everything except the seed, the
-stack name and the per-node process-variation config fields must match.
+stack name, the admission-time cap and the per-node process-variation
+config fields must match.
 """
 
 from __future__ import annotations
@@ -53,17 +54,16 @@ def supports_fast_path(spec: object) -> str | None:
     """Why ``spec`` cannot run on the vector fast path (None = it can).
 
     The checks mirror exactly what :class:`repro.vector.engine.VectorGroup`
-    models: budget controller, no userspace pins, stock firmware, default
-    topics, no node-state tap, a regular SPMD app, and at most one
-    worker per core (the object runtimes refuse to pin more, so such a
-    spec must fall back and raise the same error there).
+    models: budget controller (an admission-time ``initial_budget``
+    included), no userspace pins, stock firmware, default topics, no
+    node-state tap, a regular SPMD app, and at most one worker per core
+    (the object runtimes refuse to pin more, so such a spec must fall
+    back and raise the same error there).
     """
     if not isinstance(spec, StackSpec):
         return "not a StackSpec (mid-run checkpoints restore separately)"
     if spec.controller != BUDGET:
         return f"controller {spec.controller!r} is not the budget policy"
-    if spec.initial_budget is not None:
-        return "initial_budget applies a cap before the first tick"
     if spec.schedule is not None:
         return "cap schedules need the daemon controller"
     if spec.dvfs_freq is not None or spec.duty is not None:
@@ -93,8 +93,9 @@ def supports_fast_path(spec: object) -> str | None:
 def profile_key(spec: StackSpec) -> tuple:
     """Grouping key: eligible specs with equal keys share one profile.
 
-    Seed and stack name vary per node; the process-variation config
-    fields (:data:`PER_NODE_CFG_FIELDS`) become per-node arrays.
+    Seed, stack name and ``initial_budget`` vary per node; the
+    process-variation config fields (:data:`PER_NODE_CFG_FIELDS`) become
+    per-node arrays.
     """
     kwargs = dict(spec.app_kwargs or {})
     kwargs.pop("seed", None)

@@ -3,10 +3,11 @@
 :class:`VectorEngine` owns a set of nodes the way a shard worker (or the
 serial :class:`~repro.cluster.sharding.ShardedLockstep`) does, but routes
 every eligible :class:`~repro.stack.spec.StackSpec` and importable
-mid-run checkpoint of one build into one shared
-:class:`~repro.vector.engine.VectorGroup` per profile key, and advances
-each group with ONE batched call per epoch. Ineligible specs and
-refused checkpoints fall back to ordinary object
+mid-run checkpoint into one long-lived
+:class:`~repro.vector.engine.VectorGroup` per profile key, kept for as
+long as the key has a live node across every build, and advances each
+group with ONE batched call per epoch. Ineligible specs and refused
+checkpoints fall back to ordinary object
 :class:`~repro.cluster.node_instance.NodeInstance`\\ s inside the same
 host, so callers never need to know which nodes took which path.
 
@@ -42,6 +43,19 @@ from repro.vector.engine import VectorGroup
 from repro.vector.gate import build_profile, profile_key, supports_fast_path
 
 __all__ = ["VectorEngine", "VectorNodeView"]
+
+
+class _RetiredGroup:
+    """The group of a removed view: its row may hold another node now,
+    so every read refuses instead of aliasing it."""
+
+    def __getattr__(self, name: str):
+        raise ConfigurationError(
+            "this vector node was removed from its host; its row may "
+            "hold another node")
+
+
+_RETIRED = _RetiredGroup()
 
 
 class _NodeShim:
@@ -94,7 +108,8 @@ class _MonitorShim:
 
 
 class VectorNodeView(ProgressReadouts):
-    """One vectorized node through the NodeInstance surface."""
+    """One vectorized node through the NodeInstance surface. Once its
+    host removes it, every read raises :class:`ConfigurationError`."""
 
     def __init__(self, group: VectorGroup, slot: int, node_id: int,
                  spec: StackSpec) -> None:
@@ -127,6 +142,11 @@ class VectorNodeView(ProgressReadouts):
         engine); see :mod:`repro.vector.checkpoint`."""
         return export_checkpoint(self)
 
+    def _retire(self) -> None:
+        """Give the row back to the group and detach from it."""
+        self.group.retire(self.slot)
+        self.group = self.node._group = self.monitor._group = _RETIRED
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"VectorNodeView(id={self.node_id}, t={self.now:.1f}s, "
                 f"f={self.node.frequency / 1e9:.1f}GHz)")
@@ -141,8 +161,16 @@ class VectorEngine(_ObjectHost):
     host's. The per-epoch seam is :meth:`step`: budgets go in with the
     step requests, trailing rates and epoch energy come back — one
     batched array advance per group instead of one engine loop per node.
-    A group lives exactly as long as a view of one of its slots does.
+
+    Groups outlive builds: the host keeps one per profile key, every
+    build admits its nodes into the key's group, and :meth:`remove`
+    retires their rows for later builds to reuse. A group leaves the
+    host when its last row retires.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._groups: dict[tuple, VectorGroup] = {}
 
     @property
     def vector_node_ids(self) -> list[int]:
@@ -158,10 +186,11 @@ class VectorEngine(_ObjectHost):
     def build(self, items: Sequence[tuple[int, object]]) -> None:
         """Adopt ``(node_id, StackSpec | checkpoint)`` pairs.
 
-        Eligible specs and importable checkpoints with equal profile
-        keys share one new :class:`VectorGroup` per call (the only place
-        one is made), a checkpoint's state in its own row. Everything
-        else becomes an object NodeInstance and takes no row.
+        Eligible specs and importable checkpoints join the host's
+        :class:`VectorGroup` of their profile key (this is the only
+        place one is made, on a key's first node), a checkpoint's state
+        written over its fresh row. Everything else becomes an object
+        NodeInstance and takes no row.
         """
         staged: dict[tuple, list[tuple[int, StackSpec, object]]] = {}
         for node_id, item in self._admit(items):
@@ -172,8 +201,10 @@ class VectorEngine(_ObjectHost):
                     (node_id, spec, item))
             else:
                 self._nodes[node_id] = _build_node(node_id, item)
-        for members in staged.values():
-            profile = build_profile(members[0][1])
+        for key, members in staged.items():
+            group = self._groups.get(key)
+            profile = build_profile(members[0][1]) if group is None \
+                else group.profile
             rows = []
             for node_id, spec, item in members:
                 try:
@@ -185,13 +216,26 @@ class VectorEngine(_ObjectHost):
                 rows.append((node_id, spec, values))
             if not rows:
                 continue
-            group = VectorGroup(profile,
-                                [(nid, spec) for nid, spec, _ in rows])
-            for slot, (node_id, spec, values) in enumerate(rows):
+            if group is None:
+                group = VectorGroup(profile)
+            slots = group.admit([(nid, spec) for nid, spec, _ in rows])
+            self._groups[key] = group
+            for slot, (node_id, spec, values) in zip(slots, rows):
                 for name, value in values.items():
                     getattr(group, name)[slot] = value
                 self._nodes[node_id] = VectorNodeView(group, slot, node_id,
                                                       spec)
+
+    def remove(self, node_ids: Sequence[int]) -> None:
+        """Drop nodes; a vector node's row retires for reuse, and its
+        group leaves the host with its last live row."""
+        for node_id in node_ids:
+            node = self._nodes.pop(node_id)
+            if isinstance(node, VectorNodeView):
+                group = node.group
+                node._retire()
+                if not group.n_live:
+                    del self._groups[profile_key(node.spec)]
 
     def step(self, requests: Sequence[StepRequest]) -> list[StepResult]:
         """Advance every requested node one epoch (budgets applied

@@ -17,7 +17,13 @@ from repro.vector import (
     supports_fast_path,
 )
 from repro.vector.gate import build_profile
-from tests.vector.conftest import IRREGULAR_APPS, make_spec
+from tests.vector.conftest import (
+    BUDGET_SCHEDULE,
+    IRREGULAR_APPS,
+    bits,
+    make_spec,
+    surface,
+)
 
 
 def _overpinned_spec():
@@ -41,10 +47,26 @@ class TestSupportsFastPath:
                                    controller="daemon")
         assert "controller" in supports_fast_path(spec)
 
-    def test_initial_budget_is_refused(self):
-        spec = dataclasses.replace(make_spec("lammps"),
-                                   initial_budget=100.0)
-        assert "initial_budget" in supports_fast_path(spec)
+    @pytest.mark.parametrize("cap", [100.0, 61.37])
+    def test_initial_budget_is_accepted_and_bit_equal(self, cap):
+        """An admission-time cap takes the vector path, and the node
+        runs bit-equal to the object node: capped from its first cycle,
+        re-applied and recorded on the policy's first tick, then through
+        the budget schedule (61.37 W is not a whole power unit)."""
+        spec = dataclasses.replace(make_spec("lammps"), initial_budget=cap)
+        assert supports_fast_path(spec) is None
+        obj = NodeInstance.from_spec(0, spec)
+        host = VectorEngine()
+        host.build([(0, spec)])
+        assert host.vector_node_ids == [0]
+        vec = host.node(0)
+        for budget in (cap, cap, *BUDGET_SCHEDULE[:4]):
+            target = obj.now + 1.0
+            for node in (obj, vec):
+                node.receive_budget(budget)
+                node.advance(target)
+            assert bits(surface(vec)) == bits(surface(obj))
+        assert bits(vec.snapshot()) == bits(obj.snapshot())
 
     def test_too_many_workers_are_refused(self):
         assert "n_workers" in supports_fast_path(_overpinned_spec())
