@@ -339,6 +339,17 @@ def _worker_main(conn, engine: str = "object") -> None:
             conn.send(("error", traceback.format_exc()))
 
 
+def _worker_process(conn, engine: str, inherited) -> None:
+    """Process entry of a shard worker: close the parent-side pipe ends
+    the fork copied (this worker's own and every earlier worker's), then
+    serve. With one of them left open the worker would hold its own
+    pipe's write end, so ``conn.recv()`` could never raise ``EOFError``
+    and the worker would outlive a killed parent."""
+    for end in inherited:
+        end.close()
+    _worker_main(conn, engine)
+
+
 # ----------------------------------------------------------------------
 # Parent-side coordinator
 # ----------------------------------------------------------------------
@@ -404,9 +415,10 @@ class ShardedLockstep:
             try:
                 for _ in range(shards):
                     parent_conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(target=_worker_main,
-                                       args=(child_conn, engine),
-                                       daemon=True)
+                    proc = ctx.Process(
+                        target=_worker_process,
+                        args=(child_conn, engine, [*self._pipes, parent_conn]),
+                        daemon=True)
                     proc.start()
                     child_conn.close()
                     self._workers.append(proc)

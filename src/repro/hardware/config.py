@@ -11,6 +11,7 @@ applies identical caps to both sockets, so the fold preserves behaviour).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +216,7 @@ class NodeConfig:
                 f"{freq} Hz is below the minimum ladder frequency "
                 f"{self.freq_ladder[0]} Hz"
             )
-        idx = int(np.searchsorted(self.freq_ladder, freq, side="right")) - 1
-        return idx
+        return bisect_right(self.freq_ladder, freq) - 1
 
 
 def skylake_config(**overrides) -> NodeConfig:

@@ -74,15 +74,17 @@ class CounterSnapshot:
 
 
 class CounterBank:
-    """Mutable per-core counters, accrued by the engine."""
+    """Mutable per-core counters, accrued by the engine.
+
+    Values live in plain Python lists (a scalar ``+=`` on a list is far
+    cheaper than a numpy item write); :meth:`snapshot` hands out arrays.
+    """
 
     def __init__(self, n_cores: int) -> None:
         if n_cores < 1:
             raise ConfigurationError(f"n_cores must be >= 1, got {n_cores}")
         self.n_cores = n_cores
-        self._ins = np.zeros(n_cores)
-        self._cyc = np.zeros(n_cores)
-        self._l3 = np.zeros(n_cores)
+        self.reset()
 
     def accrue(self, core_id: int, *, instructions: float = 0.0,
                cycles: float = 0.0, l3_misses: float = 0.0) -> None:
@@ -97,27 +99,44 @@ class CounterBank:
         """Immutable copy of the current values, stamped with ``time``."""
         return CounterSnapshot(
             time=time,
-            tot_ins=self._ins.copy(),
-            tot_cyc=self._cyc.copy(),
-            l3_tcm=self._l3.copy(),
+            tot_ins=np.array(self._ins, dtype=float),
+            tot_cyc=np.array(self._cyc, dtype=float),
+            l3_tcm=np.array(self._l3, dtype=float),
         )
 
     def reset(self) -> None:
         """Zero all counters (e.g. between measurement windows)."""
-        self._ins[:] = 0.0
-        self._cyc[:] = 0.0
-        self._l3[:] = 0.0
+        self._ins = [0.0] * self.n_cores
+        self._cyc = [0.0] * self.n_cores
+        self._l3 = [0.0] * self.n_cores
 
     # ``snapshot(time)`` above predates the checkpoint layer and returns
     # a CounterSnapshot, so the checkpoint protocol uses dump/load names.
 
     def dump_state(self) -> dict:
-        """Picklable counter values (plain lists)."""
-        return {"ins": self._ins.tolist(), "cyc": self._cyc.tolist(),
-                "l3": self._l3.tolist()}
+        """Picklable counter values (plain lists of floats)."""
+        return {"ins": [float(x) for x in self._ins],
+                "cyc": [float(x) for x in self._cyc],
+                "l3": [float(x) for x in self._l3]}
 
     def load_state(self, state: dict) -> None:
-        """Reinstall :meth:`dump_state` output."""
-        self._ins[:] = state["ins"]
-        self._cyc[:] = state["cyc"]
-        self._l3[:] = state["l3"]
+        """Reinstall :meth:`dump_state` output.
+
+        Each list must hold exactly one value per core; anything else
+        (including a one-element list, which an array assignment would
+        broadcast to every core) raises :class:`ConfigurationError`.
+        """
+        columns = []
+        for key in ("ins", "cyc", "l3"):
+            try:
+                column = [float(x) for x in state[key]]
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"counter state {key!r} is not a list of numbers"
+                ) from None
+            if len(column) != self.n_cores:
+                raise ConfigurationError(
+                    f"counter state {key!r} has {len(column)} values for "
+                    f"{self.n_cores} cores")
+            columns.append(column)
+        self._ins, self._cyc, self._l3 = columns

@@ -22,8 +22,10 @@ Parity rules observed throughout:
   (:func:`ewma_alpha_array`) applies ``math.exp`` per element rather
   than ``numpy.exp`` so the vector engine reproduces the firmware
   trajectory bit-for-bit.
-* Reductions over cores are sequential in core order (see
-  :func:`accumulate_core_power`); ``numpy.sum`` pairwise summation would
+* Reductions over cores are sequential left folds in core order (the
+  object engine's is :meth:`repro.hardware.power.PowerModel.fold`, the
+  bandwidth check in :func:`repro.hardware.memory.allocate_bandwidth`
+  folds demands the same way); ``numpy.sum`` pairwise summation would
   reassociate and drift.
 """
 
@@ -39,7 +41,6 @@ __all__ = [
     "core_power",
     "uncore_power",
     "dram_power",
-    "accumulate_core_power",
     "effective_clock",
     "standalone_time",
     "bandwidth_demand",
@@ -105,22 +106,6 @@ def uncore_power(traffic, uncore_base, uncore_per_bw):
 def dram_power(traffic, dram_base, dram_per_bw):
     """Traffic-dependent DRAM-domain power (watts)."""
     return dram_base + dram_per_bw * traffic
-
-
-def accumulate_core_power(per_core_power, per_core_traffic):
-    """Sequentially sum per-core power and traffic in core order.
-
-    ``per_core_power``/``per_core_traffic`` are sequences whose elements
-    are scalars (object engine) or per-node arrays (vector engine). The
-    loop order matches ``PowerModel.sample``'s accumulation exactly, so
-    the reduction is bit-identical between engines.
-    """
-    core_total = 0.0
-    traffic = 0.0
-    for p, b in zip(per_core_power, per_core_traffic):
-        core_total = core_total + p
-        traffic = traffic + b
-    return core_total, traffic
 
 
 # ----------------------------------------------------------------------

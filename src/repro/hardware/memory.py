@@ -15,6 +15,8 @@ not iterative.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -29,7 +31,7 @@ def allocate_bandwidth(demands, capacity: float):
     Parameters
     ----------
     demands:
-        1-D array-like of non-negative per-core bandwidth demands (bytes/s).
+        1-D sequence of non-negative per-core bandwidth demands (bytes/s).
         A demand is what the core *would* consume if memory were
         uncontended (already clipped to its link bandwidth by the caller).
     capacity:
@@ -41,24 +43,35 @@ def allocate_bandwidth(demands, capacity: float):
         Per-core grants, same order as ``demands``; ``grant <= demand``
         element-wise and ``sum(grant) <= capacity`` (within floating-point
         tolerance), with equality when demand exceeds capacity.
+
+    The demand total is a left fold in index order, the reduction the
+    vector engine performs; ``numpy.sum`` would sum pairwise and could
+    disagree with it on whether the demands fit. The allocation runs on
+    plain floats: per-core lists are short, and numpy's per-call
+    overhead would dominate.
     """
-    d = np.asarray(demands, dtype=float)
-    if d.ndim != 1:
+    if getattr(demands, "ndim", 1) != 1:
         raise ConfigurationError("demands must be one-dimensional")
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ConfigurationError("demands must be finite and non-negative")
+    try:
+        d = [float(x) for x in demands]
+    except TypeError:
+        raise ConfigurationError("demands must be one-dimensional") from None
+    total = 0.0
+    for x in d:
+        if not 0.0 <= x < math.inf:
+            raise ConfigurationError("demands must be finite and non-negative")
+        total = total + x
     if not capacity > 0:
         raise ConfigurationError(f"capacity must be positive, got {capacity}")
 
-    total = d.sum()
     if total <= capacity:
-        return d.copy()
+        return np.array(d, dtype=float)
 
-    # Progressive filling: process demands in ascending order; every demand
-    # below the running fair share is granted in full, the rest share what
-    # remains equally.
-    order = np.argsort(d, kind="stable")
-    grants = np.empty_like(d)
+    # Progressive filling: process demands in ascending order (a stable
+    # sort); every demand below the running fair share is granted in
+    # full, the rest share what remains equally.
+    order = sorted(range(len(d)), key=d.__getitem__)
+    grants = [0.0] * len(d)
     remaining = capacity
     n_left = len(d)
     for idx in order:
@@ -67,4 +80,4 @@ def allocate_bandwidth(demands, capacity: float):
         grants[idx] = g
         remaining -= g
         n_left -= 1
-    return grants
+    return np.array(grants, dtype=float)

@@ -188,8 +188,9 @@ class SimulatedNode:
 
     def idle_all(self) -> None:
         """Mark every core idle (no task, no traffic)."""
+        idle = CoreMode.IDLE  # one enum lookup, not one per core
         for core in self.cores:
-            core.mode = CoreMode.IDLE
+            core.mode = idle
             core.compute_frac = 0.0
             core.bytes_rate = 0.0
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.config import NodeConfig
-from repro.hardware.cpu import CoreState
+from repro.hardware.cpu import CoreMode, CoreState
 from repro.hardware.kernels import (
-    accumulate_core_power,
+    busy_activity,
     core_power,
     dram_power,
     uncore_power,
@@ -47,10 +47,17 @@ class PowerSample:
 
 
 class PowerModel:
-    """Maps node state to instantaneous power draw."""
+    """Maps node state to instantaneous power draw.
+
+    V(f) is memoized per frequency (the DVFS ladder is short and the
+    config frozen), and :meth:`fold` is the one loop that sums core
+    power and traffic; :meth:`sample` and the RAPL firmware's what-if
+    prediction both go through it.
+    """
 
     def __init__(self, cfg: NodeConfig) -> None:
         self.cfg = cfg
+        self._volts: dict[float, float] = {}
 
     def core_power(self, core: CoreState) -> float:
         """Static + dynamic power of one core (watts)."""
@@ -59,13 +66,47 @@ class PowerModel:
         return core_power(volt, core.freq, core.duty, core.activity(cfg),
                           cfg.c_dyn, cfg.leak_per_volt)
 
+    def fold(self, cores: list[CoreState], freq: float | None = None,
+             duty: float | None = None) -> tuple[float, float]:
+        """Sum per-core power and traffic sequentially in core order.
+
+        ``freq``/``duty`` override every core's own clock for a what-if
+        (the firmware's prediction); the activity pattern is the cores'
+        current one either way. The left fold in core order is the
+        reduction the vector engine replays, so it is bit-relevant.
+        """
+        cfg = self.cfg
+        volts = self._volts
+        c_dyn = cfg.c_dyn
+        leak = cfg.leak_per_volt
+        stall = cfg.stall_activity
+        spin_act = cfg.spin_activity
+        sleep_act = cfg.sleep_activity
+        # enum member lookups are slow enough to hoist out of the loop
+        busy = CoreMode.BUSY
+        spin = CoreMode.SPIN
+        core_total = 0.0
+        traffic = 0.0
+        for core in cores:
+            f = core.freq if freq is None else freq
+            d = core.duty if duty is None else duty
+            volt = volts.get(f)
+            if volt is None:
+                # a float, so the result's type follows ``f`` as before
+                volt = volts[f] = float(cfg.voltage(f))
+            mode = core.mode
+            if mode is busy:
+                act = busy_activity(core.compute_frac, stall)
+            else:
+                act = spin_act if mode is spin else sleep_act
+            core_total = core_total + core_power(volt, f, d, act, c_dyn, leak)
+            traffic = traffic + core.bytes_rate
+        return core_total, traffic
+
     def sample(self, cores: list[CoreState]) -> PowerSample:
         """Power breakdown for the whole node given per-core states."""
         cfg = self.cfg
-        core_total, traffic = accumulate_core_power(
-            (self.core_power(core) for core in cores),
-            (core.bytes_rate for core in cores),
-        )
+        core_total, traffic = self.fold(cores)
         uncore = uncore_power(traffic, cfg.uncore_base, cfg.uncore_per_bw)
         dram = dram_power(traffic, cfg.dram_base, cfg.dram_per_bw)
         return PowerSample(

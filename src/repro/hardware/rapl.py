@@ -40,11 +40,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError, check_snapshot_version
-from repro.hardware.cpu import CoreMode
 from repro.hardware.kernels import (
-    accumulate_core_power,
     average_power,
-    core_power,
     ewma_alpha,
     ewma_update,
     throttle_steps,
@@ -209,14 +206,9 @@ class RaplFirmware:
         """Package power if the node ran at (freq, duty) with the current
         activity pattern (an approximation: activity shifts slightly as
         rates change; the feedback loop corrects any residual error)."""
-        cfg = self.node.cfg
-        volt = cfg.voltage(freq)
-        core_total, traffic = accumulate_core_power(
-            (core_power(volt, freq, duty, core.activity(cfg),
-                        cfg.c_dyn, cfg.leak_per_volt)
-             for core in self.node.cores),
-            (core.bytes_rate for core in self.node.cores),
-        )
+        node = self.node
+        cfg = node.cfg
+        core_total, traffic = node.power_model.fold(node.cores, freq, duty)
         return core_total + uncore_power(traffic, cfg.uncore_base,
                                          cfg.uncore_per_bw)
 

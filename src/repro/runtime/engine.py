@@ -48,6 +48,7 @@ from repro.hardware.cpu import CoreMode
 from repro.hardware.kernels import (
     bandwidth_demand,
     compute_fraction,
+    effective_clock,
     progress_rate,
     standalone_time,
 )
@@ -197,6 +198,7 @@ class TaskState:
     rate: float = 0.0            # d(frac)/dt
     bytes_rate: float = 0.0      # B/s
     compute_frac: float = 0.0    # share of wall time retiring instructions
+    clock: float = 0.0           # effective clock (Hz), running/spinning
     wake_time: float = 0.0       # for _SLEEPING
 
     @property
@@ -445,9 +447,17 @@ class Engine:
                          spinning: list[TaskState],
                          sleeping: list[TaskState]) -> None:
         """Set per-task rates and per-core power-model state for the
-        upcoming constant-rate segment."""
+        upcoming constant-rate segment.
+
+        Each running or spinning task's effective clock is computed here
+        once and kept in ``TaskState.clock`` for :meth:`_integrate`: no
+        timer fires between the two calls, so frequency and duty cannot
+        change in between.
+        """
         node = self.node
         cfg = node.cfg
+        cores = node.cores
+        busy, spin, sleep = CoreMode.BUSY, CoreMode.SPIN, CoreMode.SLEEP
         node.idle_all()
 
         # Unconstrained per-task bandwidth demand.
@@ -456,11 +466,11 @@ class Engine:
         for t in running:
             w = t.work
             assert w is not None
-            core = node.cores[t.core_id]
-            s = core.effective_clock()
-            link = cfg.core_link_bandwidth * core.duty
+            core = cores[t.core_id]
+            s = t.clock = effective_clock(core.freq, core.duty)
             demand = 0.0
             if w.bytes > 0:
+                link = cfg.core_link_bandwidth * core.duty
                 standalone = standalone_time(w.cycles, w.bytes, s, link)
                 demand = bandwidth_demand(w.bytes, standalone)
             if demand > 0:
@@ -471,18 +481,17 @@ class Engine:
                 # its demand underflows to zero and would grant a zero
                 # rate forever: the item is compute-bound
                 t.bytes_rate = 0.0
-        if mem_tasks:
-            grants = allocate_bandwidth(demands, node.effective_mem_bandwidth)
-        else:
-            grants = np.empty(0)
+        grants = (allocate_bandwidth(demands,
+                                     node.effective_mem_bandwidth).tolist()
+                  if mem_tasks else [])
 
         gi = 0
         for t in running:
             w = t.work
-            core = node.cores[t.core_id]
-            s = core.effective_clock()
+            core = cores[t.core_id]
+            s = t.clock
             if gi < len(mem_tasks) and mem_tasks[gi] is t:
-                granted = float(grants[gi])
+                granted = grants[gi]
                 gi += 1
                 t.bytes_rate = granted
                 t.rate = progress_rate(granted, w.bytes)
@@ -492,17 +501,18 @@ class Engine:
             # Fraction of wall time retiring instructions.
             t.compute_frac = (min(compute_fraction(w.cycles, t.rate, s), 1.0)
                               if s > 0 else 0.0)
-            core.mode = CoreMode.BUSY
+            core.mode = busy
             core.compute_frac = t.compute_frac
             core.bytes_rate = t.bytes_rate
         for t in spinning:
-            core = node.cores[t.core_id]
-            core.mode = CoreMode.SPIN
+            core = cores[t.core_id]
+            t.clock = effective_clock(core.freq, core.duty)
+            core.mode = spin
             core.compute_frac = 1.0
             core.bytes_rate = 0.0
         for t in sleeping:
-            core = node.cores[t.core_id]
-            core.mode = CoreMode.SLEEP
+            core = cores[t.core_id]
+            core.mode = sleep
             core.compute_frac = 0.0
             core.bytes_rate = 0.0
 
@@ -514,25 +524,19 @@ class Engine:
         node.accrue(dt)
         if dt <= 0:
             return
+        accrue = node.counters.accrue
         for t in running:
             w = t.work
-            core = node.cores[t.core_id]
             dx = min(t.rate * dt, 1.0 - t.frac_done)
             t.frac_done += dx
-            node.counters.accrue(
-                t.core_id,
-                instructions=w.ins * dx,
-                cycles=core.effective_clock() * dt,
-                l3_misses=w.misses(cfg.cache_line) * dx,
-            )
+            accrue(t.core_id,
+                   instructions=w.ins * dx,
+                   cycles=t.clock * dt,
+                   l3_misses=w.misses(cfg.cache_line) * dx)
+        spin_ipc = cfg.spin_ipc
         for t in spinning:
-            core = node.cores[t.core_id]
-            s = core.effective_clock()
-            node.counters.accrue(
-                t.core_id,
-                instructions=s * cfg.spin_ipc * dt,
-                cycles=s * dt,
-            )
+            s = t.clock
+            accrue(t.core_id, instructions=s * spin_ipc * dt, cycles=s * dt)
 
     # -- checkpointing -----------------------------------------------------
 

@@ -17,12 +17,14 @@ approximation: every per-epoch transfer function is the same
 :mod:`repro.hardware.kernels` call the object path makes (element-wise
 array application of an IEEE-754 op equals the scalar op), reductions
 over cores/workers are written as the same sequential left folds
-``accumulate_core_power`` performs, RNG draws come from per-(node,
-worker) ``Generator`` objects, each consumed in the order the object
-bodies draw from it, and the timer/delivery epsilons are the engine's
-own constants. Worker counts therefore need no cap beyond the node's
-core count: the only worker-axis ``sum``/``cumsum`` calls count
-integers, where association cannot change the result.
+:meth:`~repro.hardware.power.PowerModel.fold` and
+:func:`~repro.hardware.memory.allocate_bandwidth` perform, RNG draws
+come from per-(node, worker) ``Generator`` objects, each consumed in
+the order the object bodies draw from it, and the timer/delivery
+epsilons are the engine's own constants. Worker counts therefore need
+no cap beyond the node's core count: the only worker-axis
+``sum``/``cumsum`` calls count integers, where association cannot
+change the result.
 """
 
 from __future__ import annotations
@@ -147,6 +149,37 @@ class _DrawBlocks:
         self.values[slot] = 0.0
         self.cursor[slot] = _DRAW_BLOCK
         self.base[slot] = None
+
+
+def _fair_grants(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Max-min fair allocation, batched: row ``i`` of ``demand``
+    (nodes x workers, zero for a worker with no memory traffic) shares
+    ``capacity[i]``. The demand sum and the progressive fill visit the
+    same slots :func:`repro.hardware.memory.allocate_bandwidth` visits
+    (its stable ascending sort puts the padding zeros first, where they
+    grant 0 and leave ``remaining`` untouched), and the sum is the same
+    left fold."""
+    w = demand.shape[1]
+    total = np.zeros(len(demand))
+    for col in range(w):
+        total = total + demand[:, col]
+    grants = demand.copy()
+    over = np.nonzero(total > capacity)[0]
+    if over.size:
+        d = demand[over]
+        order = np.argsort(d, axis=1, kind="stable")
+        g = np.empty_like(d)
+        remaining = capacity[over].copy()
+        rows = np.arange(len(over))
+        for k in range(w):
+            idx = order[:, k]
+            dk = d[rows, idx]
+            fair = hk.fair_share_fill(remaining, w - k)
+            gk = np.minimum(dk, fair)
+            g[rows, idx] = gk
+            remaining = remaining - gk
+        grants[over] = g
+    return grants
 
 
 class VectorGroup:
@@ -452,7 +485,6 @@ class VectorGroup:
         """Per-worker progress rates + core activity states (the batched
         Engine._recompute_rates). ``clock`` is :meth:`_clock_arrays` of
         ``ids``."""
-        w = self.n_workers
         _freq, duty, s = clock
         link = self.cfg.core_link_bandwidth * duty
         st = self.wstatus[ids]
@@ -473,30 +505,8 @@ class VectorGroup:
         # compute-bound (Engine._recompute_rates does the same)
         membound = hasbytes & (demand > 0.0)
 
-        # Max-min fair allocation, batched. The demand sum and the
-        # progressive fill visit the same W slots the object allocator
-        # visits (its stable ascending sort puts the padding zeros first,
-        # where they grant 0 and leave `remaining` untouched).
-        total = np.zeros(len(ids))
-        for col in range(w):
-            total = total + demand[:, col]
-        capacity = self.cfg.mem_bandwidth * self.uncore_scale[ids]
-        grants = demand.copy()
-        over = np.nonzero(total > capacity)[0]
-        if over.size:
-            d = demand[over]
-            order = np.argsort(d, axis=1, kind="stable")
-            g = np.empty_like(d)
-            remaining = capacity[over].copy()
-            rows = np.arange(len(over))
-            for k in range(w):
-                idx = order[:, k]
-                dk = d[rows, idx]
-                fair = hk.fair_share_fill(remaining, w - k)
-                gk = np.minimum(dk, fair)
-                g[rows, idx] = gk
-                remaining = remaining - gk
-            grants[over] = g
+        grants = _fair_grants(
+            demand, self.cfg.mem_bandwidth * self.uncore_scale[ids])
 
         rate = np.zeros_like(cyc)
         rate = np.where(membound,

@@ -8,7 +8,12 @@ reproduce it *exactly* — same floats, not approximately.
 """
 
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -247,3 +252,56 @@ class TestNodeStep:
             second = _advance(ls, 1, 4.0)
             assert first > 0 and second > 0
             assert first + second == pytest.approx(nodes[0].node.pkg_energy)
+
+
+_ORPHAN_PARENT = """
+import time
+from repro.cluster import ShardedLockstep
+lock = ShardedLockstep(shards=2)
+print(" ".join(str(proc.pid) for proc in lock._workers), flush=True)
+time.sleep(600)
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed coordinator leaves no shard worker behind: each
+    worker holds only its own end of its pipe, so the parent's death
+    closes the pipe and the worker's ``recv`` sees EOF."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHAN_PARENT],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    workers = []
+    try:
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(workers) == 2
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in workers) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=10)
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        parent.stdout.close()

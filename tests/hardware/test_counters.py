@@ -52,6 +52,66 @@ class TestCounterBank:
             snap.total("PAPI_FP_OPS")
 
 
+class TestCounterBankState:
+    def _bank(self):
+        bank = CounterBank(3)
+        bank.accrue(0, instructions=0.1, cycles=0.2, l3_misses=0.3)
+        bank.accrue(2, instructions=1e9 / 3, cycles=2e9 / 7)
+        bank.accrue(0, instructions=np.float64(0.7), cycles=1.1)
+        return bank
+
+    def test_snapshot_arrays_are_copies(self):
+        bank = self._bank()
+        snap = bank.snapshot(1.0)
+        before = snap.tot_ins.copy()
+        bank.accrue(0, instructions=5.0, cycles=5.0, l3_misses=5.0)
+        assert snap.tot_ins.tolist() == before.tolist()
+        snap.tot_cyc[:] = -1.0
+        assert bank.snapshot(1.0).tot_cyc.min() >= 0.0
+        assert bank.snapshot(1.0).tot_ins is not bank.snapshot(1.0).tot_ins
+
+    def test_dump_load_round_trips_exactly(self):
+        bank = self._bank()
+        state = bank.dump_state()
+        assert all(type(x) is float for key in ("ins", "cyc", "l3")
+                   for x in state[key])
+        other = CounterBank(3)
+        other.load_state(state)
+        assert other.dump_state() == state
+        a, b = bank.snapshot(2.0), other.snapshot(2.0)
+        for name in ("tot_ins", "tot_cyc", "l3_tcm"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+    def test_load_refuses_a_one_element_list(self):
+        """A length-1 list must not broadcast to every core."""
+        bank = CounterBank(24)
+        state = {"ins": [5.0], "cyc": [0.0] * 24, "l3": [0.0] * 24}
+        with pytest.raises(ConfigurationError):
+            bank.load_state(state)
+        assert bank.snapshot(0.0).total("PAPI_TOT_INS") == 0.0
+
+    @pytest.mark.parametrize("length", [0, 2, 23, 25])
+    def test_load_refuses_wrong_lengths(self, length):
+        bank = CounterBank(24)
+        state = {"ins": [0.0] * 24, "cyc": [1.0] * length, "l3": [0.0] * 24}
+        with pytest.raises(ConfigurationError):
+            bank.load_state(state)
+
+    def test_load_refuses_non_numeric_state(self):
+        bank = CounterBank(2)
+        with pytest.raises(ConfigurationError):
+            bank.load_state({"ins": 5.0, "cyc": [0.0, 0.0], "l3": [0.0, 0.0]})
+
+    def test_node_restore_refuses_malformed_counters(self):
+        from repro.hardware import SimulatedNode
+
+        node = SimulatedNode()
+        state = node.snapshot()
+        state["counters"] = dict(state["counters"], ins=[5.0])
+        with pytest.raises(ConfigurationError):
+            SimulatedNode().restore(state)
+
+
 class TestSnapshotMath:
     def _snaps(self):
         bank = CounterBank(2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.hardware.memory import allocate_bandwidth
+from repro.vector.engine import _fair_grants
 
 
 class TestAllocateBandwidth:
@@ -52,6 +53,32 @@ class TestAllocateBandwidth:
     def test_rejects_nan_demand(self):
         with pytest.raises(ConfigurationError):
             allocate_bandwidth([float("nan")], capacity=10.0)
+
+
+def _left_fold(values):
+    total = 0.0
+    for x in values:
+        total = total + x
+    return total
+
+
+def test_fit_check_is_the_left_fold_the_vector_engine_uses():
+    """Demands whose left-fold total equals the capacity exactly fit,
+    although numpy's pairwise sum of the same demands exceeds it: the
+    object allocator grants every demand in full, as the vector
+    engine's batched fill does."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        demands = rng.uniform(1e9, 2e10, size=24)
+        capacity = _left_fold(demands.tolist())
+        if demands.sum() > capacity:
+            break
+    else:  # pragma: no cover - the search finds one in a few draws
+        pytest.fail("no demand vector whose pairwise sum exceeds its fold")
+    grants = allocate_bandwidth(demands, capacity)
+    assert grants.tolist() == demands.tolist()
+    batched = _fair_grants(demands[None, :], np.array([capacity]))
+    assert batched[0].tolist() == grants.tolist()
 
 
 @given(

@@ -1,7 +1,7 @@
 """Unit tests for the package power model."""
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.config import skylake_config
@@ -103,3 +103,92 @@ class TestEffectiveAlpha:
         assert model.core_power_at(2.5e9, activity=1.0) == pytest.approx(
             model.core_power(core)
         )
+
+
+# ----------------------------------------------------------------------
+# The power fold against a per-core oracle
+# ----------------------------------------------------------------------
+
+_CFG = skylake_config()
+_core_states = st.tuples(
+    st.sampled_from(list(CoreMode)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2e10),
+    st.sampled_from(_CFG.duty_levels),
+)
+# the first len(list) cores take these states, the rest stay idle (a
+# short list also keeps a failing example's shrunk report small)
+_node_states = st.lists(_core_states, min_size=1, max_size=_CFG.n_cores)
+# Hypothesis's explain phase re-runs a failing example over every
+# variation of these per-core states, for minutes and a gigabyte; the
+# shrunk example alone is report enough
+_no_explain = settings(phases=[p for p in Phase if p is not Phase.explain])
+
+
+def _node_with(freq, cores):
+    from repro.hardware import SimulatedNode
+
+    node = SimulatedNode(_CFG)
+    node.set_frequency(freq)
+    for core, (mode, cf, bw, duty) in zip(node.cores, cores):
+        core.mode = mode
+        core.compute_frac = cf
+        core.bytes_rate = bw
+        node.set_core_duty(core.core_id, duty)
+    return node
+
+
+def _oracle(cores, freq=None, duty=None):
+    """Per-core ``kernels.core_power`` with ``cfg.voltage`` and
+    ``CoreState.activity``, summed left to right in core order."""
+    from repro.hardware import kernels
+
+    cfg = _CFG
+    core_total = 0.0
+    traffic = 0.0
+    for core in cores:
+        f = core.freq if freq is None else freq
+        d = core.duty if duty is None else duty
+        core_total = core_total + kernels.core_power(
+            cfg.voltage(f), f, d, core.activity(cfg), cfg.c_dyn,
+            cfg.leak_per_volt)
+        traffic = traffic + core.bytes_rate
+    return core_total, traffic
+
+
+class TestPowerFold:
+    @_no_explain
+    @given(st.sampled_from(_CFG.freq_ladder), _node_states)
+    def test_sample_equals_the_oracle_bit_for_bit(self, freq, cores):
+        from repro.hardware import kernels
+
+        node = _node_with(freq, cores)
+        core_total, traffic = _oracle(node.cores)
+        sample = node.power_model.sample(node.cores)
+        uncore = kernels.uncore_power(traffic, _CFG.uncore_base,
+                                      _CFG.uncore_per_bw)
+        assert sample.cores == core_total
+        assert sample.uncore == uncore
+        assert sample.package == core_total + uncore
+        assert sample.dram == kernels.dram_power(
+            traffic, _CFG.dram_base, _CFG.dram_per_bw)
+
+    @_no_explain
+    @given(st.sampled_from(_CFG.freq_ladder), _node_states,
+           st.sampled_from(_CFG.freq_ladder),
+           st.sampled_from(_CFG.duty_levels))
+    def test_firmware_prediction_equals_the_oracle(self, freq, cores,
+                                                   what_if_freq,
+                                                   what_if_duty):
+        from repro.hardware import kernels
+        from repro.hardware.rapl import RaplFirmware
+        from repro.runtime.engine import Engine
+
+        node = _node_with(freq, cores)
+        firmware = RaplFirmware(node, Engine(node))
+        core_total, traffic = _oracle(node.cores, what_if_freq,
+                                      what_if_duty)
+        expected = core_total + kernels.uncore_power(
+            traffic, _CFG.uncore_base, _CFG.uncore_per_bw)
+        assert firmware._predicted_power(what_if_freq,
+                                         what_if_duty) == expected

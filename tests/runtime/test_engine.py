@@ -397,3 +397,44 @@ def test_subnormal_bytes_do_not_stall_the_task():
         cycles / node.cores[0].effective_clock())]
     snap = node.counters.snapshot(node.clock.now)
     assert snap.total("PAPI_TOT_INS") == pytest.approx(cycles, rel=1e-9)
+
+
+def test_mixed_run_totals_are_pinned():
+    """Counter and energy totals of a run mixing memory-bound and
+    compute work, barrier spinning, sleeping, a per-core duty and RAPL
+    throttling, pinned bit for bit. The engine computes each task's
+    clock, V(f) and the power fold once per segment; these values were
+    recorded before that change and must not move."""
+    from repro.hardware.rapl import RaplFirmware
+
+    node = SimulatedNode()
+    engine = Engine(node)
+    RaplFirmware(node, engine).set_limit(40.0)
+    node.set_core_duty(1, 0.5)
+    group = BarrierGroup(3)
+
+    def body(*directives):
+        for _ in range(3):
+            yield from directives
+
+    engine.spawn(body(Work(cycles=2e9, bytes=4e9), Barrier(group),
+                      Work(cycles=1e9), Sleep(0.05)), core_id=0)
+    engine.spawn(body(Work(cycles=3e9), Barrier(group), Sleep(0.2),
+                      Work(cycles=5e8, bytes=1e10)), core_id=1)
+    engine.spawn(body(Sleep(0.3), Barrier(group),
+                      Work(cycles=1e9, bytes=2e10, instructions=5e8)),
+                 core_id=2)
+    end = engine.run()
+    snap = node.counters.snapshot(end)
+
+    assert end == 12.237488222805494
+    assert node.pkg_energy == 466.03299672712825
+    assert node.dram_energy == 57.11246466841663
+    assert snap.tot_ins[:3].tolist() == [
+        49040994978.594925, 10500000000.000168, 34190819141.82977]
+    assert snap.tot_cyc[:3].tolist() == [
+        32077982037.12654, 18163846325.393803, 34602824087.927765]
+    assert snap.l3_tcm[:3].tolist() == [
+        187500000.00000098, 468749999.9999947, 937499999.9999902]
+    for arr in (snap.tot_ins, snap.tot_cyc, snap.l3_tcm):
+        assert not arr[3:].any()
