@@ -22,11 +22,14 @@ exactly that shape:
   shipped only when they differ from what the parent last sent that
   node (the tracking policy re-applying an unchanged budget is a
   no-op, so skipping the send is exact).
-* With ``shards=1`` no process is spawned: the same
-  :func:`step_node` function runs in-process on locally built nodes, so
-  the serial path and the sharded path produce identical results *by
-  construction* — the golden parity tests in ``tests/cluster`` and
-  ``tests/scheduler`` pin this bit-for-bit.
+* With ``shards=1`` no process is spawned: the lockstep's one shard,
+  shard 0, is a node host in the parent, and every command goes through
+  the same :func:`_serve` command table a worker runs — only without a
+  pipe or pickling. The ``step2`` grouping, the budget de-duplication
+  and the reply codec therefore run at every shard count, so serial and
+  sharded results are identical *by construction*; the golden parity
+  tests in ``tests/cluster`` and ``tests/scheduler`` pin this
+  bit-for-bit.
 
 Budget timing is preserved exactly: the budget-tracking policy applies
 budgets on its next tick, so delivering a budget in the worker
@@ -248,16 +251,14 @@ class _ObjectHost:
 
 
 def _make_host(engine: str):
-    """Build the node host for ``engine`` (lazy import keeps the vector
-    stack out of object-only processes)."""
-    if engine == "object":
-        return _ObjectHost()
+    """Build the node host for ``engine``, one of :data:`_ENGINES`
+    (checked by :class:`ShardedLockstep`; the lazy import keeps the
+    vector stack out of object-only processes)."""
     if engine == "vector":
         from repro.vector.host import VectorEngine
 
         return VectorEngine()
-    raise ConfigurationError(
-        f"engine must be one of {_ENGINES}, got {engine!r}")
+    return _ObjectHost()
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +299,35 @@ def _encode_step_replies(requests: Sequence[StepRequest],
 # ----------------------------------------------------------------------
 
 
+def _serve(host, cmd: str, payload) -> Any:
+    """The shard command table: run one command on ``host`` and return
+    its reply. Every shard serves through it — a worker process on what
+    arrives over its pipe, shard 0 of a ``shards=1`` lockstep in-process."""
+    if cmd == "build":
+        host.build(payload)
+        return None
+    if cmd == "step2":
+        requests = _decode_step_groups(payload)
+        return _encode_step_replies(requests, host.step(requests))
+    if cmd == "rates":
+        return [host.rate(node_id, window) for node_id, window in payload]
+    if cmd == "telemetry":
+        return [host.telemetry(node_id) for node_id in payload]
+    if cmd == "checkpoint":
+        return [host.checkpoint(node_id) for node_id in payload]
+    if cmd == "remove":
+        host.remove(payload)
+        return None
+    raise SimulationError(f"unknown command {cmd!r}")
+
+
 def _worker_main(conn, engine: str = "object") -> None:
     """Shard worker loop: own a node host, serve commands.
 
     Protocol: ``(command, payload)`` tuples over the pipe; every command
-    gets exactly one ``("ok", result)`` or ``("error", message)`` reply.
+    gets exactly one ``("ok", result)`` or ``("error", traceback)``
+    reply. ``close`` answers and ends the loop; everything else is
+    :func:`_serve`'s.
     """
     host = _make_host(engine)
     while True:
@@ -310,31 +335,11 @@ def _worker_main(conn, engine: str = "object") -> None:
             cmd, payload = conn.recv()
         except EOFError:  # parent died; nothing sane left to do
             return
+        if cmd == "close":
+            conn.send(("ok", None))
+            return
         try:
-            if cmd == "build":
-                host.build(payload)
-                conn.send(("ok", None))
-            elif cmd == "step2":
-                requests = _decode_step_groups(payload)
-                results = host.step(requests)
-                conn.send(("ok", _encode_step_replies(requests, results)))
-            elif cmd == "rates":
-                conn.send(("ok", [host.rate(node_id, window)
-                                  for node_id, window in payload]))
-            elif cmd == "telemetry":
-                conn.send(("ok", [host.telemetry(node_id)
-                                  for node_id in payload]))
-            elif cmd == "checkpoint":
-                conn.send(("ok", [host.checkpoint(node_id)
-                                  for node_id in payload]))
-            elif cmd == "remove":
-                host.remove(payload)
-                conn.send(("ok", None))
-            elif cmd == "close":
-                conn.send(("ok", None))
-                return
-            else:
-                conn.send(("error", f"unknown command {cmd!r}"))
+            conn.send(("ok", _serve(host, cmd, payload)))
         except Exception:
             conn.send(("error", traceback.format_exc()))
 
@@ -361,9 +366,10 @@ class ShardedLockstep:
     Parameters
     ----------
     shards:
-        1 = serial in-process execution (no subprocess at all); N >= 2
-        = N long-lived worker processes, nodes assigned round-robin in
-        insertion order.
+        1 = serial execution: shard 0 is a node host in this process
+        (no subprocess at all); N >= 2 = N long-lived worker processes.
+        Nodes are assigned round-robin in insertion order, and every
+        shard count runs the same command table (:func:`_serve`).
     engine:
         Node host every shard (and the serial path) runs: ``"object"``
         (default) keeps one live stack per node, ``"vector"`` batches
@@ -448,7 +454,6 @@ class ShardedLockstep:
             raise ConfigurationError(
                 f"shard must be in [0, {self.shards}), got {shard}")
         per_shard: dict[int, list] = {}
-        local_items: list[tuple[int, object]] = []
         for node_id, item in items:
             if node_id in self._shard_of:
                 raise ConfigurationError(f"node {node_id} already exists")
@@ -458,31 +463,20 @@ class ShardedLockstep:
             else:
                 target = shard
             self._shard_of[node_id] = target
-            if self.shards == 1:
-                local_items.append((node_id, item))
-            else:
-                per_shard.setdefault(target, []).append((node_id, item))
-        if local_items:
-            # one batched build so the vector host can group the whole
-            # placement into shared arrays
-            self._host.build(local_items)
-        if self.shards > 1 and per_shard:
+            per_shard.setdefault(target, []).append((node_id, item))
+        if per_shard:
+            # one batched build per shard, so a vector host can group
+            # its whole share of the placement into shared arrays
             self._dispatch("build", per_shard)
 
     def remove_nodes(self, node_ids: Sequence[int]) -> None:
         """Drop finished nodes (frees worker memory)."""
         per_shard: dict[int, list] = {}
-        local_ids: list[int] = []
         for node_id in node_ids:
             shard = self._shard_of.pop(node_id)
             self._budget_sent.pop(node_id, None)
-            if self.shards == 1:
-                local_ids.append(node_id)
-            else:
-                per_shard.setdefault(shard, []).append(node_id)
-        if local_ids:
-            self._host.remove(local_ids)
-        if self.shards > 1 and per_shard:
+            per_shard.setdefault(shard, []).append(node_id)
+        if per_shard:
             self._dispatch("remove", per_shard)
 
     def shard_nodes(self) -> dict[int, list[int]]:
@@ -521,7 +515,7 @@ class ShardedLockstep:
                     f"got {dst} for node {node_id}")
             if dst != src:
                 real[node_id] = dst
-        if not real or self.shards == 1:
+        if not real:
             return 0
         snapshots = self.checkpoint(list(real))
         saved_budgets = {nid: self._budget_sent[nid]
@@ -561,8 +555,6 @@ class ShardedLockstep:
         this is the parallel section. When a :attr:`balancer` is
         installed it observes the measured per-shard wall times after
         the step and may migrate nodes before the next epoch."""
-        if self.shards == 1:
-            return self._host.step(requests)
         per_shard: dict[int, list[StepRequest]] = {}
         for req in requests:
             per_shard.setdefault(self._shard_of[req.node_id], []).append(req)
@@ -570,7 +562,14 @@ class ShardedLockstep:
         grouped: dict[int, list[StepRequest]] = {}
         for shard, reqs in per_shard.items():
             payloads[shard], grouped[shard] = self._step2_payload(reqs)
-        replies = self._dispatch("step2", payloads)
+        try:
+            replies = self._dispatch("step2", payloads)
+        except BaseException:
+            # a refused budget must go out again when re-sent; dropping
+            # a node's entry only costs one re-send of an unchanged one
+            for req in requests:
+                self._budget_sent.pop(req.node_id, None)
+            raise
         by_node: dict[int, StepResult] = {}
         for shard, rows in replies.items():
             for req, row in zip(grouped[shard], rows):
@@ -626,48 +625,33 @@ class ShardedLockstep:
 
     def rates(self, pairs: Sequence[tuple[int, float]]) -> list[float]:
         """Trailing rates for ``(node_id, window)`` pairs, in order."""
-        if self.shards == 1:
-            return [self._host.rate(node_id, window)
-                    for node_id, window in pairs]
-        per_shard: dict[int, list] = {}
-        order: dict[int, list[int]] = {}
-        for i, (node_id, window) in enumerate(pairs):
-            shard = self._shard_of[node_id]
-            per_shard.setdefault(shard, []).append((node_id, window))
-            order.setdefault(shard, []).append(i)
-        replies = self._dispatch("rates", per_shard)
-        out: list[float] = [0.0] * len(pairs)
-        for shard, values in replies.items():
-            for i, value in zip(order[shard], values):
-                out[i] = value
-        return out
+        return self._gather("rates", pairs, key=lambda pair: pair[0])
 
     def telemetry(self, node_ids: Sequence[int]) -> dict[int, NodeTelemetry]:
         """Full telemetry for the given nodes (series copies included)."""
-        if self.shards == 1:
-            return {node_id: self._host.telemetry(node_id)
-                    for node_id in node_ids}
-        per_shard: dict[int, list[int]] = {}
-        for node_id in node_ids:
-            per_shard.setdefault(self._shard_of[node_id], []).append(node_id)
-        replies = self._dispatch("telemetry", per_shard)
-        return {tel.node_id: tel
-                for tels in replies.values() for tel in tels}
+        node_ids = list(node_ids)
+        return dict(zip(node_ids, self._gather("telemetry", node_ids)))
 
     def checkpoint(self, node_ids: Sequence[int]) -> dict[int, dict]:
         """Mid-run checkpoints (see :meth:`NodeInstance.snapshot`) for
         the given nodes — e.g. to migrate them between shard layouts."""
-        if self.shards == 1:
-            return {node_id: self._host.checkpoint(node_id)
-                    for node_id in node_ids}
-        per_shard: dict[int, list[int]] = {}
-        for node_id in node_ids:
-            per_shard.setdefault(self._shard_of[node_id], []).append(node_id)
-        replies = self._dispatch("checkpoint", per_shard)
-        out: dict[int, dict] = {}
-        for shard, snaps in replies.items():
-            for node_id, snap in zip(per_shard[shard], snaps):
-                out[node_id] = snap
+        node_ids = list(node_ids)
+        return dict(zip(node_ids, self._gather("checkpoint", node_ids)))
+
+    def _gather(self, cmd: str, items: Sequence, key=None) -> list:
+        """Scatter ``items`` to the shards of their nodes (``key(item)``,
+        or the item itself, is the node id), run ``cmd`` once per
+        shard, and return the per-item replies in ``items`` order."""
+        per_shard: dict[int, list] = {}
+        order: dict[int, list[int]] = {}
+        for i, item in enumerate(items):
+            shard = self._shard_of[item if key is None else key(item)]
+            per_shard.setdefault(shard, []).append(item)
+            order.setdefault(shard, []).append(i)
+        out: list = [None] * len(items)
+        for shard, values in self._dispatch(cmd, per_shard).items():
+            for i, value in zip(order[shard], values):
+                out[i] = value
         return out
 
     # -- lifecycle ---------------------------------------------------------
@@ -724,13 +708,17 @@ class ShardedLockstep:
         return proc.exitcode
 
     def _dispatch(self, cmd: str, per_shard: dict[int, list]) -> dict[int, Any]:
-        """Send ``cmd`` to every involved shard, then collect replies.
+        """Run ``cmd`` on every involved shard and collect the replies.
 
-        Sends complete before any receive, so all shards compute
-        concurrently. Replies are collected as they arrive (via
-        :func:`multiprocessing.connection.wait`, so a dead worker
-        surfaces as a typed :class:`ShardWorkerError` instead of a
-        hang), and each shard's send-to-reply wall time is measured —
+        This is the one place that tells the in-process shard 0 of a
+        ``shards=1`` lockstep from worker pipes. Shard 0 is served by
+        :func:`_serve` directly: nothing crosses a process, so nothing
+        is pickled, timed or traced, and a host error keeps its own
+        type. Over pipes, sends complete before any receive, so all
+        shards compute concurrently. Replies are collected as they
+        arrive (via :func:`multiprocessing.connection.wait`, so a dead
+        worker surfaces as a typed :class:`ShardWorkerError` instead of
+        a hang), and each shard's send-to-reply wall time is measured —
         for ``step2`` these land in :attr:`shard_times` as the
         balancer's signal. Worker-side exceptions ship back as formatted
         tracebacks and re-raise here as :class:`SimulationError`. While
@@ -741,6 +729,9 @@ class ShardedLockstep:
         """
         if self._closed:
             raise SimulationError("ShardedLockstep is closed")
+        if self._host is not None:
+            return {shard: _serve(self._host, cmd, payload)
+                    for shard, payload in per_shard.items()}
         tracer = obs.tracer()
         sizes_down: dict[int, int] = {}
         with tracer.span("shard.dispatch", cmd=cmd,

@@ -154,7 +154,8 @@ class ClusterSimulation:
         return self._lockstep.shards
 
     def close(self) -> None:
-        """Shut down shard workers (no-op in serial mode)."""
+        """Close the lockstep and shut down its shard workers (with
+        ``shards=1`` there are none); the simulation cannot step again."""
         self._lockstep.close()
 
     def _rates_for(self, window: float) -> list[float]:

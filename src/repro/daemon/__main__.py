@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cluster.sharding import _ENGINES
 from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.profiles import demo_book
 from repro.daemon.server import DaemonServer
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--shards", type=int, default=1)
     cluster.add_argument("--engine", default="object",
-                         choices=("object", "vector"),
+                         choices=_ENGINES,
                          help="node-hosting engine inside each shard")
     cluster.add_argument("--balance", action="store_true",
                          help="rebalance nodes across shards from "

@@ -409,7 +409,9 @@ class Engine:
                 core.bytes_rate = 0.0
                 return
             if isinstance(directive, Work):
-                if directive.empty:
+                if directive.empty or (directive.cycles <= 0.0
+                                       and self._traffic_underflows(
+                                           task, directive)):
                     continue
                 task.work = directive
                 task.frac_done = 0.0
@@ -442,6 +444,16 @@ class Engine:
             raise SimulationError(
                 f"task {task.name!r} yielded unknown directive {directive!r}"
             )
+
+    def _traffic_underflows(self, task: TaskState, w: Work) -> bool:
+        """Whether ``w``'s transfer time over the core's link is zero: a
+        byte count so small (a subnormal) that it underflows. Such an
+        item with no cycles takes no time, so it is as empty as
+        :attr:`Work.empty` — its bandwidth demand would otherwise divide
+        by that zero."""
+        link = self.node.cfg.core_link_bandwidth * \
+            self.node.cores[task.core_id].duty
+        return w.bytes / link == 0.0
 
     def _recompute_rates(self, running: list[TaskState],
                          spinning: list[TaskState],

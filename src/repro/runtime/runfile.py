@@ -153,21 +153,14 @@ class CheckpointStore:
     kind:
         When set, every save and load is pinned to this checkpoint
         kind.
-    keep:
-        Retain only the newest ``keep`` files after each save
-        (0 = keep everything — required for arbitrary rewind).
     """
 
-    def __init__(self, root: str, *, kind: str | None = None,
-                 keep: int = 0) -> None:
-        if keep < 0:
-            raise ConfigurationError(f"keep must be >= 0, got {keep}")
+    def __init__(self, root: str, *, kind: str | None = None) -> None:
         if kind is not None and kind not in RUN_KINDS:
             raise ConfigurationError(
                 f"kind must be one of {RUN_KINDS}, got {kind!r}")
         self.root = root
         self.kind = kind
-        self.keep = keep
         os.makedirs(root, exist_ok=True)
 
     def path_for(self, epoch: int) -> str:
@@ -178,20 +171,16 @@ class CheckpointStore:
 
         Afterwards the returned file exists and :meth:`latest` is this
         checkpoint: stored epochs newer than it belong to an abandoned
-        timeline and are dropped before ``keep`` prunes the oldest.
+        timeline and are dropped.
         """
         if self.kind is not None and checkpoint.kind != self.kind:
             raise CheckpointError(
                 f"store {self.root!r} holds {self.kind!r} checkpoints; "
                 f"refusing a {checkpoint.kind!r} one")
         path = save_run_checkpoint(checkpoint, self.path_for(checkpoint.epoch))
-        stored = self.epochs()
-        stale = [e for e in stored if e > checkpoint.epoch]
-        if self.keep:
-            timeline = [e for e in stored if e <= checkpoint.epoch]
-            stale += timeline[:-self.keep]
-        for epoch in stale:
-            os.remove(self.path_for(epoch))
+        for epoch in self.epochs():
+            if epoch > checkpoint.epoch:
+                os.remove(self.path_for(epoch))
         return path
 
     def epochs(self) -> list[int]:

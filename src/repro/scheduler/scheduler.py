@@ -49,7 +49,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.elastic import balancer_for
 from repro.cluster.policies import ProgressAwareRebalancer
-from repro.cluster.sharding import ShardedLockstep, StepRequest
+from repro.cluster.sharding import _ENGINES, ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
 from repro.exceptions import (
     CheckpointError,
@@ -175,9 +175,9 @@ class SchedulerConfig:
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}")
-        if self.engine not in ("object", "vector"):
+        if self.engine not in _ENGINES:
             raise ConfigurationError(
-                f"engine must be 'object' or 'vector', got {self.engine!r}")
+                f"engine must be one of {_ENGINES}, got {self.engine!r}")
 
 
 class _RunningJob:
@@ -534,8 +534,9 @@ class PowerAwareScheduler:
         return bool(self.queue or self._running)
 
     def close(self) -> None:
-        """Shut down shard workers (no-op with ``shards=1``). Further
-        :meth:`submit`/:meth:`run` calls are invalid afterwards."""
+        """Close the lockstep and shut down its shard workers (with
+        ``shards=1`` there are none). Further :meth:`submit`/:meth:`run`
+        calls are invalid afterwards."""
         self._lockstep.close()
 
     def _node_specs(self, job: Job, slots: tuple[int, ...],

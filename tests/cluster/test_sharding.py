@@ -8,6 +8,7 @@ reproduce it *exactly* — same floats, not approximately.
 """
 
 import json
+import math
 import os
 import pathlib
 import signal
@@ -26,6 +27,7 @@ from repro.cluster import (
     ShardedLockstep,
     StepRequest,
     UniformPowerPolicy,
+    step_node,
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.stack import BUDGET, StackSpec
@@ -115,15 +117,49 @@ class TestShardedLockstep:
             ls.add_nodes([(0, _spec(0))])
         ls.close()
 
-    def test_step_results_in_request_order(self):
-        with ShardedLockstep(shards=2) as ls:
-            ls.add_nodes([(i, _spec(i, seed=i)) for i in range(3)])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_step_results_in_request_order(self, shards):
+        """Every gathered reply comes back in request order, whatever
+        the shards the ids land on (here interleaved over both)."""
+        with ShardedLockstep(shards=shards) as ls:
+            ls.add_nodes([(i, _spec(i, seed=i)) for i in range(4)])
+            order = (2, 0, 3, 1)
             reqs = [StepRequest(node_id=i, target=2.0, windows=(1.0,))
-                    for i in (2, 0, 1)]
+                    for i in order]
             results = ls.step(reqs)
-            assert [r.node_id for r in results] == [2, 0, 1]
+            assert [r.node_id for r in results] == list(order)
             assert all(r.now == pytest.approx(2.0) for r in results)
             assert all(r.energy > 0 for r in results)
+
+            pairs = [(3, 1.0), (0, 2.0), (1, 1.0), (0, 1.0), (2, 2.0)]
+            rates = ls.rates(pairs)
+            assert rates == [ls.rates([pair])[0] for pair in pairs]
+            assert rates[3] == results[1].rates[1.0]
+
+            tels = ls.telemetry([3, 0, 2])
+            assert list(tels) == [3, 0, 2]
+            assert [tel.node_id for tel in tels.values()] == [3, 0, 2]
+
+            snaps = ls.checkpoint([1, 3, 0])
+            assert list(snaps) == [1, 3, 0]
+            assert [snap["node_id"] for snap in snaps.values()] == [1, 3, 0]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_refused_budget_is_refused_again(self, shards):
+        """A budget the node refused is not remembered as delivered:
+        re-sending it fails again instead of being skipped as
+        unchanged, and the node has not moved."""
+        with ShardedLockstep(shards=shards) as ls:
+            ls.add_nodes([(0, _spec(0))])
+            bad = [StepRequest(node_id=0, target=1.0, budget=math.inf,
+                               set_budget=True)]
+            for _ in range(2):
+                with pytest.raises((ConfigurationError, SimulationError),
+                                   match="finite"):
+                    ls.step(bad)
+            [res] = ls.step([StepRequest(node_id=0, target=1.0,
+                                         budget=90.0, set_budget=True)])
+            assert res.now == pytest.approx(1.0)
 
     def test_worker_error_propagates(self):
         with ShardedLockstep(shards=2) as ls:
@@ -165,12 +201,14 @@ class TestShardedLockstep:
             assert res.now == pytest.approx(1.0)
 
     def test_close_is_idempotent(self):
-        ls = ShardedLockstep(shards=2)
-        ls.add_nodes([(0, _spec(0))])
-        ls.close()
-        ls.close()
-        with pytest.raises(SimulationError):
-            ls.step([StepRequest(node_id=0, target=1.0)])
+        # a closed lockstep refuses every command, serial ones included
+        for shards in (1, 2):
+            ls = ShardedLockstep(shards=shards)
+            ls.add_nodes([(0, _spec(0))])
+            ls.close()
+            ls.close()
+            with pytest.raises(SimulationError):
+                ls.step([StepRequest(node_id=0, target=1.0)])
 
     def test_telemetry_carries_series_copy(self):
         with ShardedLockstep(shards=1) as ls:
@@ -183,6 +221,76 @@ class TestShardedLockstep:
             # mutating the copy must not corrupt the live monitor
             tel.progress.append(99.0, 1.0)
             assert ls.telemetry([0])[0].progress.times[-1] != 99.0
+
+
+_KEEP = object()  #: no budget update for this node this epoch
+
+#: Per epoch, one entry per node: a budget (None = uncapped) or _KEEP.
+#: Repeats, changes, None and no-update epochs are mixed on purpose.
+_BUDGET_PLAN = [
+    (90.0, 80.0, None),
+    (90.0, 70.0, None),
+    (_KEEP, 70.0, 85.0),
+    (60.0, None, 85.0),
+    (60.0, None, _KEEP),
+    (None, 75.0, 85.0),
+]
+
+
+def _plan_requests(epoch, budgets):
+    return [StepRequest(node_id=i, target=float(epoch + 1),
+                        budget=None if b is _KEEP else b,
+                        set_budget=b is not _KEEP, windows=(1.0, 2.0))
+            for i, b in enumerate(budgets)]
+
+
+def _surface(res):
+    return (res.node_id, res.now, res.energy, res.cumulative,
+            sorted(res.rates.items()))
+
+
+@pytest.mark.parametrize("engine", ["object", "vector"])
+def test_serial_lockstep_is_step_node_with_deduplicated_budgets(
+        engine, monkeypatch):
+    """A ``shards=1`` lockstep goes through the same command table as a
+    worker, budget de-duplication included. Its results are bit-equal to
+    :func:`step_node` on fresh nodes that receive every budget, and an
+    unchanged budget reaches its node once."""
+    from repro.vector.host import VectorNodeView
+
+    specs = [_spec(i, seed=100 + i) for i in range(3)]
+    ref_nodes = [NodeInstance.from_spec(i, spec)
+                 for i, spec in enumerate(specs)]
+    expected = [[_surface(step_node(ref_nodes[req.node_id], req))
+                 for req in _plan_requests(epoch, budgets)]
+                for epoch, budgets in enumerate(_BUDGET_PLAN)]
+
+    delivered = []
+    for cls in (NodeInstance, VectorNodeView):
+        def receive(self, watts, _orig=cls.receive_budget):
+            delivered.append((self.node_id, watts))
+            _orig(self, watts)
+        monkeypatch.setattr(cls, "receive_budget", receive)
+
+    with ShardedLockstep(shards=1, engine=engine) as ls:
+        ls.add_nodes(list(enumerate(specs)))
+        on_vector = [isinstance(node, VectorNodeView)
+                     for node in ls.local_nodes().values()]
+        assert on_vector == [engine == "vector"] * 3
+        got = [[_surface(res) for res in ls.step(_plan_requests(e, b))]
+               for e, b in enumerate(_BUDGET_PLAN)]
+    assert got == expected
+
+    last: dict[int, object] = {}
+    wanted = []
+    for budgets in _BUDGET_PLAN:
+        for node_id, budget in enumerate(budgets):
+            if budget is not _KEEP and last.get(node_id, _KEEP) != budget:
+                wanted.append((node_id, budget))
+                last[node_id] = budget
+    assert delivered == wanted
+    assert len(wanted) < sum(b is not _KEEP
+                             for budgets in _BUDGET_PLAN for b in budgets)
 
 
 def _local(n=2):

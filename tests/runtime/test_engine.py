@@ -1,6 +1,5 @@
 """Unit and property tests for the fluid discrete-event engine."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +396,36 @@ def test_subnormal_bytes_do_not_stall_the_task():
         cycles / node.cores[0].effective_clock())]
     snap = node.counters.snapshot(node.clock.now)
     assert snap.total("PAPI_TOT_INS") == pytest.approx(cycles, rel=1e-9)
+
+
+@pytest.mark.parametrize("freq", [None, 2.0e9],
+                         ids=["f_nominal", "ladder_step"])
+def test_zero_cycle_subnormal_bytes_are_empty(freq):
+    """An item with no cycles whose transfer time underflows to zero
+    completes in zero time, as an empty item does, at the node's start
+    frequency (a float) and at a ladder step (a numpy float). Only the
+    object engine can be given such work: ``KernelSpec`` refuses
+    ``cycles <= 0`` (``TestKernelSpec.test_rejects_nonpositive_cycles``
+    in tests/apps/test_kernels.py), so no vector group ever holds it."""
+    node = SimulatedNode()
+    if freq is not None:
+        node.set_frequency(freq)
+    engine = Engine(node)
+    finished = []
+
+    def body():
+        yield Work(cycles=0.0, bytes=5e-324)
+        finished.append(node.clock.now)
+        yield Work(cycles=1e9)
+        finished.append(node.clock.now)
+
+    engine.spawn(body(), core_id=0)
+    end = engine.run()
+    clock = node.cores[0].effective_clock()
+    assert finished == [0.0, pytest.approx(1e9 / clock)]
+    assert end == pytest.approx(1e9 / clock)
+    snap = node.counters.snapshot(node.clock.now)
+    assert snap.total("PAPI_TOT_INS") == pytest.approx(1e9, rel=1e-9)
 
 
 def test_mixed_run_totals_are_pinned():

@@ -117,25 +117,17 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="no checkpoint"):
             store.rewind(1)
 
-    def test_keep_prunes_oldest(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), keep=2)
-        for epoch in (1, 2, 3, 4):
-            store.save(ckpt(epoch))
-        assert store.epochs() == [3, 4]
-
-    @pytest.mark.parametrize("keep,kept", [(0, [2, 3]), (2, [3])])
-    def test_save_after_rewind_drops_abandoned_timeline(self, tmp_path,
-                                                         keep, kept):
+    def test_save_after_rewind_drops_abandoned_timeline(self, tmp_path):
         """A run resumed from epoch 2 saves epoch 3 into a store that
         still holds 4 and 6: the saved file must survive the pruning,
         and latest() must be the new timeline, not the old epoch 6."""
-        store = CheckpointStore(str(tmp_path), keep=keep)
+        store = CheckpointStore(str(tmp_path))
         for epoch in (2, 4, 6):
             store.save(ckpt(epoch))
         path = store.save(ckpt(3))
         assert os.path.exists(path)
         assert store.latest().epoch == 3
-        assert store.epochs() == kept
+        assert store.epochs() == [2, 3]
 
     def test_kind_pinned_store_refuses_other_kind(self, tmp_path):
         store = CheckpointStore(str(tmp_path), kind="cluster")
