@@ -19,21 +19,14 @@ scale-up:
   pluggable cluster-level power policy,
 * :mod:`repro.cluster.policies` — uniform budgets vs a progress-aware
   rebalancer that shifts power toward the critical-path nodes (the use
-  case the paper's online-progress metric enables),
-* :mod:`repro.cluster.elastic` — checkpoint-powered elasticity: the
-  :class:`~repro.cluster.elastic.ShardBalancer` migrates nodes between
-  shards from measured epoch wall times (results invariant by the
-  parity contract); recorded runs resume or time-travel replay from
-  :class:`~repro.runtime.runfile.RunCheckpoint` files through
-  :meth:`ClusterSimulation.resume` and
-  :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.resume`.
+  case the paper's online-progress metric enables).
+
+Recorded runs resume or time-travel replay from
+:class:`~repro.runtime.runfile.RunCheckpoint` files through
+:meth:`ClusterSimulation.resume` and
+:meth:`~repro.scheduler.scheduler.PowerAwareScheduler.resume`.
 """
 
-from repro.cluster.elastic import (
-    MigrationPlan,
-    NodeMigration,
-    ShardBalancer,
-)
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.policies import ProgressAwareRebalancer, UniformPowerPolicy
 from repro.cluster.sharding import (
@@ -57,7 +50,4 @@ __all__ = [
     "StepResult",
     "NodeTelemetry",
     "step_node",
-    "NodeMigration",
-    "MigrationPlan",
-    "ShardBalancer",
 ]

@@ -195,7 +195,7 @@ class _ObjectHost:
     packaged as a host so the serial path and the shard workers select
     an engine instead of hard-coding one. :class:`repro.vector.host
     .VectorEngine` extends it: the same node table, holding vector slot
-    views next to object nodes, with its own ``build`` and ``step``.
+    views next to object nodes, with its own ``_adopt`` and ``step``.
     """
 
     def __init__(self) -> None:
@@ -225,8 +225,20 @@ class _ObjectHost:
         return items
 
     def build(self, items: Sequence[tuple[int, object]]) -> None:
-        """Adopt ``(node_id, StackSpec | checkpoint)`` pairs."""
-        for node_id, item in self._admit(items):
+        """Adopt ``(node_id, StackSpec | checkpoint)`` pairs, all or
+        nothing: a batch that fails partway leaves the host as it was."""
+        items = self._admit(items)
+        try:
+            self._adopt(items)
+        except BaseException:
+            # _admit refused every id already held, so each batch id
+            # found here now was built by this call
+            self.remove([node_id for node_id, _ in items
+                         if node_id in self._nodes])
+            raise
+
+    def _adopt(self, items: list[tuple[int, object]]) -> None:
+        for node_id, item in items:
             self._nodes[node_id] = _build_node(node_id, item)
 
     def node(self, node_id: int) -> NodeInstance:
@@ -368,8 +380,9 @@ class ShardedLockstep:
     shards:
         1 = serial execution: shard 0 is a node host in this process
         (no subprocess at all); N >= 2 = N long-lived worker processes.
-        Nodes are assigned round-robin in insertion order, and every
-        shard count runs the same command table (:func:`_serve`).
+        A node's shard is a pure function of insertion order (round-
+        robin, fixed for the node's life), and every shard count runs
+        the same command table (:func:`_serve`).
     engine:
         Node host every shard (and the serial path) runs: ``"object"``
         (default) keeps one live stack per node, ``"vector"`` batches
@@ -377,19 +390,9 @@ class ShardedLockstep:
         :mod:`repro.vector`). Results are bit-identical either way;
         ineligible nodes silently fall back to object stacks inside the
         vector host.
-    balancer:
-        An elastic rebalancer (duck-typed as
-        :class:`repro.cluster.elastic.ShardBalancer`): after every
-        sharded epoch step its ``observe(shard_times, shard_nodes)`` is
-        offered the measured per-shard wall times and may return a
-        migration plan, which is applied immediately via
-        :meth:`migrate_nodes`. Placement is provably invisible to
-        simulated results (the parity contract), so the balancer can
-        only change wall time. Ignored with ``shards=1``.
     """
 
-    def __init__(self, shards: int = 1, *, engine: str = "object",
-                 balancer=None) -> None:
+    def __init__(self, shards: int = 1, *, engine: str = "object") -> None:
         # Assigned before any validation so close() — and therefore
         # __del__ — is safe on a partially constructed instance.
         self._closed = False
@@ -405,13 +408,11 @@ class ShardedLockstep:
                 f"engine must be one of {_ENGINES}, got {engine!r}")
         self.shards = shards
         self.engine = engine
-        self.balancer = balancer
         #: Per-shard wall seconds of the most recent sharded epoch step
-        #: (send-complete to reply-arrival, host clock). Placement
-        #: telemetry only — never feeds a simulated quantity.
+        #: (send-complete to reply-arrival, host clock). Describe-only:
+        #: it feeds the obs imbalance metrics, never a simulated
+        #: quantity or a placement.
         self.shard_times: dict[int, float] = {}
-        #: Total nodes migrated between shards over this lockstep's life.
-        self.migrations = 0
         self._host = _make_host(engine) if shards == 1 else None
         if shards > 1:
             # fork is cheap, and the workers rebuild their nodes from
@@ -439,35 +440,43 @@ class ShardedLockstep:
     def n_nodes(self) -> int:
         return len(self._shard_of)
 
-    def add_nodes(self, items: Sequence[tuple[int, object]], *,
-                  shard: int | None = None) -> None:
+    def add_nodes(self, items: Sequence[tuple[int, object]]) -> None:
         """Build nodes from ``(node_id, StackSpec | checkpoint)`` pairs.
 
         Specs are rebuilt fresh; checkpoint dicts (from
-        :meth:`NodeInstance.snapshot`) restore a node mid-run. By
-        default nodes are assigned to shards round-robin in insertion
-        order; ``shard=`` pins every item in this call to one shard
-        (used by :meth:`migrate_nodes`) without advancing the
-        round-robin cursor.
+        :meth:`NodeInstance.snapshot`) restore a node mid-run. Nodes are
+        assigned to shards round-robin in insertion order.
+
+        A batch is all or nothing: when any shard refuses its share,
+        the shards that built theirs remove it again and the error is
+        raised with the lockstep as it was — no id registered, the
+        round-robin cursor unmoved.
         """
-        if shard is not None and not 0 <= shard < self.shards:
-            raise ConfigurationError(
-                f"shard must be in [0, {self.shards}), got {shard}")
         per_shard: dict[int, list] = {}
+        placed: dict[int, int] = {}
+        cursor = self._next_shard
         for node_id, item in items:
-            if node_id in self._shard_of:
+            if node_id in self._shard_of or node_id in placed:
                 raise ConfigurationError(f"node {node_id} already exists")
-            if shard is None:
-                target = self._next_shard % self.shards
-                self._next_shard += 1
-            else:
-                target = shard
-            self._shard_of[node_id] = target
-            per_shard.setdefault(target, []).append((node_id, item))
-        if per_shard:
-            # one batched build per shard, so a vector host can group
-            # its whole share of the placement into shared arrays
-            self._dispatch("build", per_shard)
+            placed[node_id] = shard = cursor % self.shards
+            cursor += 1
+            per_shard.setdefault(shard, []).append((node_id, item))
+        if not per_shard:
+            return
+        # one batched build per shard, so a vector host can group its
+        # whole share of the placement into shared arrays
+        replies, failures = self._exchange("build", per_shard)
+        if failures:
+            built = {shard: [node_id for node_id, _ in per_shard[shard]]
+                     for shard in replies}
+            if built:
+                # a shard that cannot take its share back is broken and
+                # fails its next command on its own; the build's error
+                # is the one to report
+                self._exchange("remove", built)
+            raise failures[min(failures)]
+        self._shard_of.update(placed)
+        self._next_shard = cursor
 
     def remove_nodes(self, node_ids: Sequence[int]) -> None:
         """Drop finished nodes (frees worker memory)."""
@@ -478,61 +487,6 @@ class ShardedLockstep:
             per_shard.setdefault(shard, []).append(node_id)
         if per_shard:
             self._dispatch("remove", per_shard)
-
-    def shard_nodes(self) -> dict[int, list[int]]:
-        """Current placement: shard index → node ids, insertion order.
-        Every shard appears, including empty ones."""
-        out: dict[int, list[int]] = {s: [] for s in range(self.shards)}
-        for node_id, shard in self._shard_of.items():
-            out[shard].append(node_id)
-        return out
-
-    def migrate_nodes(self, moves: dict[int, int]) -> int:
-        """Move live nodes between shards via checkpoint → rebuild.
-
-        ``moves`` maps node id → destination shard. Each node is
-        checkpointed in place (:meth:`NodeInstance.snapshot` — fully
-        engine-portable, so an object node may land in a vector host's
-        fallback slot and vice versa), removed from its source shard and
-        rebuilt on the destination, mid-run state intact. The parent's
-        budget-dedup cache survives the move: the restored policy still
-        holds the delivered budget, so skipping an unchanged re-send
-        stays exact. No-op moves (already on the destination) are
-        skipped. Returns the number of nodes actually migrated.
-
-        The lockstep contract makes this invisible to results — golden
-        parity holds for *any* placement — so migration is purely a
-        wall-clock lever.
-        """
-        real: dict[int, int] = {}
-        for node_id, dst in moves.items():
-            src = self._shard_of.get(node_id)
-            if src is None:
-                raise ConfigurationError(f"unknown node {node_id}")
-            if not 0 <= dst < self.shards:
-                raise ConfigurationError(
-                    f"destination shard must be in [0, {self.shards}), "
-                    f"got {dst} for node {node_id}")
-            if dst != src:
-                real[node_id] = dst
-        if not real:
-            return 0
-        snapshots = self.checkpoint(list(real))
-        saved_budgets = {nid: self._budget_sent[nid]
-                        for nid in real if nid in self._budget_sent}
-        self.remove_nodes(list(real))
-        per_dst: dict[int, list] = {}
-        for node_id, dst in real.items():
-            per_dst.setdefault(dst, []).append((node_id, snapshots[node_id]))
-        for dst in sorted(per_dst):
-            self.add_nodes(per_dst[dst], shard=dst)
-        self._budget_sent.update(saved_budgets)
-        self.migrations += len(real)
-        obs.metrics().counter("shard.migrations_total").inc(len(real))
-        obs.tracer().instant(
-            "shard.migrate", nodes=len(real),
-            moves={str(nid): dst for nid, dst in sorted(real.items())})
-        return len(real)
 
     def local_nodes(self) -> dict[int, Any]:
         """The live nodes — serial mode only (with workers the nodes
@@ -552,9 +506,7 @@ class ShardedLockstep:
     def step(self, requests: Sequence[StepRequest]) -> list[StepResult]:
         """Advance every requested node one epoch; results come back in
         request order. With workers, all shards advance concurrently —
-        this is the parallel section. When a :attr:`balancer` is
-        installed it observes the measured per-shard wall times after
-        the step and may migrate nodes before the next epoch."""
+        this is the parallel section."""
         per_shard: dict[int, list[StepRequest]] = {}
         for req in requests:
             per_shard.setdefault(self._shard_of[req.node_id], []).append(req)
@@ -578,12 +530,6 @@ class ShardedLockstep:
                     node_id=req.node_id, now=now, energy=energy,
                     cumulative=cumulative,
                     rates=dict(zip(req.windows, rate_values)))
-        if self.balancer is not None and self.shard_times:
-            plan = self.balancer.observe(self.shard_times,
-                                         self.shard_nodes())
-            if plan is not None and plan.moves:
-                self.migrate_nodes(
-                    {move.node_id: move.dst for move in plan.moves})
         return [by_node[req.node_id] for req in requests]
 
     def _step2_payload(
@@ -634,7 +580,7 @@ class ShardedLockstep:
 
     def checkpoint(self, node_ids: Sequence[int]) -> dict[int, dict]:
         """Mid-run checkpoints (see :meth:`NodeInstance.snapshot`) for
-        the given nodes — e.g. to migrate them between shard layouts."""
+        the given nodes — e.g. to resume them on another shard layout."""
         node_ids = list(node_ids)
         return dict(zip(node_ids, self._gather("checkpoint", node_ids)))
 
@@ -698,69 +644,99 @@ class ShardedLockstep:
 
     # -- internals ---------------------------------------------------------
 
-    def _worker_exitcode(self, shard: int) -> int | None:
-        """Best-effort exit code of a shard worker (reaps it first)."""
-        try:
+    def _worker_error(self, shard: int, cmd: str,
+                      cause: BaseException) -> ShardWorkerError:
+        """The typed error for a shard whose pipe broke during ``cmd``,
+        with the worker's exit code when it has one (reaped first)."""
+        exitcode = None
+        if shard < len(self._workers):
             proc = self._workers[shard]
-        except IndexError:  # pragma: no cover - defensive
-            return None
-        proc.join(timeout=1.0)
-        return proc.exitcode
+            proc.join(timeout=1.0)
+            exitcode = proc.exitcode
+        error = ShardWorkerError(shard, cmd, exitcode)
+        error.__cause__ = cause
+        return error
 
     def _dispatch(self, cmd: str, per_shard: dict[int, list]) -> dict[int, Any]:
-        """Run ``cmd`` on every involved shard and collect the replies.
+        """Run ``cmd`` on every involved shard and return the replies;
+        when any shard failed, raise the error of the lowest-numbered
+        one instead (see :meth:`_exchange`)."""
+        replies, failures = self._exchange(cmd, per_shard)
+        if failures:
+            raise failures[min(failures)]
+        return replies
+
+    def _exchange(self, cmd: str, per_shard: dict[int, list],
+                  ) -> tuple[dict[int, Any], dict[int, Exception]]:
+        """Run ``cmd`` on every involved shard: the replies of the
+        shards that answered, and the error of each shard that failed.
 
         This is the one place that tells the in-process shard 0 of a
         ``shards=1`` lockstep from worker pipes. Shard 0 is served by
         :func:`_serve` directly: nothing crosses a process, so nothing
         is pickled, timed or traced, and a host error keeps its own
         type. Over pipes, sends complete before any receive, so all
-        shards compute concurrently. Replies are collected as they
-        arrive (via :func:`multiprocessing.connection.wait`, so a dead
-        worker surfaces as a typed :class:`ShardWorkerError` instead of
-        a hang), and each shard's send-to-reply wall time is measured —
-        for ``step2`` these land in :attr:`shard_times` as the
-        balancer's signal. Worker-side exceptions ship back as formatted
-        tracebacks and re-raise here as :class:`SimulationError`. While
-        :mod:`repro.obs` tracing is enabled, each direction's pickled
-        size feeds the ``shard.pickle_bytes`` counter, one
-        ``shard.payload`` instant per shard and the span's attributes
-        — observation only, the bytes on the pipe are untouched.
+        shards compute concurrently; a send that fails ends the scatter
+        (later shards are not sent the command). Every shard that was
+        sent the command is then heard out — its reply, or its EOF —
+        as replies arrive (via :func:`multiprocessing.connection.wait`),
+        so no answer is left in a pipe for the next command to read.
+        A dead worker is a typed :class:`ShardWorkerError`; a
+        worker-side exception ships back as a formatted traceback and
+        becomes a :class:`SimulationError`. When every shard answered,
+        each shard's send-to-reply wall time of a ``step2`` lands in
+        :attr:`shard_times`, and while :mod:`repro.obs` tracing is
+        enabled each direction's pickled size feeds the
+        ``shard.pickle_bytes`` counter, one ``shard.payload`` instant
+        per shard and the span's attributes — observation only, the
+        bytes on the pipe are untouched.
         """
         if self._closed:
             raise SimulationError("ShardedLockstep is closed")
+        replies: dict[int, Any] = {}
+        failures: dict[int, Exception] = {}
         if self._host is not None:
-            return {shard: _serve(self._host, cmd, payload)
-                    for shard, payload in per_shard.items()}
+            for shard, payload in per_shard.items():
+                try:
+                    replies[shard] = _serve(self._host, cmd, payload)
+                except Exception as exc:
+                    failures[shard] = exc
+            return replies, failures
         tracer = obs.tracer()
         sizes_down: dict[int, int] = {}
         with tracer.span("shard.dispatch", cmd=cmd,
                          shards=len(per_shard)) as span:
+            pending: dict[Any, int] = {}  # pipe → shard, for sent shards
             for shard, payload in per_shard.items():
-                if tracer.enabled:
-                    sizes_down[shard] = len(pickle.dumps((cmd, payload)))
                 try:
+                    if tracer.enabled:
+                        sizes_down[shard] = len(pickle.dumps((cmd, payload)))
                     self._pipes[shard].send((cmd, payload))
-                except (BrokenPipeError, OSError) as exc:
-                    raise ShardWorkerError(
-                        shard, cmd, self._worker_exitcode(shard)) from exc
+                except OSError as exc:  # BrokenPipeError included
+                    failures[shard] = self._worker_error(shard, cmd, exc)
+                    break
+                except Exception as exc:  # e.g. an unpicklable payload
+                    failures[shard] = exc
+                    break
+                pending[self._pipes[shard]] = shard
             start = hostclock.perf_s()
-            replies: dict[int, Any] = {}
             arrivals: dict[int, float] = {}
-            pending = {self._pipes[shard]: shard for shard in per_shard}
             while pending:
                 for conn in _conn_wait(list(pending)):
                     shard = pending.pop(conn)
                     try:
                         status, value = conn.recv()
                     except (EOFError, OSError) as exc:
-                        raise ShardWorkerError(
-                            shard, cmd, self._worker_exitcode(shard)) from exc
+                        failures[shard] = self._worker_error(shard, cmd, exc)
+                        continue
                     arrivals[shard] = hostclock.perf_s() - start
-                    if status != "ok":
-                        raise SimulationError(
+                    if status == "ok":
+                        replies[shard] = value
+                    else:
+                        failures[shard] = SimulationError(
                             f"shard {shard} failed on {cmd!r}:\n{value}")
-                    replies[shard] = value
+            if failures:
+                return replies, failures
             if cmd == "step2":
                 self._record_step_times(arrivals)
             if tracer.enabled:
@@ -778,11 +754,11 @@ class ShardedLockstep:
                                  direction="down").inc(total_down)
                 registry.counter("shard.pickle_bytes",
                                  direction="up").inc(total_up)
-        return replies
+        return replies, failures
 
     def _record_step_times(self, arrivals: dict[int, float]) -> None:
-        """Publish one epoch step's per-shard wall times (placement
-        telemetry: the balancer's input and the obs imbalance gauge)."""
+        """Publish one epoch step's per-shard wall times (describe-only:
+        the obs epoch-wall histogram and imbalance gauge)."""
         self.shard_times = dict(sorted(arrivals.items()))
         registry = obs.metrics()
         for shard, seconds in self.shard_times.items():

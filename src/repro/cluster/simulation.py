@@ -29,7 +29,6 @@ import copy
 import numpy as np
 
 from repro import obs
-from repro.cluster.elastic import balancer_for
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.sharding import ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -80,10 +79,12 @@ class ClusterSimulation:
         batches, see :mod:`repro.vector`). Results are bit-identical;
         the vector engine is simply faster at scale.
     balance:
-        With ``shards >= 2``, install a
-        :class:`~repro.cluster.elastic.ShardBalancer` that migrates
-        nodes off slow shards between epochs. Pure wall-clock lever;
-        results stay bit-identical (see :mod:`repro.cluster.elastic`).
+        Must be false. The shard balancer that ``True`` once installed
+        was removed: it moved nodes between shards on host wall time,
+        which never changed a result and measured no faster. The
+        keyword stays so callers passing ``balance=False`` keep
+        working; a true value raises :class:`ConfigurationError`.
+        Node placement is round-robin in node order.
     """
 
     def __init__(self, n_nodes: int, app_name: str, policy, *,
@@ -92,6 +93,8 @@ class ClusterSimulation:
                  variability: tuple[float, float] | None = (0.05, 0.08),
                  seed: int = 0, shards: int = 1,
                  engine: str = "object", balance: bool = False) -> None:
+        if balance:
+            raise ConfigurationError("the shard balancer was removed")
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         base_cfg = cfg if cfg is not None else skylake_config()
@@ -111,20 +114,17 @@ class ClusterSimulation:
                 controller=BUDGET,
                 name=f"node{i}",
             )))
-        self._init_loop(policy, shards, engine, balance)
+        self._init_loop(policy, shards, engine)
         self._node_ids = list(range(n_nodes))
         self._lockstep.add_nodes(specs)
 
-    def _init_loop(self, policy, shards: int, engine: str,
-                   balance: bool) -> None:
+    def _init_loop(self, policy, shards: int, engine: str) -> None:
         """The node-free state of a fresh simulation: the lockstep
         substrate, a zero clock and empty series (shared by
         ``__init__`` and :meth:`resume`)."""
         self.policy = policy
         self._node_ids: list[int] = []
-        self._lockstep = ShardedLockstep(
-            shards=shards, engine=engine,
-            balancer=balancer_for(balance, shards))
+        self._lockstep = ShardedLockstep(shards=shards, engine=engine)
         self._now = 0.0
         self._epochs = 0  #: completed epochs (RunCheckpoint file index)
         # Rates the next allocation will use, keyed by window; empty
@@ -253,11 +253,6 @@ class ClusterSimulation:
         continue the count)."""
         return self._epochs
 
-    @property
-    def migrations(self) -> int:
-        """Nodes migrated between shards by the balancer so far."""
-        return self._lockstep.migrations
-
     def snapshot(self) -> dict:
         """Picklable mid-run state: the clock, the allocation caches,
         the published series, the policy, and — through the lockstep —
@@ -319,8 +314,8 @@ class ClusterSimulation:
 
     @classmethod
     def resume(cls, source, *, epoch: int | None = None, policy=None,
-               shards: int = 1, engine: str = "object",
-               balance: bool = False) -> "ClusterSimulation":
+               shards: int = 1,
+               engine: str = "object") -> "ClusterSimulation":
         """Rebuild a simulation from a recorded :meth:`run_checkpoint`.
 
         ``source`` is anything :func:`~repro.runtime.runfile
@@ -328,17 +323,17 @@ class ClusterSimulation:
         checkpoint file, or a :class:`~repro.runtime.runfile
         .CheckpointStore` (or its directory), where ``epoch=None``
         picks the latest checkpoint and ``epoch=N`` the newest at or
-        before N (time travel). ``shards``/``engine``/``balance``
-        choose the execution substrate for the continuation —
-        independent of what the recorded run used, and invisible to
-        results. ``policy`` (when given) replaces the checkpointed
-        policy: replay the identical node state under a different
-        schedule. Continue with ``run(until=...)`` (sharing the
-        original end time) for bit-identical series.
+        before N (time travel). ``shards``/``engine`` choose the
+        execution substrate for the continuation — independent of what
+        the recorded run used, and invisible to results. ``policy``
+        (when given) replaces the checkpointed policy: replay the
+        identical node state under a different schedule. Continue with
+        ``run(until=...)`` (sharing the original end time) for
+        bit-identical series.
         """
         checkpoint = resolve_checkpoint(source, kind="cluster", epoch=epoch)
         sim = cls.__new__(cls)
-        sim._init_loop(policy, shards, engine, balance)
+        sim._init_loop(policy, shards, engine)
         sim.restore(checkpoint.state)
         if policy is not None:
             sim.policy = policy

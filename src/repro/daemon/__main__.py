@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--engine", default="object",
                          choices=_ENGINES,
                          help="node-hosting engine inside each shard")
-    cluster.add_argument("--balance", action="store_true",
-                         help="rebalance nodes across shards from "
-                              "measured epoch wall times (placement "
-                              "only; results are invariant)")
     cluster.add_argument("--n-workers", type=int, default=4)
     cluster.add_argument("--min-cap", type=float, default=55.0)
     cluster.add_argument("--cap-step", type=float, default=5.0)
@@ -110,7 +106,7 @@ def daemon_from_args(args) -> Daemon:
             n_slots=args.n_slots, power_budget=args.power_budget,
             policy=args.policy, epoch=args.epoch, seed=args.seed,
             shards=args.shards, engine=args.engine,
-            balance=args.balance, n_workers=args.n_workers,
+            n_workers=args.n_workers,
             min_cap=args.min_cap, cap_step=args.cap_step),
         queue_capacity=args.queue_capacity,
         checkpoint_interval=args.checkpoint_interval,

@@ -36,14 +36,13 @@ FAMILY = "determinism"
 #: The audited host-clock modules — the only places allowed to read
 #: host clocks. There is one, :mod:`repro.obs.hostclock`; its docstring
 #: sets out the two tiers of readings it serves: describe-only
-#: (traces, manifests) and wall-clock steering (daemon pacing, shard
-#: placement), which may decide when an epoch runs or where a node
-#: runs but never a simulated quantity, seed, or simulated control
-#: decision. Confining the reads to one reviewed module keeps the clock
-#: rules protecting everything else without blanket per-line
-#: suppressions. Matched by path suffix so the rules work from any
-#: checkout root. Clock reads only: entropy, environment and RNG rules
-#: still apply inside it.
+#: (traces, metrics, manifests) and wall-clock steering (daemon pacing
+#: alone), which may decide when an epoch runs but never a simulated
+#: quantity, seed, or simulated control decision. Confining the reads
+#: to one reviewed module keeps the clock rules protecting everything
+#: else without blanket per-line suppressions. Matched by path suffix
+#: so the rules work from any checkout root. Clock reads only: entropy,
+#: environment and RNG rules still apply inside it.
 AUDITED_CLOCK_MODULES: tuple[str, ...] = ("repro/obs/hostclock.py",)
 
 

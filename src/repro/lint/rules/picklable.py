@@ -12,8 +12,7 @@ whose name ends in ``Spec``, ``Request``, ``Reply``, ``Result``,
 ``Checkpoint``, ``Telemetry``, ``Message``, ``Payload``, ``Plan`` or
 ``Migration`` is wire format (the repo's existing wire types —
 ``StackSpec``, ``StepRequest``, ``StepResult``, ``NodeTelemetry``,
-``NodeCheckpoint``, ``Message``, the elastic layer's
-``RunCheckpoint``/``MigrationPlan``/``NodeMigration``, and the daemon
+``NodeCheckpoint``, ``Message``, ``RunCheckpoint``, and the daemon
 protocol's ``*Request``/``*Reply``/``*Telemetry`` dataclasses — all
 follow it). Declared fields of such classes must stay picklable by
 construction.

@@ -26,7 +26,8 @@ bit-identical to untraced runs (pinned by ``tests/obs``), because
 observability only ever *describes* execution. Its host-clock reads are
 confined to the single audited module :mod:`repro.obs.hostclock`, which
 the determinism lint recognizes explicitly and which also serves the
-daemon's pacing and the shard balancer's step timer.
+daemon's pacing (the one reading that steers anything: when an epoch
+runs).
 
 Usage::
 

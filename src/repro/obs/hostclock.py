@@ -11,16 +11,18 @@ rules recognize by path as the single audited allowance (see
 Readings come in two tiers:
 
 * **describe-only** — trace timestamps, span durations, manifest
-  wall-time (:func:`perf_ns`, :func:`wall_s`). A trace of *where wall
-  time goes* is by definition a host-clock measurement; these readings
-  never reach anything but the trace or manifest they describe;
+  wall-time (:func:`perf_ns`, :func:`wall_s`) and the sharded
+  lockstep's per-shard epoch wall times (:func:`perf_s`, read into
+  ``ShardedLockstep.shard_times`` for the obs imbalance metrics). A
+  trace of *where wall time goes* is by definition a host-clock
+  measurement; these readings never reach anything but the trace,
+  metric or manifest they describe;
 * **wall-clock steering** — the daemon's epoch pacing and client
-  timeouts (:func:`monotonic_s`) and the shard balancer's step timer
-  (:func:`perf_s`). These may decide *when* an epoch runs or *which*
-  shard worker hosts a node. Both are provably invisible to simulated
-  results: a paced epoch computes what a manual ``tick`` computes, and
-  the lockstep parity contract (``tests/cluster/``, ``tests/vector/``)
-  gives bit-identical series for any node-to-shard assignment.
+  timeouts (:func:`monotonic_s`), the only readings that decide
+  anything: *when* an epoch runs. That is provably invisible to
+  simulated results: a paced epoch computes what a manual ``tick``
+  computes. Node placement reads no clock at all (it is round-robin
+  in insertion order).
 
 In both tiers no simulated value, seed, RNG stream, budget, cap or
 schedule may ever derive from a reading, and no other host state

@@ -16,8 +16,8 @@ epoch loop, and the epoch-stamped
 :class:`~repro.runtime.runfile.CheckpointStore` directory format, and
 the one checkpoint cadence rule (:func:`~repro.runtime.runfile
 .checkpoint_due`) the loops share.
-:mod:`repro.obs.hostclock` is the audited wall-clock the shard
-balancer times epochs with (placement-only; results invariant).
+:mod:`repro.obs.hostclock` is the audited wall-clock the daemon's
+pacing reads (it decides when an epoch runs; results invariant).
 """
 
 from repro.runtime.clock import SimClock

@@ -47,7 +47,6 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.cluster.elastic import balancer_for
 from repro.cluster.policies import ProgressAwareRebalancer
 from repro.cluster.sharding import _ENGINES, ShardedLockstep, StepRequest
 from repro.cluster.variability import perturb_config
@@ -130,11 +129,7 @@ class SchedulerConfig:
         Node engine the lockstep layer runs: ``"object"`` (default) or
         ``"vector"`` (numpy structure-of-arrays batches, see
         :mod:`repro.vector`). Reports are bit-identical either way.
-    balance:
-        With ``shards >= 2``, install a
-        :class:`~repro.cluster.elastic.ShardBalancer` that migrates
-        nodes off slow shards between epochs. Pure wall-clock lever;
-        reports stay bit-identical (see :mod:`repro.cluster.elastic`).
+        Nodes are placed on shards round-robin in start order.
     """
 
     n_slots: int
@@ -151,7 +146,6 @@ class SchedulerConfig:
     stall_epochs: int = 30
     shards: int = 1
     engine: str = "object"
-    balance: bool = False
 
     def __post_init__(self) -> None:
         if self.n_slots < 1:
@@ -256,9 +250,8 @@ class PowerAwareScheduler:
         self.epochs_done = 0  #: completed epochs (RunCheckpoint index)
         self._running: dict[str, _RunningJob] = {}
         self._started = 0  # submission-independent placement counter
-        self._lockstep = ShardedLockstep(
-            shards=config.shards, engine=config.engine,
-            balancer=balancer_for(config.balance, config.shards))
+        self._lockstep = ShardedLockstep(shards=config.shards,
+                                         engine=config.engine)
         # Service hooks (repro.daemon): called synchronously, in
         # registration order, from inside the epoch loop. Listeners must
         # only *observe* — mutating the scheduler from one is undefined.

@@ -183,8 +183,9 @@ class VectorEngine(_ObjectHost):
         return [node_id for node_id, node in self._nodes.items()
                 if not isinstance(node, VectorNodeView)]
 
-    def build(self, items: Sequence[tuple[int, object]]) -> None:
-        """Adopt ``(node_id, StackSpec | checkpoint)`` pairs.
+    def _adopt(self, items: list[tuple[int, object]]) -> None:
+        """Adopt admitted ``(node_id, StackSpec | checkpoint)`` pairs
+        (the body of the inherited all-or-nothing :meth:`build`).
 
         Eligible specs and importable checkpoints join the host's
         :class:`VectorGroup` of their profile key (this is the only
@@ -193,7 +194,7 @@ class VectorEngine(_ObjectHost):
         NodeInstance and takes no row.
         """
         staged: dict[tuple, list[tuple[int, StackSpec, object]]] = {}
-        for node_id, item in self._admit(items):
+        for node_id, item in items:
             spec = item if isinstance(item, StackSpec) \
                 else checkpoint_spec(item)
             if spec is not None and supports_fast_path(spec) is None:

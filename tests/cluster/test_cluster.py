@@ -180,3 +180,13 @@ class TestClusterSimulation:
             sim.run(0.0)
         with pytest.raises(ConfigurationError):
             sim.steady_critical_path()
+
+    def test_balance_keyword_accepts_only_false(self):
+        """The shard balancer is gone; ``balance=False`` still
+        constructs (callers pass it), a true value is refused."""
+        sim = ClusterSimulation(1, "lammps", UniformPowerPolicy(100.0),
+                                app_kwargs=APP_KW, balance=False)
+        sim.close()
+        with pytest.raises(ConfigurationError, match="balancer was removed"):
+            ClusterSimulation(1, "lammps", UniformPowerPolicy(100.0),
+                              app_kwargs=APP_KW, shards=2, balance=True)

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -29,7 +30,12 @@ from repro.cluster import (
     UniformPowerPolicy,
     step_node,
 )
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    ShardWorkerError,
+    SimulationError,
+)
 from repro.stack import BUDGET, StackSpec
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_cluster.json"
@@ -222,6 +228,166 @@ class TestShardedLockstep:
             tel.progress.append(99.0, 1.0)
             assert ls.telemetry([0])[0].progress.times[-1] != 99.0
 
+    def test_shard_times_measured_per_step(self):
+        with ShardedLockstep(shards=2) as ls:
+            ls.add_nodes([(0, _spec(0)), (1, _spec(1, seed=1))])
+            assert ls.shard_times == {}
+            ls.step([StepRequest(node_id=0, target=1.0),
+                     StepRequest(node_id=1, target=1.0)])
+            assert sorted(ls.shard_times) == [0, 1]
+            assert all(t >= 0.0 for t in ls.shard_times.values())
+
+
+# ----------------------------------------------------------------------
+# Worker death → typed error, not a hang
+# ----------------------------------------------------------------------
+
+
+def _kill_worker(ls, shard):
+    victim = ls._workers[shard]
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while victim.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestShardWorkerError:
+    def test_killed_worker_raises_typed_error(self):
+        ls = ShardedLockstep(shards=2)
+        try:
+            ls.add_nodes([(0, _spec(0)), (1, _spec(1, seed=1))])
+            _kill_worker(ls, 0)
+            with pytest.raises(ShardWorkerError) as err:
+                for _ in range(3):  # buffered sends may succeed once
+                    ls.step([StepRequest(node_id=0, target=1.0),
+                             StepRequest(node_id=1, target=1.0)])
+            assert err.value.shard == 0
+            assert "checkpoint" in str(err.value)
+        finally:
+            ls.close()  # must not hang on the dead worker
+
+    def test_close_after_partial_construction(self):
+        with pytest.raises(ConfigurationError):
+            ShardedLockstep(shards=2, engine="warp")
+        # surviving the constructor raising is the test: __del__ runs
+        # close() on the partially built instance without AttributeError
+
+
+# ----------------------------------------------------------------------
+# A failed command leaves every pipe empty
+# ----------------------------------------------------------------------
+
+
+def _capped(node_id, budget=90.0, target=1.0):
+    return StepRequest(node_id=node_id, target=target, budget=budget,
+                       set_budget=True)
+
+
+def _after_stepping(node_ids, engine):
+    """Rates and telemetry of a four-node, two-shard lockstep in which
+    only ``node_ids`` stepped one capped epoch: what a lockstep whose
+    step failed on the other nodes must report."""
+    with ShardedLockstep(shards=2, engine=engine) as ref:
+        ref.add_nodes([(i, _spec(i, seed=i)) for i in range(4)])
+        ref.step([_capped(i) for i in node_ids])
+        return (ref.rates([(i, 1.0) for i in range(4)]),
+                _telemetry_surface(ref.telemetry(node_ids)))
+
+
+def _telemetry_surface(telemetry):
+    return {node_id: (tel.node_id, tel.now, tel.pkg_energy, tel.frequency,
+                      list(tel.progress.times), list(tel.progress.values))
+            for node_id, tel in telemetry.items()}
+
+
+class TestFailedCommandDrainsEveryShard:
+    """When one shard fails a command, the replies of the others are
+    read before the error is raised, so the next command gets its own
+    answers and close() finds clean pipes."""
+
+    @pytest.mark.parametrize("engine", ["object", "vector"])
+    def test_error_reply_leaves_no_stale_reply(self, engine, capfd):
+        want_rates, want_tel = _after_stepping([1, 3], engine)
+        ls = ShardedLockstep(shards=2, engine=engine)
+        try:
+            ls.add_nodes([(i, _spec(i, seed=i)) for i in range(4)])
+            # node 0 (shard 0) refuses its budget; shard 1 steps 1 and 3
+            with pytest.raises(SimulationError, match="finite"):
+                ls.step([_capped(0, math.inf), _capped(1), _capped(2),
+                         _capped(3)])
+            assert ls.rates([(i, 1.0) for i in range(4)]) == want_rates
+            assert _telemetry_surface(ls.telemetry([1, 3])) == want_tel
+        finally:
+            ls.close()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_dead_worker_leaves_no_stale_reply(self, capfd):
+        want_rates, want_tel = _after_stepping([1, 3], "object")
+        ls = ShardedLockstep(shards=2)
+        try:
+            ls.add_nodes([(i, _spec(i, seed=i)) for i in range(4)])
+            _kill_worker(ls, 0)
+            # shard 1's nodes first, so it is sent the step and working
+            # when shard 0's pipe turns out dead
+            with pytest.raises(ShardWorkerError) as err:
+                ls.step([_capped(1), _capped(3), _capped(0), _capped(2)])
+            assert err.value.shard == 0
+            assert ls.rates([(1, 1.0), (3, 1.0)]) == \
+                [want_rates[1], want_rates[3]]
+            assert _telemetry_surface(ls.telemetry([1, 3])) == want_tel
+        finally:
+            ls.close()
+        assert "Traceback" not in capfd.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# A refused add_nodes batch leaves the lockstep as it was
+# ----------------------------------------------------------------------
+
+
+def _hacc_spec(node_id):
+    """A spec no vector group takes: the object fallback of a vector
+    host, built before the host reaches the batch's checkpoint."""
+    return StackSpec(app_name="hacc", app_kwargs=dict(APP_KW), seed=node_id,
+                     controller=BUDGET, name=f"node{node_id}")
+
+
+@pytest.mark.parametrize("refused", ["foreign", "corrupt"])
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("engine", ["object", "vector"])
+def test_refused_batch_leaves_lockstep_as_it_was(engine, shards, refused):
+    """A batch with one refused checkpoint registers no id and leaves no
+    node on any host: "foreign" is node 0's checkpoint added as node 2
+    (refused before any build), "corrupt" a node-2 checkpoint of an
+    unknown version (refused by the build itself, after the host built
+    the batch's earlier node). Either way the survivors step on and the
+    good items can be added again, stepping bit-equal to fresh nodes."""
+    good = [(1, _hacc_spec(1)), (3, _spec(3, seed=3))]
+    with ShardedLockstep(shards=1) as ref:
+        ref.add_nodes(good)
+        want = [_surface(res)
+                for res in ref.step([_capped(1, target=3.0),
+                                     _capped(3, target=3.0)])]
+
+    with ShardedLockstep(shards=shards, engine=engine) as ls:
+        ls.add_nodes([(0, _spec(0))])
+        ls.step([_capped(0)])
+        snap = ls.checkpoint([0])[0]
+        bad = snap if refused == "foreign" else dict(snap, node_id=2,
+                                                     version=99)
+        with pytest.raises((CheckpointError, SimulationError)):
+            ls.add_nodes([*good, (2, bad)])
+        assert ls.n_nodes == 1
+        [res] = ls.step([_capped(0, target=2.0)])
+        assert res.now == pytest.approx(2.0)
+
+        ls.add_nodes(good)
+        assert ls.n_nodes == 3
+        got = ls.step([_capped(1, target=3.0), _capped(3, target=3.0),
+                       _capped(0, target=3.0)])
+        assert [_surface(res) for res in got[:2]] == want
+        assert got[2].now == pytest.approx(3.0)
+
 
 _KEEP = object()  #: no budget update for this node this epoch
 
@@ -413,3 +579,20 @@ def test_workers_exit_when_their_parent_is_killed():
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
         parent.stdout.close()
+
+
+def test_unpicklable_item_is_taken_back_from_every_shard():
+    """An item that cannot cross a pipe fails its shard's send after
+    the shard before it was sent its share: that shard's reply is read,
+    its build removed again, and no id registered."""
+    bad = StackSpec(app_name="lammps",
+                    app_kwargs={**APP_KW, "hook": lambda: None}, seed=1,
+                    controller=BUDGET, name="node1")
+    with ShardedLockstep(shards=2) as ls:
+        with pytest.raises((pickle.PicklingError, AttributeError,
+                            TypeError)):
+            ls.add_nodes([(0, _spec(0)), (1, bad)])
+        assert ls.n_nodes == 0
+        ls.add_nodes([(0, _spec(0))])
+        [res] = ls.step([_capped(0)])
+        assert res.now == pytest.approx(1.0)

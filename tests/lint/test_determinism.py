@@ -268,9 +268,9 @@ class TestObsClockModule:
 
     @pytest.mark.parametrize("package", ["daemon", "runtime"])
     def test_former_clock_packages_get_no_pass(self, package):
-        # The daemon's pacing and the shard balancer's step timer once
-        # read the host clock through audited modules of their own in
-        # these packages; they now read repro.obs.hostclock, so every
+        # The daemon's pacing and the lockstep's shard timer once read
+        # the host clock through audited modules of their own in these
+        # packages; they now read repro.obs.hostclock, so every
         # path in the packages — a clock module included — is linted
         # like any other code.
         package_dir = SRC / package
