@@ -20,7 +20,9 @@ Layering — each module owns one concern:
   wire format: ``*Request`` / ``*Reply`` / ``*Telemetry`` dataclasses
   and their codec;
 * :mod:`repro.daemon.service` — the single-owner :class:`Daemon`
-  core: admission (bounded, FIFO per priority), the deterministic tick
+  core: admission straight into the scheduler queue (bounded, FIFO
+  per priority; the scheduler's records are the daemon's only job
+  table), the deterministic tick
   loop, telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM
   drops, slow-joiner loss, modelled latency — the paper's ZeroMQ
   transport semantics), and periodic checkpoints;

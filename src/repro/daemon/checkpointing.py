@@ -4,15 +4,16 @@ A long-running service must survive its host: the daemon periodically
 (every ``checkpoint_interval`` epochs, and on clean shutdown) writes a
 :class:`~repro.runtime.runfile.RunCheckpoint` of kind ``"daemon"``
 into its epoch-stamped ``checkpoint_dir`` store —
-its config, admission bookkeeping, the power book's measured profiles,
-and a full mid-run
+its config, epoch and tick counters, the power book's measured
+profiles, and a full mid-run
 :meth:`~repro.scheduler.scheduler.PowerAwareScheduler.snapshot`
-(which itself carries a :class:`~repro.stack.checkpoint.NodeCheckpoint`
-for every running node). :func:`resume_daemon` rebuilds the whole
-service from the store and continues *bit-for-bit*: same placements,
-same caps, same telemetry values. The store keeps every epoch, which
-also enables time travel — resume from epoch N rather than the latest
-file (``--resume-epoch``).
+(which carries the job queue, every job record, and a
+:class:`~repro.stack.checkpoint.NodeCheckpoint` for every running
+node; the scheduler is the daemon's only job table).
+:func:`resume_daemon` rebuilds the whole service from the store and
+continues *bit-for-bit*: same placements, same caps, same telemetry
+values. The store keeps every epoch, which also enables time travel —
+resume from epoch N rather than the latest file (``--resume-epoch``).
 
 The envelope is the repo-wide one (:mod:`repro.runtime.runfile`), so
 the same tooling reads cluster, scheduler, and daemon checkpoints, and
@@ -54,32 +55,16 @@ __all__ = ["DAEMON_STATE_VERSION", "build_run_checkpoint",
 
 #: Schema version of the daemon's ``state`` payload inside the
 #: :class:`RunCheckpoint` envelope; bump on layout change.
-DAEMON_STATE_VERSION = 2
+DAEMON_STATE_VERSION = 3
 
 
 def build_run_checkpoint(daemon: "Daemon") -> RunCheckpoint:
-    """The daemon's full mid-run state as a ``"daemon"`` checkpoint.
-
-    ``state["meta"]`` holds one entry per submission the daemon ever
-    accepted: ``{"seq", "priority", "request": RunRequest, "buffered",
-    "killed"}`` — submissions still buffered at checkpoint time are
-    re-admitted on the resumed daemon's first tick.
-    """
-    meta = [{
-        "seq": m.seq,
-        "priority": m.priority,
-        "request": m.request,
-        "buffered": m.buffered,
-        "killed": m.killed,
-    } for m in sorted(daemon._meta.values(), key=lambda m: m.seq)]
+    """The daemon's full mid-run state as a ``"daemon"`` checkpoint."""
     state = {
         "version": DAEMON_STATE_VERSION,
         "protocol": proto.PROTOCOL_VERSION,
         "epochs": daemon.epochs,
         "ticks": daemon.ticks,
-        "seq": daemon._seq,
-        "meta": meta,
-        "progress": dict(daemon._progress),
         "book_profiles": dict(daemon.book._profiles),
         "book_n_workers": daemon.book.n_workers,
         "book_seed": daemon.book.seed,
@@ -109,10 +94,10 @@ def resume_daemon(source: object, cfg: NodeConfig | None = None, *,
 
     The resumed daemon continues exactly where the checkpointed one
     stopped: running nodes are reinstalled from their node checkpoints,
-    queued and still-buffered jobs keep their admission order, and the
-    power book keeps its measured profiles (no re-characterization).
+    queued jobs keep their queue order, and the power book keeps its
+    measured profiles (no re-characterization).
     """
-    from repro.daemon.service import Daemon, _Admitted
+    from repro.daemon.service import Daemon
 
     checkpoint = resolve_checkpoint(source, kind="daemon", epoch=epoch)
     state = checkpoint.state
@@ -130,14 +115,4 @@ def resume_daemon(source: object, cfg: NodeConfig | None = None, *,
     daemon.clock.advance_to(daemon.scheduler.now)
     daemon.epochs = state["epochs"]
     daemon.ticks = state["ticks"]
-    daemon._seq = state["seq"]
-    daemon._progress.update(state["progress"])
-    for entry in state["meta"]:
-        meta = _Admitted(entry["seq"], entry["priority"],
-                         entry["request"])
-        meta.buffered = entry["buffered"]
-        meta.killed = entry["killed"]
-        daemon._meta[entry["request"].job_id] = meta
-        if meta.buffered:
-            daemon._buffer.append(meta)
     return daemon

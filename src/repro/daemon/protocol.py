@@ -85,9 +85,10 @@ MAX_LINE_BYTES = 1 << 20
 class RunRequest:
     """Submit one job (the ``upctl run`` equivalent).
 
-    ``priority`` orders admission: higher priorities drain first, ties
-    drain in arrival order (FIFO per priority). ``work_units`` is the
-    per-node progress target, exactly as in
+    ``priority`` becomes :attr:`~repro.scheduler.job.Job.priority`:
+    among the jobs admitted between two ticks, higher priorities queue
+    first, ties in arrival order (FIFO per priority). ``work_units`` is
+    the per-node progress target, exactly as in
     :class:`~repro.scheduler.job.Job`.
     """
 

@@ -1,8 +1,8 @@
 """The daemon core: one shared cluster behind a request interface.
 
 :class:`Daemon` is the transport-free heart of the service. It owns a
-:class:`~repro.scheduler.scheduler.PowerAwareScheduler`, a bounded
-admission buffer in front of it, and a
+:class:`~repro.scheduler.scheduler.PowerAwareScheduler`, whose queue
+and job records are the daemon's only job table, and a
 :class:`~repro.telemetry.pubsub.MessageBus` that progress telemetry
 fans out over. It has exactly one owner and is not thread-safe: the
 socket layer's single loop (:mod:`repro.daemon.server`) or a test
@@ -10,9 +10,9 @@ calls it, never several threads at once. Both drive it the same way:
 
 * :meth:`handle` — serve one protocol request, return exactly one
   reply.
-* :meth:`tick` — drain the admission buffer into the scheduler and
-  advance up to ``max_epochs`` simulated epochs. *Only* tick moves
-  simulated time; requests between ticks see a frozen simulation.
+* :meth:`tick` — advance up to ``max_epochs`` simulated epochs.
+  *Only* tick moves simulated time; requests between ticks see a
+  frozen simulation.
 * :meth:`drain_watch` — collect the telemetry frames owed to one
   ``watch`` subscription (bus messages whose modelled delivery time
   has arrived, plus the reliable lifecycle-event side channel).
@@ -25,11 +25,16 @@ command log reproduces the identical event trace and telemetry stream,
 bit for bit (the e2e suite holds a daemon run to byte-equality with
 the equivalent batch :meth:`PowerAwareScheduler.run`).
 
-Admission is FIFO per priority: the buffer drains in
-``(-priority, seq)`` order, where ``seq`` is assigned at admission in
-the order the owner serves requests (over a socket: the server loop's
-service order), so equal-priority jobs enter the scheduler queue
-exactly in arrival order.
+Admission is FIFO per priority: a ``run`` submits the job to the
+scheduler at once, stamped with the current simulated time and the
+request's priority, and the scheduler queue orders by
+``(submit_time, -priority, seq)``. ``seq`` is the job's position in
+:attr:`PowerAwareScheduler.records`, i.e. the order the owner serves
+requests (over a socket: the server loop's service order). Only a tick
+moves the clock, and every tick that leaves a job queued runs at least
+one epoch, so the jobs sharing a submit time are exactly those admitted
+between two ticks: each such group queues highest priority first, in
+arrival order within a priority.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ class DaemonConfig:
     scheduler:
         The shared cluster's :class:`SchedulerConfig`.
     queue_capacity:
-        Jobs that may wait (admission buffer + scheduler queue) before
-        new submissions are rejected with a ``queue-full`` error.
+        Jobs that may wait in the scheduler queue before new
+        submissions are rejected with a ``queue-full`` error.
     checkpoint_interval:
         Simulated epochs between epoch-stamped
         :class:`~repro.runtime.runfile.RunCheckpoint` saves into
@@ -108,20 +113,6 @@ class DaemonConfig:
         if self.default_hwm < 1:
             raise ConfigurationError(
                 f"default_hwm must be >= 1, got {self.default_hwm}")
-
-
-class _Admitted:
-    """Daemon-side lifetime record of one submission."""
-
-    __slots__ = ("seq", "priority", "request", "buffered", "killed")
-
-    def __init__(self, seq: int, priority: int,
-                 request: proto.RunRequest) -> None:
-        self.seq = seq
-        self.priority = priority
-        self.request = request
-        self.buffered = True   #: still in the admission buffer
-        self.killed = False    #: killed *while* buffered (no record)
 
 
 class _Watcher:
@@ -172,11 +163,7 @@ class Daemon:
                               drop_prob=config.telemetry_drop,
                               seed=config.telemetry_seed)
         self._pub = self.bus.pub_socket()
-        self._buffer: list[_Admitted] = []
-        self._meta: dict[str, _Admitted] = {}
-        self._progress: dict[str, float] = {}
         self._watchers: dict[str, _Watcher] = {}
-        self._seq = 0
         self.epochs = 0          #: scheduler steps taken over the lifetime
         self.ticks = 0
         self._shutdown = False
@@ -226,18 +213,28 @@ class Daemon:
     def _handle_run(self, req: proto.RunRequest) -> object:
         if self._shutdown:
             return self._reject("bad-request", "daemon is shutting down")
-        if req.job_id in self._meta:
+        records = self.scheduler.records
+        if req.job_id in records:
             return self._reject(
                 "duplicate-job", f"job {req.job_id!r} was already "
                 "submitted to this daemon")
-        waiting = len(self._buffer) + len(self.scheduler.queue)
+        waiting = len(self.scheduler.queue)
         if waiting >= self.config.queue_capacity:
             return self._reject(
                 "queue-full",
                 f"{waiting} jobs already waiting "
                 f"(capacity {self.config.queue_capacity})")
         try:
-            job = self._job_from(req, submit_time=self.scheduler.now)
+            job = Job(
+                job_id=req.job_id,
+                app_name=req.app_name,
+                n_nodes=req.n_nodes,
+                work_units=req.work_units,
+                submit_time=self.scheduler.now,
+                max_slowdown=req.max_slowdown,
+                app_kwargs=dict(req.app_kwargs) if req.app_kwargs else None,
+                priority=req.priority,
+            )
         except (ConfigurationError, TypeError) as exc:
             return self._reject("bad-request", str(exc))
         try:
@@ -248,99 +245,60 @@ class Daemon:
                 f"cannot characterize {req.app_name!r}: {exc}")
         if not ok:
             return self._reject("inadmissible", reason)
-        entry = _Admitted(self._seq, req.priority, req)
-        self._seq += 1
-        self._buffer.append(entry)
-        self._meta[req.job_id] = entry
+        self.scheduler.submit(job)
+        seq = len(records) - 1
         metrics = obs.metrics()
         metrics.counter("daemon.admitted").inc()
-        metrics.gauge("daemon.queue_depth").set(len(self._buffer))
+        metrics.gauge("daemon.queue_depth").set(len(self.scheduler.queue))
         obs.tracer().instant("daemon.admit", job_id=req.job_id,
-                             seq=entry.seq, priority=req.priority)
-        return proto.RunReply(job_id=req.job_id, seq=entry.seq,
+                             seq=seq, priority=req.priority)
+        return proto.RunReply(job_id=req.job_id, seq=seq,
                               state=JobState.PENDING.value)
 
-    def _job_from(self, req: proto.RunRequest,
-                  submit_time: float) -> Job:
-        return Job(
-            job_id=req.job_id,
-            app_name=req.app_name,
-            n_nodes=req.n_nodes,
-            work_units=req.work_units,
-            submit_time=submit_time,
-            max_slowdown=req.max_slowdown,
-            app_kwargs=dict(req.app_kwargs) if req.app_kwargs else None,
-        )
-
     def _handle_status(self, req: proto.StatusRequest) -> object:
-        meta = self._meta.get(req.job_id)
-        if meta is None:
+        record = self.scheduler.records.get(req.job_id)
+        if record is None:
             return self._reject("unknown-job",
                                 f"unknown job {req.job_id!r}")
-        r = meta.request
-        if meta.buffered or meta.killed:
-            state = (JobState.KILLED if meta.killed
-                     else JobState.PENDING).value
-            return proto.StatusReply(
-                job_id=r.job_id, state=state, n_nodes=r.n_nodes,
-                work_units=r.work_units, progress=0.0, submit_time=None,
-                start_time=None, end_time=None, cap=None,
-                measured_slowdown=None)
-        record = self.scheduler.records[req.job_id]
+        job = record.job
         if record.state is JobState.COMPLETED:
-            progress = record.job.work_units
+            progress = job.work_units
         else:
-            progress = self._progress.get(req.job_id, 0.0)
+            progress = record.progress
         return proto.StatusReply(
-            job_id=r.job_id, state=record.state.value,
-            n_nodes=r.n_nodes, work_units=record.job.work_units,
-            progress=progress, submit_time=record.job.submit_time,
+            job_id=job.job_id, state=record.state.value,
+            n_nodes=job.n_nodes, work_units=job.work_units,
+            progress=progress, submit_time=job.submit_time,
             start_time=_finite(record.start_time),
             end_time=_finite(record.end_time),
             cap=record.cap,
             measured_slowdown=_finite(record.measured_slowdown))
 
     def _handle_list(self) -> proto.ListReply:
-        jobs = []
-        for meta in sorted(self._meta.values(), key=lambda m: m.seq):
-            if meta.buffered or meta.killed:
-                state = (JobState.KILLED if meta.killed
-                         else JobState.PENDING).value
-            else:
-                state = self.scheduler.records[
-                    meta.request.job_id].state.value
-            jobs.append({
-                "job_id": meta.request.job_id,
-                "state": state,
-                "app_name": meta.request.app_name,
-                "n_nodes": meta.request.n_nodes,
-                "priority": meta.priority,
-                "seq": meta.seq,
-            })
+        jobs = [{
+            "job_id": job_id,
+            "state": record.state.value,
+            "app_name": record.job.app_name,
+            "n_nodes": record.job.n_nodes,
+            "priority": record.job.priority,
+            "seq": seq,
+        } for seq, (job_id, record)
+            in enumerate(self.scheduler.records.items())]
         return proto.ListReply(now=self.scheduler.now, jobs=jobs)
 
     def _handle_kill(self, req: proto.KillRequest) -> object:
-        meta = self._meta.get(req.job_id)
-        if meta is None:
+        record = self.scheduler.records.get(req.job_id)
+        if record is None:
             return self._reject("unknown-job",
                                 f"unknown job {req.job_id!r}")
-        if meta.buffered:
-            self._buffer.remove(meta)
-            meta.buffered = False
-            meta.killed = True
-            obs.metrics().gauge("daemon.queue_depth").set(
-                len(self._buffer))
-            return proto.KillReply(job_id=req.job_id, was_running=False)
-        if meta.killed:
-            return self._reject("not-active",
-                                f"job {req.job_id!r} is already killed")
-        record = self.scheduler.records[req.job_id]
         if record.state in (JobState.COMPLETED, JobState.KILLED):
             return self._reject(
                 "not-active",
                 f"job {req.job_id!r} is already {record.state.value}")
         was_running = record.state is JobState.RUNNING
         self.scheduler.cancel(req.job_id)
+        obs.metrics().gauge("daemon.queue_depth").set(
+            len(self.scheduler.queue))
         return proto.KillReply(job_id=req.job_id, was_running=was_running)
 
     def _handle_watch(self, req: proto.WatchRequest) -> object:
@@ -372,7 +330,7 @@ class Daemon:
         return proto.TickReply(
             now=self.scheduler.now, epochs=epochs,
             running=self.scheduler.n_running,
-            queued=len(self._buffer) + len(self.scheduler.queue))
+            queued=len(self.scheduler.queue))
 
     def _handle_info(self) -> proto.InfoReply:
         states = [JobState.COMPLETED, JobState.KILLED]
@@ -380,7 +338,6 @@ class Daemon:
         for record in self.scheduler.records.values():
             if record.state in counts:
                 counts[record.state] += 1
-        killed_buffered = sum(1 for m in self._meta.values() if m.killed)
         return proto.InfoReply(
             protocol=proto.PROTOCOL_VERSION,
             now=self.scheduler.now,
@@ -388,10 +345,10 @@ class Daemon:
             n_slots=self.config.scheduler.n_slots,
             power_budget=self.config.scheduler.power_budget,
             policy=self.config.scheduler.policy,
-            queued=len(self._buffer) + len(self.scheduler.queue),
+            queued=len(self.scheduler.queue),
             running=self.scheduler.n_running,
             completed=counts[JobState.COMPLETED],
-            killed=counts[JobState.KILLED] + killed_buffered)
+            killed=counts[JobState.KILLED])
 
     def _handle_shutdown(self) -> proto.ShutdownReply:
         self._shutdown = True
@@ -405,14 +362,13 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def tick(self, max_epochs: int = 1) -> int:
-        """Admit buffered jobs, then advance up to ``max_epochs``
-        scheduler steps. Returns the steps actually taken (0 when the
-        cluster is idle — an idle daemon's simulated time stands
-        still). This is the only method that moves simulated time."""
+        """Advance up to ``max_epochs`` scheduler steps. Returns the
+        steps actually taken (0 when the cluster is idle — an idle
+        daemon's simulated time stands still). This is the only method
+        that moves simulated time."""
         with obs.tracer().span("daemon.tick",
-                               buffered=len(self._buffer),
+                               queued=len(self.scheduler.queue),
                                max_epochs=max_epochs):
-            self._admit_buffered()
             taken = 0
             while taken < max_epochs:
                 if not self.scheduler.step():
@@ -428,25 +384,12 @@ class Daemon:
                                   self._run_store, self.epochs):
                     self.checkpoint()
         self.ticks += 1
+        metrics = obs.metrics()
+        metrics.gauge("daemon.queue_depth").set(len(self.scheduler.queue))
         dropped = self.bus.dropped + sum(
             w.sub.overflowed for w in self._watchers.values())
-        obs.metrics().gauge("daemon.telemetry_dropped").set(dropped)
+        metrics.gauge("daemon.telemetry_dropped").set(dropped)
         return taken
-
-    def _admit_buffered(self) -> None:
-        """Move buffered submissions into the scheduler queue, highest
-        priority first, FIFO within a priority (seq assigned at
-        admission breaks ties deterministically)."""
-        if not self._buffer:
-            return
-        self._buffer.sort(key=lambda m: (-m.priority, m.seq))
-        for meta in self._buffer:
-            self.scheduler.submit(
-                self._job_from(meta.request,
-                               submit_time=self.scheduler.now))
-            meta.buffered = False
-        self._buffer.clear()
-        obs.metrics().gauge("daemon.queue_depth").set(0)
 
     # ------------------------------------------------------------------
     # Scheduler listeners (called inside tick)
@@ -475,13 +418,10 @@ class Daemon:
         self.clock.advance_to(now)
         epoch_energy = 0.0
         for job_id, by_node in results.items():
-            floor = math.inf
             for node_id, res in by_node.items():
                 self._pub.send(f"progress/{job_id}/{node_id}",
                                res.cumulative)
-                floor = min(floor, res.cumulative)
                 epoch_energy += res.energy
-            self._progress[job_id] = floor
         self._pub.send("cluster/power",
                        epoch_energy / self.config.scheduler.epoch)
 

@@ -25,7 +25,9 @@ __all__ = ["NodeConfig", "skylake_config"]
 def _default_ladder() -> tuple[float, ...]:
     # 1.2 GHz .. 3.3 GHz in 100 MHz steps (P-states), then turbo bins up
     # to 3.7 GHz. The paper's "nominal maximum" is 3.3 GHz.
-    base = [round(f, 1) * 1e9 for f in np.arange(1.2, 3.3001, 0.1)]
+    # float(): numpy's rounding, but plain floats (numpy scalars would
+    # make every frequency-derived quantity a numpy scalar)
+    base = [float(round(f, 1) * 1e9) for f in np.arange(1.2, 3.3001, 0.1)]
     turbo = [3.4e9, 3.5e9, 3.6e9, 3.7e9]
     return tuple(base + turbo)
 

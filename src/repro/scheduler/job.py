@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.exceptions import ConfigurationError
@@ -63,6 +63,10 @@ class Job:
         application must hold at least ``work_units`` of iterations —
         the scheduler tracks completion by published progress, not by
         application exit.
+    priority:
+        Queue tie-break among jobs with the same ``submit_time``:
+        higher priorities queue first, equal priorities in submission
+        order. The daemon sets it from ``RunRequest.priority``.
     """
 
     job_id: str
@@ -72,6 +76,7 @@ class Job:
     submit_time: float = 0.0
     max_slowdown: float | None = None
     app_kwargs: Mapping | None = None
+    priority: int = 0
 
     def __post_init__(self) -> None:
         if not self.job_id:
@@ -88,6 +93,9 @@ class Job:
         if self.max_slowdown is not None and not 0.0 < self.max_slowdown < 1.0:
             raise ConfigurationError(
                 f"max_slowdown must lie in (0, 1), got {self.max_slowdown}")
+        if type(self.priority) is not int:
+            raise ConfigurationError(
+                f"priority must be an int, got {self.priority!r}")
 
     @property
     def eco(self) -> bool:
@@ -118,7 +126,8 @@ class JobRecord:
     measured_slowdown: float = math.nan
     #: per-node package energy over the run (J), summed over nodes
     energy: float = 0.0
-    _extra: dict = field(default_factory=dict, repr=False)
+    #: slowest node's cumulative progress after the last epoch run
+    progress: float = 0.0
 
     @property
     def demand(self) -> float:

@@ -1,12 +1,14 @@
 """Submission queue for the cluster scheduler.
 
-A deterministic FIFO keyed by ``(submit_time, submission order)``: jobs
-become *visible* to the scheduler once the simulated clock reaches their
-``submit_time``, and within the visible set the scheduling policy
-(FCFS or backfill, see :mod:`repro.scheduler.scheduler`) decides who
-starts. The queue itself never reorders — backfill walks the visible
-list but leaves queue order untouched, so waiting-time accounting stays
-honest.
+A deterministic queue keyed by ``(submit_time, -priority, submission
+order)``: jobs with the same arrival time queue highest priority first,
+FIFO within a priority (all batch jobs have priority 0, so a batch
+queue is plain FIFO by arrival). Jobs become *visible* to the scheduler
+once the simulated clock reaches their ``submit_time``, and within the
+visible set the scheduling policy (FCFS or backfill, see
+:mod:`repro.scheduler.scheduler`) decides who starts. The queue itself
+never reorders — backfill walks the visible list but leaves queue order
+untouched, so waiting-time accounting stays honest.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ __all__ = ["JobQueue"]
 
 
 class JobQueue:
-    """FIFO of submitted-but-not-started jobs."""
+    """Submitted-but-not-started jobs, in queue order."""
 
     def __init__(self) -> None:
         self._jobs: list[Job] = []
@@ -26,13 +28,15 @@ class JobQueue:
         self._next_seq = 0
 
     def submit(self, job: Job) -> None:
-        """Enqueue a job; order is (submit_time, submission sequence)."""
+        """Enqueue a job; order is (submit_time, -priority, submission
+        sequence)."""
         if job.job_id in self._seq:
             raise ConfigurationError(f"job {job.job_id!r} already submitted")
         self._seq[job.job_id] = self._next_seq
         self._next_seq += 1
         self._jobs.append(job)
-        self._jobs.sort(key=lambda j: (j.submit_time, self._seq[j.job_id]))
+        self._jobs.sort(key=lambda j: (j.submit_time, -j.priority,
+                                       self._seq[j.job_id]))
 
     def visible(self, now: float) -> list[Job]:
         """Jobs whose submit_time has arrived, in queue order (a copy)."""
@@ -54,7 +58,7 @@ class JobQueue:
     def snapshot(self) -> dict:
         """Picklable queue state: the queued jobs (frozen dataclasses,
         by reference) plus the submission-sequence bookkeeping that
-        keeps FIFO ordering stable across a restore."""
+        keeps the queue order stable across a restore."""
         return {"version": 1, "jobs": list(self._jobs),
                 "seq": dict(self._seq), "next_seq": self._next_seq}
 

@@ -180,12 +180,12 @@ class _RunningJob:
     The node stacks themselves live in the lockstep layer (possibly in
     shard workers); this record keeps only the per-epoch exchange state:
     the trailing rates the next rebalance allocates from, the budgets it
-    decided, and the last step results (for completion/stall checks).
+    decided, and the last step results (for completion/stall checks,
+    which compare against :attr:`JobRecord.progress`).
     """
 
     __slots__ = ("record", "node_ids", "rebalancer", "start", "stalled",
-                 "last_cumulative", "last_rates", "pending_budgets",
-                 "last_results")
+                 "last_rates", "pending_budgets", "last_results")
 
     def __init__(self, record: JobRecord, node_ids: tuple[int, ...],
                  rebalancer: ProgressAwareRebalancer | None,
@@ -195,7 +195,6 @@ class _RunningJob:
         self.rebalancer = rebalancer
         self.start = start
         self.stalled = 0
-        self.last_cumulative = 0.0
         # Fresh monitors report rate 0.0 (recent_rate semantics).
         self.last_rates = [0.0] * len(node_ids)
         self.pending_budgets: dict[int, float] = {}
@@ -621,9 +620,10 @@ class PowerAwareScheduler:
     def _complete_finished(self) -> None:
         for job_id in list(self._running):
             run = self._running[job_id]
-            job = run.record.job
+            record = run.record
+            job = record.job
             cumulative = run.min_cumulative()
-            if cumulative <= run.last_cumulative + 1e-12:
+            if cumulative <= record.progress + 1e-12:
                 run.stalled += 1
                 if run.stalled >= self.config.stall_epochs:
                     raise SimulationError(
@@ -632,7 +632,7 @@ class PowerAwareScheduler:
                         f"holds less work than work_units={job.work_units}")
             else:
                 run.stalled = 0
-            run.last_cumulative = cumulative
+            record.progress = cumulative
             if cumulative < job.work_units:
                 continue
             self._finish(job_id, run)
@@ -694,13 +694,12 @@ class PowerAwareScheduler:
                 "rebalancer": run.rebalancer,
                 "start": run.start,
                 "stalled": run.stalled,
-                "last_cumulative": run.last_cumulative,
                 "last_rates": list(run.last_rates),
                 "pending_budgets": dict(run.pending_budgets),
                 "last_results": dict(run.last_results),
             }
         return {
-            "version": 1,
+            "version": 2,
             "now": self.now,
             "epochs": self.epochs_done,
             "violations": self.violations,
@@ -722,15 +721,13 @@ class PowerAwareScheduler:
         """Reinstall a :meth:`snapshot` onto this (freshly constructed,
         never stepped) scheduler, rebuilding every running node from
         its checkpoint inside the lockstep layer."""
-        check_snapshot_version(state, 1, "PowerAwareScheduler")
+        check_snapshot_version(state, 2, "PowerAwareScheduler")
         if self.records or self._running or self._lockstep.n_nodes:
             raise CheckpointError(
                 "scheduler restore target must be freshly constructed "
                 "(it already holds jobs or nodes)")
         self.now = state["now"]
-        # .get: pre-elasticity snapshots lack the epoch counter; its
-        # only consumer is checkpoint-file naming, so 0 is safe there.
-        self.epochs_done = state.get("epochs", 0)
+        self.epochs_done = state["epochs"]
         self.violations = state["violations"]
         self.total_energy = state["total_energy"]
         self._started = state["started"]
@@ -747,7 +744,6 @@ class PowerAwareScheduler:
             run = _RunningJob(self.records[job_id], tuple(rs["node_ids"]),
                               rs["rebalancer"], rs["start"])
             run.stalled = rs["stalled"]
-            run.last_cumulative = rs["last_cumulative"]
             run.last_rates = list(rs["last_rates"])
             run.pending_budgets = dict(rs["pending_budgets"])
             run.last_results = dict(rs["last_results"])

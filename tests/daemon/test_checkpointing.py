@@ -129,6 +129,49 @@ class TestResume:
         finally:
             resumed.close()
 
+    def test_mixed_priority_queue_survives_resume(self, tmp_path):
+        mixed = [("lo-a", 0), ("hi-a", 5), ("lo-b", 0), ("mid", 2),
+                 ("hi-b", 5)]
+
+        def start(daemon):
+            # a 4-node job holds every slot, so the rest stay queued
+            daemon.handle(run_request("blocker", n_nodes=4,
+                                      seconds=2.5))
+            daemon.tick(1)
+            for job_id, priority in mixed:
+                reply = daemon.handle(run_request(
+                    job_id, n_nodes=2, seconds=1.5, priority=priority))
+                assert isinstance(reply, proto.RunReply), reply
+
+        def statuses(daemon):
+            return [daemon.handle(proto.StatusRequest(job_id=job_id))
+                    for job_id in ["blocker"] + [j for j, _ in mixed]]
+
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_dir=root)
+        start(daemon)
+        order = [j.job_id for j in daemon.scheduler.queue]
+        assert order == ["hi-a", "hi-b", "mid", "lo-a", "lo-b"]
+        daemon.checkpoint()
+        daemon.close()
+
+        resumed = resume_daemon(root)
+        try:
+            assert [j.job_id for j in resumed.scheduler.queue] == order
+            drain(resumed)
+            resumed_statuses = statuses(resumed)
+        finally:
+            resumed.close()
+
+        control = make_daemon()
+        try:
+            start(control)
+            drain(control)
+            assert resumed_statuses == statuses(control)
+        finally:
+            control.close()
+        assert all(s.state == "completed" for s in resumed_statuses)
+
     def test_shutdown_checkpoints_when_configured(self, tmp_path):
         # off the interval cadence: shutdown still saves the epoch the
         # daemon stopped at
@@ -179,6 +222,18 @@ class TestLoadErrors:
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError):
+            resume_daemon(root)
+
+    def test_buffered_admission_state_refused(self, tmp_path):
+        # version 2 kept the daemon's own admission buffer and job table
+        root, path, checkpoint = stored_checkpoint(tmp_path)
+        stale = dataclasses.replace(
+            checkpoint,
+            state={**checkpoint.state, "version": 2, "seq": 0,
+                   "meta": [], "progress": {}})
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(stale))
+        with pytest.raises(CheckpointError, match="version 2"):
             resume_daemon(root)
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Daemon core tests: admission (including many concurrent clients
 over a socket), lifecycle, telemetry fan-out, and determinism."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -71,6 +72,20 @@ class TestAdmission:
         assert isinstance(reply, proto.ErrorReply)
         assert reply.code == "bad-request"
 
+    def test_pending_status_reports_submit_time(self, daemon):
+        daemon.handle(run_request("first", n_nodes=4, seconds=4.5))
+        daemon.tick(2)
+        daemon.handle(run_request("second"))
+        status = daemon.handle(proto.StatusRequest(job_id="second"))
+        assert (status.state, status.submit_time, status.progress,
+                status.start_time) == ("pending", 2.0, 0.0, None)
+
+    def test_non_integer_priority_is_bad_request(self, daemon):
+        reply = daemon.handle(dataclasses.replace(run_request("x"),
+                                                  priority=1.5))
+        assert reply.code == "bad-request"
+        assert len(daemon.scheduler.queue) == 0
+
     def test_non_request_object_is_bad_request(self, daemon):
         reply = daemon.handle(proto.RunReply(job_id="x", seq=0,
                                              state="pending"))
@@ -124,16 +139,15 @@ class TestConcurrentAdmission:
             # clients 0-3 submit priority 0, clients 4-7 priority 5
             replies = self._submit_storm(
                 path, lambda t, i: 5 if t >= 4 else 0)
-            with DaemonClient(socket_path=path, timeout=30.0) as client:
-                client.tick(1)  # admit the buffer into the scheduler
-        submitted = [e.job_id for e in daemon.scheduler.events
-                     if type(e).__name__ == "JobSubmitted"]
-        by_seq = {jid: replies[jid].seq for jid in submitted}
-        high = [jid for jid in submitted
+        # never ticked: every job is still queued
+        queued = [j.job_id for j in daemon.scheduler.queue]
+        by_seq = {jid: replies[jid].seq for jid in queued}
+        high = [jid for jid in queued
                 if jid.startswith(("t4", "t5", "t6", "t7"))]
-        low = [jid for jid in submitted if jid not in set(high)]
-        # all high-priority jobs entered the scheduler first ...
-        assert submitted[:len(high)] == high
+        low = [jid for jid in queued if jid not in set(high)]
+        assert len(queued) == self.N_CLIENTS * self.PER_CLIENT
+        # all high-priority jobs queue first ...
+        assert queued[:len(high)] == high
         # ... and each band is FIFO in admission-sequence order
         assert [by_seq[j] for j in high] == sorted(by_seq[j] for j in high)
         assert [by_seq[j] for j in low] == sorted(by_seq[j] for j in low)
@@ -176,13 +190,24 @@ class TestLifecycle:
         assert reply.code == "unknown-job"
 
     def test_kill_buffered_job(self, daemon):
+        # killed before its first tick: a scheduler cancel, with a
+        # record and both lifecycle events
+        daemon.handle(proto.WatchRequest(watch_id="w", events=True))
         daemon.handle(run_request("doomed"))
         reply = daemon.handle(proto.KillRequest(job_id="doomed"))
         assert reply == proto.KillReply(job_id="doomed",
                                         was_running=False)
         status = daemon.handle(proto.StatusRequest(job_id="doomed"))
         assert status.state == JobState.KILLED.value
-        assert daemon.tick(5) == 0  # nothing ever entered the scheduler
+        assert daemon.handle(proto.InfoRequest()).killed == 1
+        events = [(f.kind, f.data["job_id"])
+                  for f in daemon.drain_watch("w")
+                  if isinstance(f, proto.EventTelemetry)]
+        assert events == [("JobSubmitted", "doomed"),
+                          ("JobKilled", "doomed")]
+        assert daemon.handle(
+            proto.KillRequest(job_id="doomed")).code == "not-active"
+        assert daemon.tick(5) == 0  # the queue is empty
 
     def test_kill_running_job_frees_slots(self, daemon):
         daemon.handle(run_request("victim", n_nodes=4, seconds=50.0))

@@ -67,6 +67,11 @@ class TestDerived:
         steps = [b - a for a, b in zip(cfg.freq_ladder, cfg.freq_ladder[1:])]
         assert all(s == pytest.approx(0.1e9, rel=1e-6) for s in steps)
 
+    def test_ladder_steps_are_floats(self):
+        # numpy scalars here would leak into every frequency-derived
+        # quantity of a capped run
+        assert all(type(f) is float for f in skylake_config().freq_ladder)
+
     def test_ladder_index_snaps_down(self):
         cfg = skylake_config()
         idx = cfg.ladder_index(2.55e9)

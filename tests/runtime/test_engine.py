@@ -428,6 +428,21 @@ def test_zero_cycle_subnormal_bytes_are_empty(freq):
     assert snap.total("PAPI_TOT_INS") == pytest.approx(1e9, rel=1e-9)
 
 
+def test_capped_run_returns_float():
+    """A 40 W cap throttles the clock onto non-turbo ladder steps; the
+    run's end time stays a plain float, not a numpy scalar."""
+    from repro.hardware.rapl import RaplFirmware
+
+    node = SimulatedNode()
+    engine = Engine(node)
+    RaplFirmware(node, engine).set_limit(40.0)
+    for core in range(node.cfg.n_cores):
+        engine.spawn(iter([Work(cycles=3e9)]), core_id=core)
+    end = engine.run()
+    assert node.frequency < F_NOM
+    assert type(end) is float
+
+
 def test_mixed_run_totals_are_pinned():
     """Counter and energy totals of a run mixing memory-bound and
     compute work, barrier spinning, sleeping, a per-core duty and RAPL

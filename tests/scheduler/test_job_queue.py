@@ -32,6 +32,9 @@ class TestJob:
         {"max_slowdown": 0.0},
         {"max_slowdown": 1.0},
         {"max_slowdown": -0.2},
+        {"priority": 1.5},
+        {"priority": True},
+        {"priority": None},
     ])
     def test_rejects_bad_fields(self, kwargs):
         base = dict(job_id="j0", app_name="lammps", n_nodes=1,
@@ -82,6 +85,27 @@ class TestJobQueue:
         q.submit(_job("late", submit_time=10.0))
         q.submit(_job("early", submit_time=1.0))
         assert [j.job_id for j in q] == ["early", "late"]
+
+    def test_priority_orders_equal_submit_times(self):
+        q = JobQueue()
+        q.submit(_job("late-high", submit_time=2.0, priority=9))
+        q.submit(_job("low0", submit_time=1.0))
+        q.submit(_job("high0", submit_time=1.0, priority=5))
+        q.submit(_job("low1", submit_time=1.0))
+        q.submit(_job("high1", submit_time=1.0, priority=5))
+        q.submit(_job("first", submit_time=0.0, priority=-3))
+        # earlier submit times first; then priority, FIFO within it
+        assert [j.job_id for j in q] == [
+            "first", "high0", "high1", "low0", "low1", "late-high"]
+
+    def test_restored_queue_keeps_order_and_sequence(self):
+        q = JobQueue()
+        q.submit(_job("low"))
+        q.submit(_job("high", priority=1))
+        restored = JobQueue()
+        restored.restore(q.snapshot())
+        restored.submit(_job("high-later", priority=1))
+        assert [j.job_id for j in restored] == ["high", "high-later", "low"]
 
     def test_visibility_follows_clock(self):
         q = JobQueue()

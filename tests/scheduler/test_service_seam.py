@@ -80,6 +80,17 @@ class TestListeners:
         final = max(samples[-1][1]["a"].values())
         assert final >= make_job("a", seconds=2.5).work_units
 
+    def test_record_progress_is_slowest_node(self):
+        sched = make_sched()
+        floors = []
+        sched.add_epoch_listener(lambda now, results: floors.append(
+            min(r.cumulative for r in results["a"].values())))
+        sched.submit(make_job("a", n_nodes=2, seconds=3.5))
+        assert sched.records["a"].progress == 0.0
+        sched.step()
+        sched.step()
+        assert sched.records["a"].progress == floors[-1] > floors[0]
+
 
 class TestCancel:
     def test_cancel_queued_job(self):
