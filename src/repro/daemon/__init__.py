@@ -25,18 +25,17 @@ Layering — each module owns one concern:
   table), the deterministic tick
   loop, telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM
   drops, slow-joiner loss, modelled latency — the paper's ZeroMQ
-  transport semantics), and periodic checkpoints;
+  transport semantics), and crash-resumable checkpoints on the
+  repo-wide :class:`~repro.runtime.runfile.RunCheckpoint` format
+  (``--resume`` picks a run up from the latest checkpoint in the
+  epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch`` rewinds
+  — time travel);
 * :mod:`repro.daemon.server` — real sockets (Unix-domain or TCP): one
   non-blocking ``selectors`` loop that serves every client, pushes
   telemetry and, in paced mode, runs simulated epochs against wall
   time;
 * :mod:`repro.daemon.client` — the ``upctl``-style client library and
   CLI (``python -m repro.daemon.client run/status/list/kill/watch``);
-* :mod:`repro.daemon.checkpointing` — crash-resumable persistence on
-  the repo-wide :class:`~repro.runtime.runfile.RunCheckpoint` format
-  (``--resume`` picks a run up from the latest checkpoint in the
-  epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch`` rewinds
-  — time travel);
 * :mod:`repro.daemon.profiles` — the offline-measured demo power book
   for socket smoke tests that cannot afford live characterization.
 
@@ -52,7 +51,6 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.client import DaemonClient
 from repro.daemon.protocol import decode, encode
 from repro.daemon.server import DaemonServer
@@ -63,7 +61,6 @@ __all__ = [
     "DaemonConfig",
     "DaemonServer",
     "DaemonClient",
-    "resume_daemon",
     "encode",
     "decode",
 ]

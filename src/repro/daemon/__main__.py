@@ -14,8 +14,9 @@ epoch-stamped *store* of checkpoints, written every
 ``--checkpoint-interval`` epochs and on shutdown. ``--resume``
 continues from the latest checkpoint in that store instead of starting
 an empty cluster, and ``--resume-epoch N`` rewinds to the newest
-checkpoint at or before epoch N (time travel — e.g. replay from epoch
-N under a different ``--power-budget``).
+checkpoint at or before epoch N (time travel). A resumed daemon runs
+under its recorded configuration: the cluster, service and
+``--checkpoint-interval`` flags are ignored.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import sys
 
 from repro.cluster.sharding import _ENGINES
-from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.profiles import demo_book
 from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
@@ -98,7 +98,7 @@ def daemon_from_args(args) -> Daemon:
     if args.resume:
         if not args.checkpoint_dir:
             raise SystemExit("--resume requires --checkpoint-dir")
-        return resume_daemon(args.checkpoint_dir, epoch=args.resume_epoch)
+        return Daemon.resume(args.checkpoint_dir, epoch=args.resume_epoch)
     if args.resume_epoch is not None:
         raise SystemExit("--resume-epoch requires --resume")
     config = DaemonConfig(

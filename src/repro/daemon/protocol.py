@@ -210,7 +210,7 @@ class TickReply:
 class InfoReply:
     protocol: int
     now: float
-    epochs: int
+    epochs: int       #: epochs the cluster has completed in its lifetime
     n_slots: int
     power_budget: float
     policy: str

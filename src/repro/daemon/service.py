@@ -53,7 +53,11 @@ from repro.scheduler.job import Job, JobState
 from repro.scheduler.powerbook import PowerBook
 from repro.scheduler.scheduler import PowerAwareScheduler, SchedulerConfig
 from repro.runtime.clock import SimClock
-from repro.runtime.runfile import CheckpointStore, checkpoint_due
+from repro.runtime.runfile import (
+    CheckpointStore,
+    checkpoint_due,
+    resolve_checkpoint,
+)
 from repro.telemetry.pubsub import MessageBus, SubSocket
 
 __all__ = ["DaemonConfig", "Daemon"]
@@ -152,7 +156,6 @@ class Daemon:
     def __init__(self, config: DaemonConfig, powerbook: PowerBook,
                  cfg: NodeConfig | None = None) -> None:
         self.config = config
-        self.book = powerbook
         self.scheduler = PowerAwareScheduler(config.scheduler, powerbook,
                                              cfg)
         # The bus lives in simulated time: this clock mirrors the
@@ -164,8 +167,6 @@ class Daemon:
                               seed=config.telemetry_seed)
         self._pub = self.bus.pub_socket()
         self._watchers: dict[str, _Watcher] = {}
-        self.epochs = 0          #: scheduler steps taken over the lifetime
-        self.ticks = 0
         self._shutdown = False
         self._run_store: CheckpointStore | None = None
         if config.checkpoint_dir:
@@ -341,7 +342,7 @@ class Daemon:
         return proto.InfoReply(
             protocol=proto.PROTOCOL_VERSION,
             now=self.scheduler.now,
-            epochs=self.epochs,
+            epochs=self.scheduler.epochs_done,
             n_slots=self.config.scheduler.n_slots,
             power_budget=self.config.scheduler.power_budget,
             policy=self.config.scheduler.policy,
@@ -362,34 +363,29 @@ class Daemon:
     # ------------------------------------------------------------------
 
     def tick(self, max_epochs: int = 1) -> int:
-        """Advance up to ``max_epochs`` scheduler steps. Returns the
-        steps actually taken (0 when the cluster is idle — an idle
-        daemon's simulated time stands still). This is the only method
-        that moves simulated time."""
-        with obs.tracer().span("daemon.tick",
-                               queued=len(self.scheduler.queue),
+        """Run up to ``max_epochs`` scheduler steps, saving periodic
+        checkpoints as :meth:`PowerAwareScheduler.run` does. Returns
+        the epochs the tick completed, the one that drains the cluster
+        included (0 when the cluster is idle — an idle daemon's
+        simulated time stands still). This is the only method that
+        moves simulated time."""
+        scheduler = self.scheduler
+        before = scheduler.epochs_done
+        with obs.tracer().span("daemon.tick", queued=len(scheduler.queue),
                                max_epochs=max_epochs):
-            taken = 0
-            while taken < max_epochs:
-                if not self.scheduler.step():
-                    if self.scheduler.now > self.clock.now:
-                        # idle-hop moved time with no epoch results
-                        self.clock.advance_to(self.scheduler.now)
+            for _ in range(max_epochs):
+                if not scheduler.checkpointed_step(
+                        self.config.checkpoint_interval, self.checkpoint):
                     break
-                taken += 1
-                self.epochs += 1
-                if self.scheduler.now > self.clock.now:
-                    self.clock.advance_to(self.scheduler.now)
-                if checkpoint_due(self.config.checkpoint_interval,
-                                  self._run_store, self.epochs):
-                    self.checkpoint()
-        self.ticks += 1
+            if scheduler.now > self.clock.now:
+                # an idle hop moves time with no epoch results
+                self.clock.advance_to(scheduler.now)
         metrics = obs.metrics()
-        metrics.gauge("daemon.queue_depth").set(len(self.scheduler.queue))
+        metrics.gauge("daemon.queue_depth").set(len(scheduler.queue))
         dropped = self.bus.dropped + sum(
             w.sub.overflowed for w in self._watchers.values())
         metrics.gauge("daemon.telemetry_dropped").set(dropped)
-        return taken
+        return scheduler.epochs_done - before
 
     # ------------------------------------------------------------------
     # Scheduler listeners (called inside tick)
@@ -464,16 +460,42 @@ class Daemon:
     def checkpoint(self) -> str:
         """Write an epoch-stamped checkpoint into the configured store
         (``checkpoint_dir``); returns the file path. Earlier epochs
-        stay on disk, so the run can later be rewound (time travel)."""
-        from repro.daemon.checkpointing import build_run_checkpoint
+        stay on disk, so the run can later be rewound (time travel).
 
+        The file is the scheduler's own :meth:`~repro.scheduler
+        .scheduler.PowerAwareScheduler.run_checkpoint` (queue, job
+        records, power book and every running node), of kind
+        ``"daemon"`` and carrying the :class:`DaemonConfig`. Watch
+        subscriptions are connection-scoped and not saved, and a
+        resumed bus restarts its loss process from its seed; the bus
+        only observes, so neither can change a simulated result."""
         if self._run_store is None:
             raise ConfigurationError(
                 "daemon has no checkpoint_dir configured")
-        path = self._run_store.save(build_run_checkpoint(self))
+        path = self._run_store.save(dataclasses.replace(
+            self.scheduler.run_checkpoint(), kind="daemon",
+            config=self.config))
         obs.tracer().instant("daemon.checkpoint", path=path,
-                             epochs=self.epochs)
+                             epochs=self.scheduler.epochs_done)
         return path
+
+    @classmethod
+    def resume(cls, source: object, cfg: NodeConfig | None = None, *,
+               epoch: int | None = None) -> "Daemon":
+        """Rebuild a live daemon from a :meth:`checkpoint`.
+
+        ``source`` and ``epoch`` work as for
+        :meth:`PowerAwareScheduler.resume`: a checkpoint file, a store
+        (or its directory) where ``epoch=N`` rewinds to the newest
+        checkpoint at or before N, or a loaded ``RunCheckpoint``. The
+        resumed daemon continues bit-for-bit: running nodes come back
+        from their node checkpoints, queued jobs keep their order and
+        the power book keeps its measured profiles."""
+        checkpoint = resolve_checkpoint(source, kind="daemon", epoch=epoch)
+        daemon = cls(checkpoint.config, PowerBook(cfg), cfg)
+        daemon.scheduler.restore(checkpoint.state)
+        daemon.clock.advance_to(daemon.scheduler.now)
+        return daemon
 
     def close(self) -> None:
         """Tear down the scheduler's shard workers."""

@@ -1,15 +1,14 @@
 """One checkpoint-file format for every epoch loop.
 
-PR 4 made every node fully shippable (:class:`NodeCheckpoint`); PR 7
-gave the daemon an ad-hoc pickled checkpoint of its own. This module
-unifies the file layer: a :class:`RunCheckpoint` is the single on-disk
-envelope every epoch loop — :class:`~repro.cluster.simulation
-.ClusterSimulation`, :class:`~repro.scheduler.scheduler
-.PowerAwareScheduler`, and the :class:`~repro.daemon.service.Daemon` —
-writes and resumes from. The envelope is deliberately thin:
+A :class:`RunCheckpoint` is the single on-disk envelope every epoch
+loop — :class:`~repro.cluster.simulation.ClusterSimulation`,
+:class:`~repro.scheduler.scheduler.PowerAwareScheduler`, and the
+:class:`~repro.daemon.service.Daemon` — writes and resumes from. The
+envelope is deliberately thin:
 
 * ``kind`` names the producing loop (``"cluster"`` / ``"scheduler"`` /
-  ``"daemon"``), so a resume cannot silently install the wrong state;
+  ``"daemon"``), so a resume cannot silently install the wrong state
+  (a daemon file holds a scheduler payload under its own kind);
 * ``epoch`` / ``now`` locate the checkpoint on the run's timeline
   (``epoch`` also names the file inside a :class:`CheckpointStore`);
 * ``config`` carries the producing loop's picklable configuration;

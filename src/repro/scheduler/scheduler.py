@@ -74,7 +74,7 @@ from repro.scheduler.events import (
     SchedulerEvent,
 )
 from repro.scheduler.job import Job, JobRecord, JobState
-from repro.scheduler.powerbook import PowerBook
+from repro.scheduler.powerbook import AppPowerProfile, PowerBook
 from repro.scheduler.queue import JobQueue
 from repro.scheduler.report import SchedulerReport, build_report
 from repro.stack import BUDGET, StackSpec
@@ -464,25 +464,38 @@ class PowerAwareScheduler:
         With ``checkpoint_every=N`` (and a
         :class:`~repro.runtime.runfile.CheckpointStore`), an atomic
         :class:`RunCheckpoint` is saved after every N-th completed
-        epoch (:func:`~repro.runtime.runfile.checkpoint_due`; idle hops
-        complete no epoch) — the crash-resume and time-travel record
-        (see :meth:`resume`).
+        epoch (:meth:`checkpointed_step`) — the crash-resume and
+        time-travel record (see :meth:`resume`).
         """
         checkpoint_due(checkpoint_every, checkpoint_store)
+
+        def save() -> None:
+            checkpoint_store.save(self.run_checkpoint())
+
         tracer = obs.tracer()
         with tracer.span("scheduler.run", policy=self.config.policy,
                          n_slots=self.config.n_slots,
                          power_budget=self.config.power_budget,
                          shards=self.config.shards) as span:
-            while self.queue or self._running:
-                before = self.epochs_done
-                self.step()
-                if self.epochs_done != before and checkpoint_due(
-                        checkpoint_every, checkpoint_store,
-                        self.epochs_done):
-                    checkpoint_store.save(self.run_checkpoint())
+            while self.checkpointed_step(checkpoint_every, save):
+                pass
             span.set(makespan=self.now, violations=self.violations)
         return self._report()
+
+    def checkpointed_step(self, every: int,
+                          save: Callable[[], object]) -> bool:
+        """:meth:`step`, then ``save()`` when the step completed an
+        epoch on the ``every``-epoch cadence
+        (:func:`~repro.runtime.runfile.checkpoint_due`; idle hops
+        complete no epoch, the epoch that drains the cluster does).
+        The one "step, then save if due" rule :meth:`run` and the
+        daemon's tick share. Returns what :meth:`step` returned."""
+        before = self.epochs_done
+        more = self.step()
+        if self.epochs_done != before and checkpoint_due(
+                every, save, self.epochs_done):
+            save()
+        return more
 
     def step(self) -> bool:
         """Advance the simulation by one scheduling decision point.
@@ -491,9 +504,10 @@ class PowerAwareScheduler:
         either advance one epoch (when anything is running) or idle-hop
         the clock to the next queued arrival. Returns True while
         submitted work remains, False once the cluster is drained —
-        ``run()`` is simply ``while step(): pass`` plus a report. This
-        is the seam :mod:`repro.daemon` drives: a service cannot call a
-        run-to-completion loop, it interleaves epochs with admissions.
+        ``run()`` is ``while step(): pass`` plus checkpoints and a
+        report. This is the seam :mod:`repro.daemon` drives: a service
+        cannot call a run-to-completion loop, it interleaves epochs
+        with admissions.
         """
         if not (self.queue or self._running):
             return False
@@ -670,19 +684,21 @@ class PowerAwareScheduler:
                              measured_slowdown=record.measured_slowdown)
 
     # ------------------------------------------------------------------
-    # Checkpointing (see repro.daemon.checkpointing)
+    # Checkpointing (see repro.runtime.runfile)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Picklable mid-run state of the whole scheduler.
 
         Covers the queue, every job record, the event log, the power/
-        utilisation series, and — through the lockstep layer — a full
-        :meth:`NodeInstance.snapshot` checkpoint of every running node,
-        so a restored scheduler continues *bit-for-bit*. Restore onto a
-        freshly constructed scheduler with the same config and power
-        book. Job records are deep-copied so the snapshot does not
-        alias the live run's mutable bookkeeping.
+        utilisation series, the power book's ``n_workers``, ``seed``
+        and measured profiles, and — through the lockstep layer — a
+        full :meth:`NodeInstance.snapshot` checkpoint of every running
+        node, so a restored scheduler continues *bit-for-bit* without
+        characterizing an application again. Restore onto a freshly
+        constructed scheduler with the same config. Job records are
+        deep-copied so the snapshot does not alias the live run's
+        mutable bookkeeping.
         """
         node_ids = [nid for run in self._running.values()
                     for nid in run.node_ids]
@@ -699,7 +715,7 @@ class PowerAwareScheduler:
                 "last_results": dict(run.last_results),
             }
         return {
-            "version": 2,
+            "version": 4,
             "now": self.now,
             "epochs": self.epochs_done,
             "violations": self.violations,
@@ -715,17 +731,33 @@ class PowerAwareScheduler:
             "utilisation": self.utilisation.snapshot(),
             "running": running,
             "nodes": node_cps,
+            "book_n_workers": self.book.n_workers,
+            "book_seed": self.book.seed,
+            "book_profiles": [self.book.profile(name)
+                              for name in self.book.known()],
         }
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` onto this (freshly constructed,
         never stepped) scheduler, rebuilding every running node from
-        its checkpoint inside the lockstep layer."""
-        check_snapshot_version(state, 2, "PowerAwareScheduler")
+        its checkpoint inside the lockstep layer. The power book is
+        replaced by one on the same reference node holding the
+        recorded ``n_workers``, ``seed`` and profiles."""
+        check_snapshot_version(state, 4, "PowerAwareScheduler")
         if self.records or self._running or self._lockstep.n_nodes:
             raise CheckpointError(
                 "scheduler restore target must be freshly constructed "
                 "(it already holds jobs or nodes)")
+        for profile in state["book_profiles"]:
+            if not isinstance(profile, AppPowerProfile):
+                raise CheckpointError(
+                    f"checkpoint power book holds a "
+                    f"{type(profile).__name__}, not an AppPowerProfile")
+        self.book = PowerBook(self.book.cfg,
+                              n_workers=state["book_n_workers"],
+                              seed=state["book_seed"])
+        for profile in state["book_profiles"]:
+            self.book.preload(profile)
         self.now = state["now"]
         self.epochs_done = state["epochs"]
         self.violations = state["violations"]
@@ -767,8 +799,7 @@ class PowerAwareScheduler:
         )
 
     @classmethod
-    def resume(cls, source, powerbook: PowerBook,
-               cfg: NodeConfig | None = None, *,
+    def resume(cls, source, cfg: NodeConfig | None = None, *,
                epoch: int | None = None,
                config: SchedulerConfig | None = None,
                ) -> "PowerAwareScheduler":
@@ -779,19 +810,27 @@ class PowerAwareScheduler:
         checkpoint file, or a :class:`~repro.runtime.runfile
         .CheckpointStore` (or its directory), where ``epoch=None``
         picks the latest checkpoint and ``epoch=N`` the newest at or
-        before N (time travel). ``powerbook``/``cfg`` mirror the
-        constructor (profiles are not checkpointed — pass the same
-        book, or a preloaded equivalent). ``config`` (when given)
-        replaces the recorded :class:`SchedulerConfig` for the
-        continuation — replay under a different ``power_budget``,
-        policy, shards, engine, ... Structural fields (``n_slots``,
-        ``seed``, ``variability``) must match the recorded run: the
-        restored node state was built under them.
+        before N (time travel). ``cfg`` mirrors the constructor; the
+        power book comes from the checkpoint (:meth:`restore`).
+        ``config`` (when given) replaces the recorded
+        :class:`SchedulerConfig` for the continuation — replay under a
+        different ``power_budget``, policy, shards, engine, ...
+        Structural fields (``n_slots``, ``seed``, ``variability``) must
+        match the recorded run, since the restored node state was built
+        under them; a mismatch raises :class:`CheckpointError`.
         """
         checkpoint = resolve_checkpoint(source, kind="scheduler",
                                         epoch=epoch)
-        scheduler = cls(config if config is not None else checkpoint.config,
-                        powerbook, cfg)
+        recorded = checkpoint.config
+        if config is None:
+            config = recorded
+        changed = [name for name in ("n_slots", "seed", "variability")
+                   if getattr(config, name) != getattr(recorded, name)]
+        if changed:
+            raise CheckpointError(
+                f"replacement config changes {', '.join(changed)} of the "
+                "recorded run; its node state was built under them")
+        scheduler = cls(config, PowerBook(cfg), cfg)
         scheduler.restore(checkpoint.state)
         return scheduler
 

@@ -202,11 +202,17 @@ def recorded_sched(tmp_path_factory):
 
 
 class TestSchedulerReplay:
-    def test_rewind_and_finish_bit_identical(self, recorded_sched):
-        sched = PowerAwareScheduler.resume(recorded_sched["root"], _book(),
-                                           epoch=6)
+    def test_rewind_and_finish_bit_identical(self, recorded_sched,
+                                             monkeypatch):
+        def characterize(book, app_name):
+            raise AssertionError(f"{app_name} characterized again")
+
+        monkeypatch.setattr(PowerBook, "_characterize", characterize)
+        sched = PowerAwareScheduler.resume(recorded_sched["root"], epoch=6)
         try:
             assert sched.epochs_done == 6
+            assert sched.book.known() == ["lammps"]
+            assert sched.book.n_workers == 4
             sched.run()
             assert _report(sched) == recorded_sched["report"]
         finally:
@@ -219,13 +225,22 @@ class TestSchedulerReplay:
         """Execution substrate (shards/engine) is replay-invariant; only
         structural config fields must match the recorded run."""
         sched = PowerAwareScheduler.resume(
-            recorded_sched["root"], _book(), epoch=6,
+            recorded_sched["root"], epoch=6,
             config=_sched_config(shards=shards, engine=engine))
         try:
             sched.run()
             assert _report(sched) == recorded_sched["report"]
         finally:
             sched.close()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_slots", 5), ("seed", 4), ("variability", (0.05, 0.06))])
+    def test_structural_config_change_refused(self, recorded_sched,
+                                              field, value):
+        config = _sched_config(**{field: value})
+        with pytest.raises(CheckpointError, match=field):
+            PowerAwareScheduler.resume(recorded_sched["root"], epoch=3,
+                                       config=config)
 
     def test_run_checkpoint_kind(self, recorded_sched):
         store = CheckpointStore(recorded_sched["root"],

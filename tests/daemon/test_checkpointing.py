@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.daemon import protocol as proto
-from repro.daemon.checkpointing import DAEMON_STATE_VERSION, resume_daemon
+from repro.daemon.service import Daemon
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.runfile import CheckpointStore, load_run_checkpoint
 
@@ -64,6 +64,39 @@ class TestPeriodicCheckpoint:
         finally:
             daemon.close()
 
+    def test_tick_counts_the_draining_epoch(self, daemon):
+        daemon.handle(run_request("only", seconds=2.5))
+        assert daemon.tick(40) == 3
+        info = daemon.handle(proto.InfoRequest())
+        assert info.epochs == daemon.scheduler.epochs_done == 3
+        assert daemon.tick(40) == 0
+
+    def test_draining_epoch_is_checkpointed(self, tmp_path):
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=1, checkpoint_dir=root)
+        try:
+            daemon.handle(run_request("only", seconds=2.5))
+            daemon.tick(40)
+            assert CheckpointStore(root, kind="daemon").epochs() == \
+                [1, 2, 3]
+        finally:
+            daemon.close()
+
+    def test_stamps_match_the_scheduler_across_drains(self, tmp_path):
+        root = str(tmp_path / "store")
+        daemon = make_daemon(checkpoint_interval=2, checkpoint_dir=root)
+        try:
+            for k in range(3):
+                daemon.handle(run_request(f"round-{k}", seconds=2.5))
+                drain(daemon)
+            store = CheckpointStore(root, kind="daemon")
+            assert store.epochs() == [2, 4, 6, 8]
+            for epoch in store.epochs():
+                checkpoint = store.load(epoch)
+                assert checkpoint.epoch == checkpoint.state["epochs"]
+        finally:
+            daemon.close()
+
     def test_explicit_checkpoint_without_path_raises(self, daemon):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
             daemon.checkpoint()
@@ -77,10 +110,10 @@ class TestResume:
         daemon.tick(3)  # periodic checkpoint fired at epoch 2
         daemon.close()  # "crash": epoch 3 is lost with the process
 
-        resumed = resume_daemon(root)
+        resumed = Daemon.resume(root)
         try:
             assert resumed.scheduler.now == 2.0
-            assert resumed.epochs == 2
+            assert resumed.scheduler.epochs_done == 2
             drain(resumed)
             resumed_statuses = final_statuses(resumed)
         finally:
@@ -105,7 +138,7 @@ class TestResume:
         daemon.handle(proto.ShutdownRequest())
         daemon.close()
 
-        resumed = resume_daemon(root)
+        resumed = Daemon.resume(root)
         try:
             assert len(resumed.handle(proto.ListRequest()).jobs) == 3
             drain(resumed)
@@ -120,7 +153,7 @@ class TestResume:
         submit_all(daemon)
         daemon.checkpoint()
         daemon.close()
-        resumed = resume_daemon(root)
+        resumed = Daemon.resume(root)
         try:
             reply = resumed.handle(run_request("late"))
             assert reply.seq == len(JOBS)  # no seq reuse after resume
@@ -155,7 +188,7 @@ class TestResume:
         daemon.checkpoint()
         daemon.close()
 
-        resumed = resume_daemon(root)
+        resumed = Daemon.resume(root)
         try:
             assert [j.job_id for j in resumed.scheduler.queue] == order
             drain(resumed)
@@ -196,14 +229,14 @@ class TestResume:
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
-            resume_daemon(str(tmp_path / "nope"))
+            Daemon.resume(str(tmp_path / "nope"))
 
     def test_not_a_checkpoint(self, tmp_path):
         root, path, _ = stored_checkpoint(tmp_path)
         with open(path, "wb") as fh:
             fh.write(pickle.dumps({"hello": "world"}))
         with pytest.raises(CheckpointError):
-            resume_daemon(root)
+            Daemon.resume(root)
 
     def test_envelope_version_mismatch(self, tmp_path):
         root, path, checkpoint = stored_checkpoint(tmp_path)
@@ -211,18 +244,18 @@ class TestLoadErrors:
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError, match="99"):
-            resume_daemon(root)
+            Daemon.resume(root)
 
     def test_state_version_mismatch(self, tmp_path):
         root, path, checkpoint = stored_checkpoint(tmp_path)
         stale = dataclasses.replace(
             checkpoint,
             state={**checkpoint.state,
-                   "version": DAEMON_STATE_VERSION + 1})
+                   "version": checkpoint.state["version"] + 1})
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError):
-            resume_daemon(root)
+            Daemon.resume(root)
 
     def test_buffered_admission_state_refused(self, tmp_path):
         # version 2 kept the daemon's own admission buffer and job table
@@ -234,7 +267,23 @@ class TestLoadErrors:
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(stale))
         with pytest.raises(CheckpointError, match="version 2"):
-            resume_daemon(root)
+            Daemon.resume(root)
+
+    def test_wrapped_scheduler_state_refused(self, tmp_path):
+        # version 3 wrapped a version-2 scheduler snapshot in a daemon
+        # payload of its own, beside the daemon's counters and book
+        root, path, checkpoint = stored_checkpoint(tmp_path)
+        inner = {key: value for key, value in checkpoint.state.items()
+                 if not key.startswith("book_")}
+        stale = dataclasses.replace(checkpoint, state={
+            "version": 3, "protocol": proto.PROTOCOL_VERSION,
+            "epochs": 0, "ticks": 0, "book_profiles": {},
+            "book_n_workers": 4, "book_seed": 1,
+            "scheduler": {**inner, "version": 2}})
+        with open(path, "wb") as fh:
+            fh.write(pickle.dumps(stale))
+        with pytest.raises(CheckpointError, match="version 3"):
+            Daemon.resume(root)
 
     def test_wrong_kind_rejected(self, tmp_path):
         root, path, checkpoint = stored_checkpoint(tmp_path)
@@ -242,7 +291,7 @@ class TestLoadErrors:
         with open(path, "wb") as fh:
             fh.write(pickle.dumps(wrong))
         with pytest.raises(CheckpointError, match="cluster"):
-            resume_daemon(root)
+            Daemon.resume(root)
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path):
         root, path, _ = stored_checkpoint(tmp_path)
@@ -273,9 +322,9 @@ class TestRunStore:
         daemon.tick(5)  # checkpoints at 2 and 4; epoch 5 is lost
         daemon.close()
 
-        resumed = resume_daemon(str(root))
+        resumed = Daemon.resume(str(root))
         try:
-            assert resumed.epochs == 4
+            assert resumed.scheduler.epochs_done == 4
             drain(resumed)
             resumed_statuses = final_statuses(resumed)
         finally:
@@ -297,10 +346,10 @@ class TestRunStore:
         daemon.tick(6)
         daemon.close()
 
-        rewound = resume_daemon(str(root), epoch=3)
+        rewound = Daemon.resume(str(root), epoch=3)
         try:
             # newest checkpoint at-or-before 3 is epoch 2
-            assert rewound.epochs == 2
+            assert rewound.scheduler.epochs_done == 2
             drain(rewound)
             rewound_statuses = final_statuses(rewound)
         finally:

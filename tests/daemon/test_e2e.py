@@ -13,9 +13,9 @@ import threading
 import pytest
 
 from repro.daemon import protocol as proto
-from repro.daemon.checkpointing import resume_daemon
 from repro.daemon.client import DaemonClient
 from repro.daemon.profiles import DEMO_LAMMPS_RATE, demo_book
+from repro.daemon.service import Daemon
 from repro.scheduler import Job, PowerAwareScheduler
 
 from tests.daemon.conftest import make_daemon, start_server
@@ -146,7 +146,7 @@ class TestKillAndResume:
             thread.join(timeout=5.0)
             daemon.close()
 
-        resumed = resume_daemon(store)
+        resumed = Daemon.resume(store)
         server2, thread2, path2 = start_server(resumed, tmp_path,
                                                name="resumed.sock")
         try:

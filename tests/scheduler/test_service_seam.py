@@ -11,6 +11,7 @@ from repro.scheduler import (
     JobKilled,
     JobState,
     PowerAwareScheduler,
+    PowerBook,
 )
 
 from tests.scheduler.test_scheduler import make_book, make_config, make_job
@@ -175,6 +176,34 @@ class TestSnapshotRestore:
         state = sched.snapshot()
         sched.run()
         assert state["records"]["a"].state is JobState.RUNNING
+
+    def test_snapshot_carries_the_power_book(self):
+        source = make_sched()
+        source.submit(make_job("a"))
+        source.step()
+        state = source.snapshot()
+        target = PowerAwareScheduler(make_config(), PowerBook(seed=9))
+        target.restore(state)
+        assert target.book.known() == ["lammps"]
+        assert (target.book.n_workers, target.book.seed) == (4, 0)
+        assert target.book.profile("lammps") == \
+            source.book.profile("lammps")
+
+    def test_foreign_profile_refused(self):
+        state = make_sched().snapshot()
+        state["book_profiles"] = [("lammps", 1.0)]
+        with pytest.raises(CheckpointError, match="AppPowerProfile"):
+            make_sched().restore(state)
+
+    def test_version_2_snapshot_refused(self):
+        # version 2 carried no power book: a KeyError here would mean
+        # the layout check came too late
+        state = make_sched().snapshot()
+        for key in ("book_n_workers", "book_seed", "book_profiles"):
+            del state[key]
+        state["version"] = 2
+        with pytest.raises(CheckpointError, match="version 2"):
+            make_sched().restore(state)
 
     def test_snapshot_version_checked(self):
         sched = make_sched()

@@ -87,7 +87,7 @@ class TestResumeSharesGroups:
             want = _report(sched)
         finally:
             sched.close()
-        resumed = PowerAwareScheduler.resume(checkpoint, _book())
+        resumed = PowerAwareScheduler.resume(checkpoint)
         try:
             nodes = resumed._lockstep.local_nodes().values()
             keys = {profile_key(node.spec) for node in nodes
