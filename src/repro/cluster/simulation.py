@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.node_instance import NodeInstance
 from repro.cluster.sharding import ShardedLockstep, StepRequest
-from repro.cluster.variability import perturb_config
+from repro.cluster.variability import node_configs
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -98,22 +98,15 @@ class ClusterSimulation:
         if n_nodes < 1:
             raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         base_cfg = cfg if cfg is not None else skylake_config()
-        specs: list[tuple[int, StackSpec]] = []
-        for i in range(n_nodes):
-            node_cfg = base_cfg
-            if variability is not None:
-                rng = np.random.default_rng([seed, i])
-                node_cfg = perturb_config(base_cfg, rng,
-                                          sigma_dynamic=variability[0],
-                                          sigma_static=variability[1])
-            specs.append((i, StackSpec(
-                app_name=app_name,
-                cfg=node_cfg,
-                app_kwargs=app_kwargs,
-                seed=seed + 1000 * i,
-                controller=BUDGET,
-                name=f"node{i}",
-            )))
+        specs = [(i, StackSpec(
+            app_name=app_name,
+            cfg=node_cfg,
+            app_kwargs=app_kwargs,
+            seed=seed + 1000 * i,
+            controller=BUDGET,
+            name=f"node{i}",
+        )) for i, node_cfg in enumerate(
+            node_configs(base_cfg, n_nodes, seed, variability))]
         self._init_loop(policy, shards, engine)
         self._node_ids = list(range(n_nodes))
         self._lockstep.add_nodes(specs)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import NodeConfig
 
-__all__ = ["perturb_config"]
+__all__ = ["perturb_config", "node_configs"]
 
 
 def perturb_config(cfg: NodeConfig, rng: np.random.Generator, *,
@@ -47,3 +47,22 @@ def perturb_config(cfg: NodeConfig, rng: np.random.Generator, *,
         c_dyn=cfg.c_dyn * dyn_factor,
         leak_per_volt=cfg.leak_per_volt * static_factor,
     )
+
+
+def node_configs(base: NodeConfig, n_nodes: int, seed: int,
+                 variability: tuple[float, float] | None
+                 ) -> list[NodeConfig]:
+    """The per-node configs of a cluster of ``n_nodes`` nodes.
+
+    Node ``i`` is ``base`` perturbed (:func:`perturb_config`) by its own
+    stream ``default_rng([seed, i])`` with ``variability`` as the
+    ``(sigma_dynamic, sigma_static)`` pair; with ``variability=None``
+    every node is ``base``.
+    """
+    if variability is None:
+        return [base] * n_nodes
+    sigma_dynamic, sigma_static = variability
+    return [perturb_config(base, np.random.default_rng([seed, i]),
+                           sigma_dynamic=sigma_dynamic,
+                           sigma_static=sigma_static)
+            for i in range(n_nodes)]

@@ -23,9 +23,10 @@ Layering — each module owns one concern:
   core: admission straight into the scheduler queue (bounded, FIFO
   per priority; the scheduler's records are the daemon's only job
   table), the deterministic tick
-  loop, telemetry fan-out over :mod:`repro.telemetry.pubsub` (HWM
-  drops, slow-joiner loss, modelled latency — the paper's ZeroMQ
-  transport semantics), and crash-resumable checkpoints on the
+  loop, telemetry fan-out straight into each watch's bounded queue
+  (topic-prefix filter, new frames dropped at the watch's HWM,
+  slow-joiner loss — ZeroMQ's PUB/SUB semantics), and
+  crash-resumable checkpoints on the
   repo-wide :class:`~repro.runtime.runfile.RunCheckpoint` format
   (``--resume`` picks a run up from the latest checkpoint in the
   epoch-stamped ``--checkpoint-dir`` store; ``--resume-epoch`` rewinds

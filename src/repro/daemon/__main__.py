@@ -16,7 +16,9 @@ continues from the latest checkpoint in that store instead of starting
 an empty cluster, and ``--resume-epoch N`` rewinds to the newest
 checkpoint at or before epoch N (time travel). A resumed daemon runs
 under its recorded configuration: the cluster, service and
-``--checkpoint-interval`` flags are ignored.
+``--checkpoint-interval`` flags are ignored. It saves into the
+``--checkpoint-dir`` it resumed from, even if the store was moved
+there after it was written.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="live = characterize apps on first "
                               "submission; demo = preloaded lammps "
                               "profile")
-    service.add_argument("--telemetry-delay", type=float, default=0.0)
-    service.add_argument("--telemetry-drop", type=float, default=0.0)
-    service.add_argument("--telemetry-seed", type=int, default=0)
 
     pacing = parser.add_argument_group("pacing")
     pacing.add_argument("--sim-rate", type=float, default=20.0,
@@ -111,9 +110,6 @@ def daemon_from_args(args) -> Daemon:
         queue_capacity=args.queue_capacity,
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_dir=args.checkpoint_dir,
-        telemetry_delay=args.telemetry_delay,
-        telemetry_drop=args.telemetry_drop,
-        telemetry_seed=args.telemetry_seed,
     )
     if args.book == "demo":
         book = demo_book(n_workers=args.n_workers, seed=args.seed)

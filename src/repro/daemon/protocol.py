@@ -121,12 +121,13 @@ class WatchRequest:
     """Subscribe this connection to the telemetry stream.
 
     ``watch_id`` names the subscription: reconnecting with the same id
-    re-enters as a slow joiner (fresh queue, no stale backlog — see
-    :meth:`repro.telemetry.pubsub.SubSocket.resubscribe`). ``topic`` is
-    a ZeroMQ-style prefix filter over the daemon's telemetry topics
+    re-enters as a slow joiner (fresh queue, no stale backlog; only
+    undelivered lifecycle events survive). ``topic`` is a ZeroMQ-style
+    prefix filter over the daemon's telemetry topics
     (``progress/<job_id>/<node_id>``, ``cluster/power``, ...); ``hwm``
-    bounds the subscriber queue, and ``events`` additionally streams
-    the scheduler's lifecycle events (reliable, not loss-modelled).
+    bounds the watch's frame queue (0 = this default; at the bound new
+    frames are dropped), and ``events`` additionally streams the
+    scheduler's lifecycle events (reliable: never dropped at ``hwm``).
     """
 
     watch_id: str
@@ -245,12 +246,11 @@ class ErrorReply:
 
 @dataclass(frozen=True)
 class StreamTelemetry:
-    """One pub/sub bus message, forwarded to a subscriber.
+    """One telemetry value fanned out to a watch subscriber.
 
-    ``time`` is the *publish* stamp in simulated seconds; under a
-    modelled transport delay the frame reaches the client strictly
-    later, so a monitor computing rates from these frames sees exactly
-    the staleness the paper's ZeroMQ transport produces under load.
+    ``time`` is the simulated time of the epoch that produced the
+    value; ``topic`` is ``progress/<job_id>/<node_id>`` (cumulative
+    work units) or ``cluster/power`` (the epoch's mean power draw).
     """
 
     time: float

@@ -15,8 +15,8 @@ Sockets are non-blocking. Output is sent at once; only bytes the
 kernel would not take wait in a connection's write buffer, and only
 then does the loop select the connection for writing. A connection
 with unsent output is neither read from nor given new frames: its
-frames wait in its :class:`~repro.telemetry.pubsub.SubSocket`, whose
-``hwm`` drops the excess (pubsub's slow-consumer policy). A request
+frames wait in its watch's queue, where the watch's ``hwm`` drops new
+frames beyond the bound (ZeroMQ's slow-consumer policy). A request
 line longer than :data:`~repro.daemon.protocol.MAX_LINE_BYTES` gets a
 ``protocol`` error and the connection is closed.
 
@@ -290,7 +290,7 @@ class DaemonServer:
     def _flush_watchers(self) -> None:
         """Push every attached watch's due frames to connections that
         are keeping up; a backed-up connection's frames stay queued in
-        its subscriber (bounded by the watch's hwm)."""
+        its watch (bounded by the watch's hwm)."""
         for conn in self._conns.values():
             if conn.wbuf or not conn.watch_ids:
                 continue

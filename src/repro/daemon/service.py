@@ -2,9 +2,9 @@
 
 :class:`Daemon` is the transport-free heart of the service. It owns a
 :class:`~repro.scheduler.scheduler.PowerAwareScheduler`, whose queue
-and job records are the daemon's only job table, and a
-:class:`~repro.telemetry.pubsub.MessageBus` that progress telemetry
-fans out over. It has exactly one owner and is not thread-safe: the
+and job records are the daemon's only job table, the outboxes of its
+``watch`` subscriptions, and its checkpoint store. It has exactly one
+owner and is not thread-safe: the
 socket layer's single loop (:mod:`repro.daemon.server`) or a test
 calls it, never several threads at once. Both drive it the same way:
 
@@ -14,8 +14,8 @@ calls it, never several threads at once. Both drive it the same way:
   *Only* tick moves simulated time; requests between ticks see a
   frozen simulation.
 * :meth:`drain_watch` — collect the telemetry frames owed to one
-  ``watch`` subscription (bus messages whose modelled delivery time
-  has arrived, plus the reliable lifecycle-event side channel).
+  ``watch`` subscription (its lifecycle events, then its stream
+  frames).
 
 Determinism: the daemon's observable behaviour is a pure function of
 its config, the power book, and the *sequence* of admitted commands
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,13 +53,11 @@ from repro.scheduler.events import SchedulerEvent
 from repro.scheduler.job import Job, JobState
 from repro.scheduler.powerbook import PowerBook
 from repro.scheduler.scheduler import PowerAwareScheduler, SchedulerConfig
-from repro.runtime.clock import SimClock
 from repro.runtime.runfile import (
     CheckpointStore,
     checkpoint_due,
     resolve_checkpoint,
 )
-from repro.telemetry.pubsub import MessageBus, SubSocket
 
 __all__ = ["DaemonConfig", "Daemon"]
 
@@ -88,25 +87,12 @@ class DaemonConfig:
         and shutdown checkpoints are written to. The store keeps
         *every* epoch, enabling time-travel resume
         (``--resume-epoch``).
-    telemetry_delay:
-        Modelled bus delivery latency in *simulated* seconds — frames
-        published at epoch *t* become receivable at ``t + delay``.
-    telemetry_drop:
-        Seeded per-message loss probability on the bus.
-    telemetry_seed:
-        Seed of the loss process.
-    default_hwm:
-        Subscriber queue bound when a ``watch`` does not choose one.
     """
 
     scheduler: SchedulerConfig
     queue_capacity: int = 64
     checkpoint_interval: int = 0
     checkpoint_dir: str | None = None
-    telemetry_delay: float = 0.0
-    telemetry_drop: float = 0.0
-    telemetry_seed: int = 0
-    default_hwm: int = 1000
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -114,21 +100,29 @@ class DaemonConfig:
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
         checkpoint_due(self.checkpoint_interval,
                        self.checkpoint_dir or None)
-        if self.default_hwm < 1:
-            raise ConfigurationError(
-                f"default_hwm must be >= 1, got {self.default_hwm}")
 
 
 class _Watcher:
-    """One named ``watch`` subscription (outlives its connection)."""
+    """One named ``watch`` subscription (outlives its connection).
 
-    __slots__ = ("watch_id", "sub", "want_events", "events",
-                 "events_lost", "attached")
+    Two outboxes: ``events``, the reliable lifecycle events, and
+    ``frames``, the stream frames whose topic starts with ``topic``.
+    ``frames`` holds at most ``hwm``; at the bound a new frame is
+    dropped and counted in ``overflowed`` (ZeroMQ's slow-consumer
+    policy), so the frames kept are the oldest undrained ones. A
+    detach clears ``frames``: a re-attach starts fresh.
+    """
 
-    def __init__(self, watch_id: str, sub: SubSocket,
+    __slots__ = ("watch_id", "topic", "hwm", "frames", "overflowed",
+                 "want_events", "events", "events_lost", "attached")
+
+    def __init__(self, watch_id: str, topic: str, hwm: int,
                  want_events: bool) -> None:
         self.watch_id = watch_id
-        self.sub = sub
+        self.topic = topic
+        self.hwm = hwm
+        self.frames: deque = deque()
+        self.overflowed = 0
         self.want_events = want_events
         self.events: deque = deque()
         self.events_lost = 0
@@ -158,14 +152,6 @@ class Daemon:
         self.config = config
         self.scheduler = PowerAwareScheduler(config.scheduler, powerbook,
                                              cfg)
-        # The bus lives in simulated time: this clock mirrors the
-        # scheduler's `now` so stamps, delays, and drops stay inside
-        # the deterministic core.
-        self.clock = SimClock()
-        self.bus = MessageBus(self.clock, delay=config.telemetry_delay,
-                              drop_prob=config.telemetry_drop,
-                              seed=config.telemetry_seed)
-        self._pub = self.bus.pub_socket()
         self._watchers: dict[str, _Watcher] = {}
         self._shutdown = False
         self._run_store: CheckpointStore | None = None
@@ -310,16 +296,16 @@ class Daemon:
                     "bad-request",
                     f"watch id {req.watch_id!r} is already attached")
             # Reconnect: ZeroMQ slow-joiner semantics — the stream
-            # restarts fresh, only the reliable event backlog survives.
-            watcher.sub.resubscribe()
+            # restarts fresh (detach cleared it), only the reliable
+            # event backlog survives.
             watcher.attached = True
             return proto.WatchReply(watch_id=req.watch_id, resumed=True)
-        try:
-            sub = self.bus.sub_socket(
-                req.topic, hwm=req.hwm or self.config.default_hwm)
-        except ConfigurationError as exc:
-            return self._reject("bad-request", str(exc))
-        watcher = _Watcher(req.watch_id, sub, req.events)
+        # hwm=0 means the protocol default (the field's own default)
+        hwm = req.hwm or proto.WatchRequest.hwm
+        if hwm < 1:
+            return self._reject("bad-request",
+                                f"hwm must be >= 1, got {req.hwm}")
+        watcher = _Watcher(req.watch_id, req.topic, hwm, req.events)
         self._watchers[req.watch_id] = watcher
         return proto.WatchReply(watch_id=req.watch_id, resumed=False)
 
@@ -377,14 +363,10 @@ class Daemon:
                 if not scheduler.checkpointed_step(
                         self.config.checkpoint_interval, self.checkpoint):
                     break
-            if scheduler.now > self.clock.now:
-                # an idle hop moves time with no epoch results
-                self.clock.advance_to(scheduler.now)
         metrics = obs.metrics()
         metrics.gauge("daemon.queue_depth").set(len(scheduler.queue))
-        dropped = self.bus.dropped + sum(
-            w.sub.overflowed for w in self._watchers.values())
-        metrics.gauge("daemon.telemetry_dropped").set(dropped)
+        metrics.gauge("daemon.telemetry_dropped").set(
+            sum(w.overflowed for w in self._watchers.values()))
         return scheduler.epochs_done - before
 
     # ------------------------------------------------------------------
@@ -408,18 +390,31 @@ class Daemon:
             watcher.events.append(frame)
 
     def _on_epoch(self, now: float, results: dict) -> None:
-        """Publish one progress frame per (job, node) for the epoch —
+        """Fan out one progress frame per (job, node) for the epoch —
         the daemon's equivalent of the paper's per-node progress
-        reports — plus the cluster's epoch power draw."""
-        self.clock.advance_to(now)
+        reports — plus the cluster's epoch power draw, to every
+        attached watcher whose topic prefix matches."""
+        frames = []
         epoch_energy = 0.0
         for job_id, by_node in results.items():
             for node_id, res in by_node.items():
-                self._pub.send(f"progress/{job_id}/{node_id}",
-                               res.cumulative)
+                frames.append(proto.StreamTelemetry(
+                    time=now, topic=f"progress/{job_id}/{node_id}",
+                    value=float(res.cumulative)))
                 epoch_energy += res.energy
-        self._pub.send("cluster/power",
-                       epoch_energy / self.config.scheduler.epoch)
+        frames.append(proto.StreamTelemetry(
+            time=now, topic="cluster/power",
+            value=float(epoch_energy / self.config.scheduler.epoch)))
+        for watcher in self._watchers.values():
+            if not watcher.attached:
+                continue
+            for frame in frames:
+                if not frame.topic.startswith(watcher.topic):
+                    continue
+                if len(watcher.frames) >= watcher.hwm:
+                    watcher.overflowed += 1
+                else:
+                    watcher.frames.append(frame)
 
     # ------------------------------------------------------------------
     # Watch plumbing (server-facing)
@@ -427,31 +422,25 @@ class Daemon:
 
     def drain_watch(self, watch_id: str) -> list:
         """Frames owed to one subscription: the reliable event backlog
-        first, then every bus message whose modelled delivery time has
-        arrived. Called by the server at the end of each loop pass."""
+        first, then the queued stream frames. Called by the server at
+        the end of each loop pass."""
         watcher = self._watchers.get(watch_id)
         if watcher is None:
             return []
-        frames: list = []
-        while watcher.events:
-            frames.append(watcher.events.popleft())
-        if not watcher.sub.closed:
-            frames.extend(
-                proto.StreamTelemetry(time=m.time, topic=m.topic,
-                                      value=m.value)
-                for m in watcher.sub.recv_all())
+        frames = [*watcher.events, *watcher.frames]
+        watcher.events.clear()
+        watcher.frames.clear()
         return frames
 
     def detach_watch(self, watch_id: str) -> None:
-        """The connection owning ``watch_id`` went away: disconnect its
-        subscriber (messages published while detached are lost — slow
-        joiner on reconnect) but keep the watcher resumable."""
+        """The connection owning ``watch_id`` went away: drop its queued
+        stream frames (frames fanned out while detached are lost too —
+        slow joiner on reconnect) but keep the watcher resumable."""
         watcher = self._watchers.get(watch_id)
         if watcher is None or not watcher.attached:
             return
         watcher.attached = False
-        if not watcher.sub.closed:
-            watcher.sub.close()
+        watcher.frames.clear()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -466,9 +455,8 @@ class Daemon:
         .scheduler.PowerAwareScheduler.run_checkpoint` (queue, job
         records, power book and every running node), of kind
         ``"daemon"`` and carrying the :class:`DaemonConfig`. Watch
-        subscriptions are connection-scoped and not saved, and a
-        resumed bus restarts its loss process from its seed; the bus
-        only observes, so neither can change a simulated result."""
+        subscriptions are connection-scoped and not saved; they only
+        observe, so they cannot change a simulated result."""
         if self._run_store is None:
             raise ConfigurationError(
                 "daemon has no checkpoint_dir configured")
@@ -490,11 +478,19 @@ class Daemon:
         checkpoint at or before N, or a loaded ``RunCheckpoint``. The
         resumed daemon continues bit-for-bit: running nodes come back
         from their node checkpoints, queued jobs keep their order and
-        the power book keeps its measured profiles."""
+        the power book keeps its measured profiles.
+
+        The daemon runs under the recorded :class:`DaemonConfig`, but
+        one resumed from a store (or a store directory) saves into that
+        store, wherever it has moved since it was recorded."""
         checkpoint = resolve_checkpoint(source, kind="daemon", epoch=epoch)
-        daemon = cls(checkpoint.config, PowerBook(cfg), cfg)
+        config = checkpoint.config
+        if isinstance(source, CheckpointStore):
+            config = dataclasses.replace(config, checkpoint_dir=source.root)
+        elif isinstance(source, str) and os.path.isdir(source):
+            config = dataclasses.replace(config, checkpoint_dir=source)
+        daemon = cls(config, PowerBook(cfg), cfg)
         daemon.scheduler.restore(checkpoint.state)
-        daemon.clock.advance_to(daemon.scheduler.now)
         return daemon
 
     def close(self) -> None:

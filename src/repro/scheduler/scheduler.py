@@ -49,7 +49,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.policies import ProgressAwareRebalancer
 from repro.cluster.sharding import _ENGINES, ShardedLockstep, StepRequest
-from repro.cluster.variability import perturb_config
+from repro.cluster.variability import node_configs
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -227,15 +227,8 @@ class PowerAwareScheduler:
         self.config = config
         self.book = powerbook
         base = cfg if cfg is not None else skylake_config()
-        self._slot_cfgs: list[NodeConfig] = []
-        for slot in range(config.n_slots):
-            slot_cfg = base
-            if config.variability is not None:
-                rng = np.random.default_rng([config.seed, slot])
-                slot_cfg = perturb_config(
-                    base, rng, sigma_dynamic=config.variability[0],
-                    sigma_static=config.variability[1])
-            self._slot_cfgs.append(slot_cfg)
+        self._slot_cfgs = node_configs(base, config.n_slots, config.seed,
+                                       config.variability)
         self._free_slots: list[int] = list(range(config.n_slots))
         self.queue = JobQueue()
         self.records: dict[str, JobRecord] = {}

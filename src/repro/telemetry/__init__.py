@@ -8,9 +8,9 @@ that stack in-process:
 * :mod:`repro.telemetry.timeseries` — timestamped sample container with
   resampling and summary statistics,
 * :mod:`repro.telemetry.pubsub` — PUB/SUB message bus with ZeroMQ's
-  slow-joiner semantics plus configurable delivery delay and loss (the
-  design flaw behind OpenMC's spurious zero progress reports in the
-  paper's Fig. 3),
+  prefix filtering, slow-joiner and high-water-mark semantics plus
+  seeded message loss (the design flaw behind OpenMC's spurious zero
+  progress reports in the paper's Fig. 3),
 * :mod:`repro.telemetry.monitor` — the 1 Hz progress monitor that turns
   raw progress events into a per-second rate series,
 * :mod:`repro.telemetry.reduction` — job-level aggregation of per-rank

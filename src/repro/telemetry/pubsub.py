@@ -10,11 +10,16 @@ that matter for the study, in-process and in simulated time:
   lost, not queued;
 * **bounded queues (HWM)** — each subscriber has a high-water mark; when
   the queue is full, new messages are dropped;
-* **delivery delay and loss** — optional per-bus latency and a seeded
-  drop probability. The paper notes OpenMC's progress "is occasionally
-  reported as zero ... due to a flaw in the design of the ZeroMQ-based
-  progress monitoring framework"; enabling loss on the OpenMC channel
-  reproduces those spurious zeros (Fig. 3).
+* **seeded loss** — an optional per-message drop probability. The paper
+  notes OpenMC's progress "is occasionally reported as zero ... due to
+  a flaw in the design of the ZeroMQ-based progress monitoring
+  framework"; enabling loss on the OpenMC channel reproduces those
+  spurious zeros (Fig. 3).
+
+Delivery is immediate: a message is receivable as soon as it is
+published. The bus is the in-node transport of one
+:class:`~repro.stack.builder.NodeStack`; the daemon's stream to its
+clients does not use it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from repro.exceptions import (
     check_snapshot_version,
 )
 from repro.runtime.clock import SimClock
-from repro.runtime.engine import TIMER_EPS
 
 __all__ = ["Message", "MessageBus", "PubSocket", "SubSocket"]
 
@@ -50,9 +54,7 @@ class MessageBus:
     Parameters
     ----------
     clock:
-        Simulation clock used to stamp and (optionally) delay messages.
-    delay:
-        Constant delivery latency in seconds.
+        Simulation clock used to stamp messages.
     drop_prob:
         Probability that any given message is silently lost in transit.
     seed:
@@ -62,16 +64,13 @@ class MessageBus:
     #: Default subscriber high-water mark (queued messages).
     HWM = 1000
 
-    def __init__(self, clock: SimClock, *, delay: float = 0.0,
-                 drop_prob: float = 0.0, seed: int = 0) -> None:
-        if delay < 0:
-            raise ConfigurationError(f"delay must be non-negative, got {delay}")
+    def __init__(self, clock: SimClock, *, drop_prob: float = 0.0,
+                 seed: int = 0) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ConfigurationError(
                 f"drop_prob must lie in [0, 1), got {drop_prob}"
             )
         self.clock = clock
-        self.delay = delay
         self.drop_prob = drop_prob
         self._rng = np.random.default_rng(seed)
         self._subs: list[SubSocket] = []
@@ -98,25 +97,21 @@ class MessageBus:
             self.dropped += 1
             return
         msg = Message(time=self.clock.now, topic=topic, value=value)
-        deliver_at = self.clock.now + self.delay
         for sub in self._subs:
             if not sub.closed and topic.startswith(sub.topic):
-                sub._enqueue(deliver_at, msg)
+                sub._enqueue(msg)
 
     def _disconnect(self, sub: "SubSocket") -> None:
         if sub in self._subs:
             self._subs.remove(sub)
 
-    def _reconnect(self, sub: "SubSocket") -> None:
-        if sub in self._subs:  # pragma: no cover - guarded by SubSocket
-            raise TelemetryError("subscriber is already connected")
-        self._subs.append(sub)
-
     # -- checkpointing ------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Picklable bus state: loss-process RNG, counters, and each
-        connected subscriber's queue (by connection order)."""
+        connected subscriber's queue (by connection order) as
+        ``(delivery time, message)`` pairs; the delivery time is the
+        message's publish time."""
         return {
             "version": 1,
             "rng": self._rng.bit_generator.state,
@@ -127,7 +122,7 @@ class MessageBus:
                 "hwm": sub.hwm,
                 "closed": sub.closed,
                 "overflowed": sub.overflowed,
-                "queue": list(sub._queue),
+                "queue": [(m.time, m) for m in sub._queue],
             } for sub in self._subs],
         }
 
@@ -153,8 +148,8 @@ class MessageBus:
             sub.closed = sub_state["closed"]
             sub.overflowed = sub_state["overflowed"]
             sub._queue = deque(
-                (t, Message(*m) if not isinstance(m, Message) else m)
-                for t, m in sub_state["queue"])
+                m if isinstance(m, Message) else Message(*m)
+                for _t, m in sub_state["queue"])
 
 
 class PubSocket:
@@ -185,48 +180,23 @@ class SubSocket:
         self.hwm = hwm
         self.closed = False
         self.overflowed = 0
-        self._queue: deque[tuple[float, Message]] = deque()
+        self._queue: deque[Message] = deque()
 
-    def _enqueue(self, deliver_at: float, msg: Message) -> None:
+    def _enqueue(self, msg: Message) -> None:
         if len(self._queue) >= self.hwm:
             self.overflowed += 1
             return
-        self._queue.append((deliver_at, msg))
+        self._queue.append(msg)
 
     def recv_all(self) -> list[Message]:
-        """Drain every message whose delivery time has arrived."""
+        """Drain every queued message."""
         if self.closed:
             raise TelemetryError("recv on a closed SUB socket")
-        now = self._bus.clock.now
-        out: list[Message] = []
-        while self._queue and self._queue[0][0] <= now + TIMER_EPS:
-            out.append(self._queue.popleft()[1])
+        out = list(self._queue)
+        self._queue.clear()
         return out
-
-    def pending(self) -> int:
-        """Messages queued (delivered or still in flight)."""
-        return len(self._queue)
 
     def close(self) -> None:
         """Disconnect from the bus; subsequent publishes are not seen."""
         self.closed = True
         self._bus._disconnect(self)
-
-    def resubscribe(self) -> None:
-        """Reconnect a closed subscriber as a fresh slow joiner.
-
-        ZeroMQ semantics: a subscriber that drops its connection and
-        comes back gets a *new* subscription — messages published while
-        it was away are lost (slow joiner), and nothing of its previous
-        queue survives (fresh HWM queue, no stale backlog). The daemon's
-        ``watch`` reconnect path relies on exactly this: a client that
-        re-attaches must not replay messages its dead connection never
-        drained. The overflow counter keeps accumulating across
-        reconnects (it describes the subscriber's lifetime, not one
-        connection).
-        """
-        if not self.closed:
-            raise TelemetryError("resubscribe on a connected SUB socket")
-        self._queue.clear()
-        self.closed = False
-        self._bus._reconnect(self)

@@ -363,6 +363,30 @@ class TestRunStore:
         finally:
             control.close()
 
+    @pytest.mark.parametrize("as_store", [False, True],
+                             ids=["directory", "store"])
+    def test_resume_saves_into_the_moved_store(self, tmp_path, as_store):
+        """A store moved after it was written keeps the run's later
+        epochs: the resumed daemon saves where it resumed from, not
+        into the recorded directory."""
+        old, new = tmp_path / "a", tmp_path / "b"
+        daemon = make_daemon(checkpoint_interval=2,
+                             checkpoint_dir=str(old))
+        submit_all(daemon)
+        daemon.tick(2)  # checkpoint at epoch 2
+        daemon.close()
+        os.rename(old, new)
+
+        source = CheckpointStore(str(new), kind="daemon") if as_store \
+            else str(new)
+        resumed = Daemon.resume(source)
+        try:
+            resumed.tick(2)  # epoch 4 is due
+        finally:
+            resumed.close()
+        assert CheckpointStore(str(new), kind="daemon").epochs() == [2, 4]
+        assert not old.exists()
+
     def test_shutdown_writes_to_store(self, tmp_path):
         root = tmp_path / "store"
         daemon = make_daemon(checkpoint_dir=str(root))

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.daemon import protocol as proto
 from repro.daemon.client import DaemonClient
 from repro.scheduler import JobState
@@ -13,7 +14,6 @@ from repro.scheduler import JobState
 from tests.daemon.conftest import (
     drain,
     make_daemon,
-    make_daemon_config,
     run_request,
     serving,
 )
@@ -278,13 +278,23 @@ class TestWatch:
         # only the epoch after joining is seen
         assert {f.time for f in frames} == {3.0}
 
-    def test_hwm_bounds_undrained_watcher(self, daemon):
-        daemon.handle(proto.WatchRequest(watch_id="w", hwm=2,
-                                         events=False))
-        daemon.handle(run_request("j", seconds=6.5))
-        daemon.tick(5)  # 5 epochs published, queue holds 2
-        frames = daemon.drain_watch("w")
-        assert len(frames) == 2
+    def test_hwm_bounds_undrained_watcher(self):
+        """At the hwm a new frame is dropped and counted, so an
+        undrained watch keeps the first frames, not the latest."""
+        session = obs.enable(obs.ObsSession())
+        daemon = make_daemon()
+        try:
+            daemon.handle(proto.WatchRequest(watch_id="w", hwm=2,
+                                             events=False))
+            daemon.handle(run_request("j", seconds=6.5))
+            assert daemon.tick(5) == 5  # 5 frames, the queue holds 2
+            frames = daemon.drain_watch("w")
+            assert [f.time for f in frames] == [1.0, 2.0]
+            dropped = session.metrics.gauge("daemon.telemetry_dropped")
+            assert dropped.value == 3
+        finally:
+            obs.disable()
+            daemon.close()
 
     def test_detach_then_reconnect_loses_interim(self, daemon):
         daemon.handle(proto.WatchRequest(watch_id="w", events=False))
@@ -303,34 +313,58 @@ class TestWatch:
         reply = daemon.handle(proto.WatchRequest(watch_id="w"))
         assert reply.code == "bad-request"
 
-    def test_modelled_delay_postpones_delivery(self):
-        daemon = make_daemon(telemetry_delay=2.0)
+    def test_zero_hwm_gets_protocol_default(self, daemon):
+        daemon.handle(proto.WatchRequest(watch_id="w", hwm=0,
+                                         topic="cluster", events=False))
+        daemon.handle(run_request("j", seconds=50.0))
+        daemon.tick(5)
+        assert len(daemon.drain_watch("w")) == 5
+
+    def test_negative_hwm_is_bad_request(self, daemon):
+        reply = daemon.handle(proto.WatchRequest(watch_id="w", hwm=-1))
+        assert reply.code == "bad-request"
+        # the refused watch left nothing behind: the id is free
+        assert isinstance(daemon.handle(proto.WatchRequest(watch_id="w")),
+                          proto.WatchReply)
+
+    def test_reattach_drops_stale_backlog(self, daemon):
+        """Frames queued but never drained before a detach are not
+        replayed to the re-attached watch."""
+        daemon.handle(proto.WatchRequest(watch_id="w", events=False))
+        daemon.handle(run_request("j", seconds=6.5))
+        daemon.tick(2)  # two frames queued, never drained
+        daemon.detach_watch("w")
+        daemon.handle(proto.WatchRequest(watch_id="w"))
+        assert daemon.drain_watch("w") == []
+
+    def test_reattach_keeps_overflow_count(self):
+        """The overflow count describes the watch's lifetime, not one
+        connection."""
+        session = obs.enable(obs.ObsSession())
+        daemon = make_daemon()
         try:
-            daemon.handle(proto.WatchRequest(watch_id="w",
+            daemon.handle(proto.WatchRequest(watch_id="w", hwm=1,
                                              events=False))
-            daemon.handle(run_request("j", seconds=4.5))
-            daemon.tick(1)
-            assert daemon.drain_watch("w") == []  # still in flight
-            daemon.tick(2)  # clock reaches publish time + delay
-            frames = daemon.drain_watch("w")
-            assert [f.time for f in frames] == [1.0]
+            daemon.handle(run_request("j", seconds=6.5))
+            daemon.tick(3)  # one frame kept, two dropped
+            daemon.detach_watch("w")
+            daemon.handle(proto.WatchRequest(watch_id="w"))
+            daemon.tick(1)  # fits the fresh queue
+            dropped = session.metrics.gauge("daemon.telemetry_dropped")
+            assert dropped.value == 2
         finally:
+            obs.disable()
             daemon.close()
 
-    def test_seeded_loss_drops_frames(self):
-        daemon = make_daemon(telemetry_drop=0.5, telemetry_seed=3)
-        try:
-            daemon.handle(proto.WatchRequest(watch_id="w",
-                                             events=False))
-            daemon.handle(run_request("j", n_nodes=2, seconds=20.0))
-            daemon.tick(15)
-            got = len(daemon.drain_watch("w"))
-            # 2 nodes x 15 epochs = 30 progress publishes; half survive
-            assert got < 30
-            assert daemon.bus.dropped > 0
-            assert got + daemon.bus.dropped <= daemon.bus.published
-        finally:
-            daemon.close()
+    def test_reattach_does_not_duplicate_delivery(self, daemon):
+        daemon.handle(proto.WatchRequest(watch_id="w", events=False))
+        daemon.handle(run_request("j", n_nodes=2, seconds=6.5))
+        daemon.detach_watch("w")
+        daemon.handle(proto.WatchRequest(watch_id="w"))
+        daemon.tick(1)
+        frames = daemon.drain_watch("w")
+        assert sorted(f.topic for f in frames) == \
+            ["progress/j/0", "progress/j/1"]
 
 
 class TestDeterminism:
