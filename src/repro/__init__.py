@@ -27,8 +27,8 @@ The package provides:
 * :mod:`repro.telemetry` — ZeroMQ-style progress pub/sub and the 1 Hz
   progress monitor;
 * :mod:`repro.nrm` — the node resource manager: dynamic power-capping
-  schemes (linear / step / jagged-edge), the power-policy daemon, and
-  budget-hierarchy policies;
+  schemes (linear / step / jagged-edge) and the one cap controller that
+  applies a schedule or a delivered budget once per second;
 * :mod:`repro.experiments` — one harness per paper table and figure.
 
 Quickstart::

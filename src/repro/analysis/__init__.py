@@ -3,16 +3,6 @@
 See :mod:`repro.analysis.stats`.
 """
 
-from repro.analysis.stats import (
-    RepeatSummary,
-    bootstrap_ci,
-    mean_confidence_interval,
-    summarize_repeats,
-)
+from repro.analysis.stats import mean_confidence_interval
 
-__all__ = [
-    "RepeatSummary",
-    "mean_confidence_interval",
-    "bootstrap_ci",
-    "summarize_repeats",
-]
+__all__ = ["mean_confidence_interval"]

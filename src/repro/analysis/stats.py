@@ -1,22 +1,18 @@
 """Confidence intervals for repeated progress measurements.
 
 The paper averages five repeats per power cap; a credible reproduction
-should also say how tight those averages are. These helpers provide
-Student-t and bootstrap confidence intervals plus a one-call summary for
-a vector of repeats.
+should also say how tight those averages are. The Testbed reports the
+Student-t confidence interval of each measurement's repeats.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["RepeatSummary", "mean_confidence_interval", "bootstrap_ci",
-           "summarize_repeats"]
+__all__ = ["mean_confidence_interval"]
 
 
 def _validate(samples) -> np.ndarray:
@@ -45,57 +41,3 @@ def mean_confidence_interval(samples, confidence: float = 0.95
         return (mean, mean)
     half = sem * float(stats.t.ppf((1.0 + confidence) / 2.0, arr.size - 1))
     return (mean - half, mean + half)
-
-
-def bootstrap_ci(samples, confidence: float = 0.95, n_resamples: int = 2000,
-                 seed: int = 0) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the mean."""
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError("confidence must lie in (0, 1)")
-    if n_resamples < 1:
-        raise ConfigurationError("n_resamples must be >= 1")
-    arr = _validate(samples)
-    if arr.size == 1:
-        return (float(arr[0]), float(arr[0]))
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = arr[idx].mean(axis=1)
-    lo = float(np.quantile(means, (1.0 - confidence) / 2.0))
-    hi = float(np.quantile(means, 1.0 - (1.0 - confidence) / 2.0))
-    return (lo, hi)
-
-
-@dataclass(frozen=True)
-class RepeatSummary:
-    """Summary statistics of one measurement's repeats."""
-
-    n: int
-    mean: float
-    std: float
-    ci_low: float
-    ci_high: float
-
-    @property
-    def ci_halfwidth(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
-    def relative_halfwidth(self) -> float:
-        """CI half-width as a fraction of the mean (precision measure)."""
-        if self.mean == 0.0:
-            raise ConfigurationError(
-                "relative precision undefined for zero mean"
-            )
-        return self.ci_halfwidth / abs(self.mean)
-
-
-def summarize_repeats(samples, confidence: float = 0.95) -> RepeatSummary:
-    """One-call summary: n, mean, std, t-interval."""
-    arr = _validate(samples)
-    lo, hi = mean_confidence_interval(arr, confidence)
-    return RepeatSummary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        ci_low=lo,
-        ci_high=hi,
-    )

@@ -1,17 +1,17 @@
 """One cluster node's complete software/hardware stack.
 
 A :class:`NodeInstance` is a thin, epoch-advanceable wrapper around a
-:class:`~repro.stack.builder.NodeStack` built with the budget-tracking
-controller — everything the single-node Testbed wires, but advanceable
-in *epochs* so many nodes can run in lockstep under a cluster-level
-power policy (see :mod:`repro.cluster.sharding`).
+:class:`~repro.stack.builder.NodeStack` whose cap controller follows
+delivered budgets — everything the single-node Testbed wires, but
+advanceable in *epochs* so many nodes can run in lockstep under a
+cluster-level power policy (see :mod:`repro.cluster.sharding`).
 """
 
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError, check_snapshot_version
 from repro.hardware.config import NodeConfig
-from repro.stack import BUDGET, NodeStack, StackSpec
+from repro.stack import NodeStack, StackSpec
 
 __all__ = ["NodeInstance", "ProgressReadouts"]
 
@@ -53,7 +53,6 @@ class NodeInstance(ProgressReadouts):
             cfg=cfg,
             app_kwargs=app_kwargs,
             seed=seed,
-            controller=BUDGET,
             initial_budget=initial_budget,
             name=f"node{node_id}",
         )
@@ -63,13 +62,12 @@ class NodeInstance(ProgressReadouts):
     def from_spec(cls, node_id: int, spec: StackSpec) -> "NodeInstance":
         """Build a node directly from a picklable stack spec.
 
-        The spec must select the budget controller (cluster nodes are
-        driven by budgets, not schedules).
+        The spec must carry no cap schedule (cluster nodes are driven
+        by budgets, not schedules).
         """
-        if spec.controller != BUDGET:
+        if spec.schedule is not None:
             raise ConfigurationError(
-                f"cluster nodes need the budget controller, "
-                f"got {spec.controller!r}")
+                "cluster nodes are driven by budgets, not a cap schedule")
         inst = cls.__new__(cls)
         inst._init_from_spec(node_id, spec)
         return inst
@@ -119,8 +117,8 @@ class NodeInstance(ProgressReadouts):
         return self.stack.libmsr
 
     @property
-    def policy(self):
-        return self.stack.policy
+    def controller(self):
+        return self.stack.controller
 
     @property
     def app(self):
@@ -133,8 +131,9 @@ class NodeInstance(ProgressReadouts):
     # ------------------------------------------------------------------
 
     def receive_budget(self, watts: float | None) -> None:
-        """Deliver a node power budget (applied on the policy's next tick)."""
-        self.stack.policy.receive_budget(watts)
+        """Deliver a node power budget (applied on the controller's next
+        tick)."""
+        self.stack.controller.receive_budget(watts)
 
     def advance(self, until: float) -> None:
         """Run this node's engine to absolute simulated time ``until``."""

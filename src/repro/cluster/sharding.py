@@ -20,7 +20,7 @@ exactly that shape:
   either way. Requests are grouped by ``(target, windows)`` so those
   ride once per group instead of once per node, and budgets are
   shipped only when they differ from what the parent last sent that
-  node (the tracking policy re-applying an unchanged budget is a
+  node (the cap controller re-applying an unchanged budget is a
   no-op, so skipping the send is exact).
 * With ``shards=1`` no process is spawned: the lockstep's one shard,
   shard 0, is a node host in the parent, and every command goes through
@@ -31,7 +31,7 @@ exactly that shape:
   tests in ``tests/cluster`` and ``tests/scheduler`` pin this
   bit-for-bit.
 
-Budget timing is preserved exactly: the budget-tracking policy applies
+Budget timing is preserved exactly: the cap controller applies
 budgets on its next tick, so delivering a budget in the worker
 immediately before the epoch's ``advance`` is indistinguishable from the
 serial code delivering it between epochs.
@@ -93,7 +93,7 @@ class StepRequest:
         Absolute local time to advance the node's engine to.
     budget, set_budget:
         When ``set_budget`` is true, deliver ``budget`` (watts, or None
-        for uncapped) to the node's tracking policy before advancing.
+        for uncapped) to the node's cap controller before advancing.
         The flag distinguishes "no budget update this epoch" from
         "update to uncapped".
     windows:
@@ -540,7 +540,7 @@ class ShardedLockstep:
         in request order within each group).
 
         A budget entry is shipped only when it differs from the last one
-        this parent delivered to that node — the tracking policy stores
+        this parent delivered to that node — the cap controller stores
         the budget and applies it on its next tick, so re-sending an
         unchanged value is a provable no-op.
         """

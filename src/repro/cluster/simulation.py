@@ -44,7 +44,7 @@ from repro.runtime.runfile import (
     checkpoint_due,
     resolve_checkpoint,
 )
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
 __all__ = ["ClusterSimulation"]
@@ -103,7 +103,6 @@ class ClusterSimulation:
             cfg=node_cfg,
             app_kwargs=app_kwargs,
             seed=seed + 1000 * i,
-            controller=BUDGET,
             name=f"node{i}",
         )) for i, node_cfg in enumerate(
             node_configs(base_cfg, n_nodes, seed, variability))]

@@ -52,7 +52,6 @@ and talk to it with ``python -m repro.daemon.client --socket
 /tmp/repro.sock run lammps --nodes 2 --seconds 3``.
 """
 
-from repro.daemon.client import DaemonClient
 from repro.daemon.protocol import decode, encode
 from repro.daemon.server import DaemonServer
 from repro.daemon.service import Daemon, DaemonConfig
@@ -65,3 +64,14 @@ __all__ = [
     "encode",
     "decode",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy re-export: importing the package must not import the client
+    # module, or ``python -m repro.daemon.client`` finds it already in
+    # sys.modules and runs a second copy of it as __main__.
+    if name == "DaemonClient":
+        from repro.daemon.client import DaemonClient
+
+        return DaemonClient
+    raise AttributeError(f"module 'repro.daemon' has no attribute {name!r}")

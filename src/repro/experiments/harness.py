@@ -4,9 +4,9 @@
 (:mod:`repro.stack`): each run assembles the full testbed assembly — the
 simulated node, RAPL firmware, MSR device behind msr-safe, the
 libmsr-style API, the ZeroMQ-style bus, 1 Hz progress monitors, and the
-power-policy daemon — through :class:`~repro.stack.builder.NodeStack`,
-executes one application under a capping schedule, and returns every
-series the paper's figures need.
+schedule-driven cap controller — through
+:class:`~repro.stack.builder.NodeStack`, executes one application under
+a capping schedule, and returns every series the paper's figures need.
 
 The module also implements the paper's measurement protocols:
 
@@ -34,7 +34,7 @@ from repro.core.beta import beta_from_times, mpo_from_delta
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import NodeConfig, skylake_config
 from repro.hardware.counters import CounterSnapshot
-from repro.nrm.schemes import CapSchedule, FixedCapSchedule
+from repro.nrm.schemes import CapSchedule, FixedCapSchedule, UncappedSchedule
 from repro.runtime.executor import RunExecutor
 from repro.stack import NodeStack, StackSpec
 from repro.telemetry.timeseries import TimeSeries
@@ -147,7 +147,7 @@ class Testbed:
             Stop after this many simulated seconds; None runs the
             application to completion.
         schedule:
-            Capping schedule applied by the power-policy daemon
+            Capping schedule applied by the cap controller
             (default: uncapped).
         dvfs_freq:
             Pin the package frequency through the userspace DVFS knob.
@@ -179,7 +179,7 @@ class Testbed:
             cfg=self.cfg,
             app_kwargs=app_kwargs,
             seed=seed,
-            schedule=schedule,
+            schedule=schedule if schedule is not None else UncappedSchedule(),
             monitor_interval=monitor_interval,
             topics=topics,
             dvfs_freq=dvfs_freq,
@@ -192,19 +192,17 @@ class Testbed:
         end = stack.run(until=duration)
         counters_after = stack.node.counters.snapshot(stack.now)
 
-        daemon = stack.daemon
-        assert daemon is not None  # Testbed stacks use the daemon controller
         return RunResult(
             app_name=stack.app.name,
             seed=seed,
             duration=end,
             progress=stack.progress_series,
             topics=stack.topic_series(),
-            power=daemon.power_series,
+            power=stack.power_series,
             frequency=stack.freq_series,
             duty=stack.duty_series,
             uncore_power=stack.uncore_series,
-            cap=daemon.cap_series,
+            cap=stack.controller.cap_series,
             counters=counters_after.delta(counters_before),
             pkg_energy=stack.node.pkg_energy,
             app=stack.app,

@@ -6,19 +6,15 @@ performance. This subpackage provides:
 
 * :mod:`repro.nrm.schemes` — the paper's dynamic power-capping schedules
   (linear decrease, step function, jagged edge; Section V-B),
-* :mod:`repro.nrm.daemon` — the *power-policy* background daemon that
-  monitors power and applies the selected schedule once per second,
-* :mod:`repro.nrm.policies` — dynamic policies from the paper's
-  motivation: tracking a shrinking budget, and holding a progress floor
-  using the model's inverse,
-* :mod:`repro.nrm.hierarchy` — system -> job -> node power budget
-  distribution.
+* :mod:`repro.nrm.controller` — the one package-cap loop: once per
+  second it applies the cap of a schedule (the paper's power-policy
+  daemon) or the last budget received from above, and logs it,
+* :mod:`repro.nrm.imbalance` — per-core duty-cycle modulation of the
+  non-critical ranks of a load-imbalanced application (extension).
 """
 
-from repro.nrm.daemon import PowerPolicyDaemon
-from repro.nrm.estimator import OnlineBetaEstimator
+from repro.nrm.controller import CapController
 from repro.nrm.imbalance import ImbalanceEnergyPolicy
-from repro.nrm.phase_aware import PhaseAwareCapPolicy
 from repro.nrm.schemes import (
     FixedCapSchedule,
     JaggedEdgeSchedule,
@@ -28,10 +24,8 @@ from repro.nrm.schemes import (
 )
 
 __all__ = [
-    "PowerPolicyDaemon",
-    "OnlineBetaEstimator",
+    "CapController",
     "ImbalanceEnergyPolicy",
-    "PhaseAwareCapPolicy",
     "LinearDecreaseSchedule",
     "StepSchedule",
     "JaggedEdgeSchedule",

@@ -1,6 +1,7 @@
 """Dynamic power-capping schedules (paper Section V-B).
 
-A schedule maps elapsed daemon time to the package cap to apply:
+A schedule maps the time since the cap controller started to the
+package cap to apply:
 
 * :class:`LinearDecreaseSchedule` — "initially the power on the node is
   uncapped, and a linearly decreasing power cap is applied until a

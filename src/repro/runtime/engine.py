@@ -16,7 +16,7 @@ progresses at a constant rate determined by the core's effective clock and
 its max-min-fair share of memory bandwidth. The engine computes the exact
 time of the next state change, integrates all work, counters and energy
 over the segment analytically, and repeats. Frequency changes made by
-timers (the RAPL firmware, the power-policy daemon) therefore take effect
+timers (the RAPL firmware, the cap controller) therefore take effect
 with exact timing — there is no integration error to tune away.
 
 For a task whose quantum needs ``C`` cycles and ``B`` bytes at effective

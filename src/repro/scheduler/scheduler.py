@@ -77,7 +77,7 @@ from repro.scheduler.job import Job, JobRecord, JobState
 from repro.scheduler.powerbook import AppPowerProfile, PowerBook
 from repro.scheduler.queue import JobQueue
 from repro.scheduler.report import SchedulerReport, build_report
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
 __all__ = ["SchedulerConfig", "PowerAwareScheduler"]
@@ -550,7 +550,6 @@ class PowerAwareScheduler:
                 cfg=self._slot_cfgs[slot],
                 app_kwargs=kwargs,
                 seed=self.config.seed + 7919 * self._started + 131 * k,
-                controller=BUDGET,
                 initial_budget=cap,
                 name=f"node{slot}",
             )))
@@ -560,7 +559,7 @@ class PowerAwareScheduler:
         """Allocate each rebalanced job's fixed power from its trailing
         rates (cached from the previous epoch's step results — node
         state has not changed since). The budgets ride down with the
-        next epoch's step requests, which the budget-tracking policy
+        next epoch's step requests, which each node's cap controller
         applies on its next tick, exactly as the serial delivery did."""
         tracer = obs.tracer()
         for run in self._running.values():

@@ -1,7 +1,7 @@
 """Unified node-stack assembly.
 
 One layer owns the wiring of the paper's testbed stack — node, RAPL
-firmware, msr-safe, libmsr, pub/sub bus, 1 Hz monitors, power
+firmware, msr-safe, libmsr, pub/sub bus, 1 Hz monitors, cap
 controller — so the single-node Testbed, the cluster NodeInstance and
 the power-aware scheduler all run the *same* component graph:
 
@@ -18,7 +18,7 @@ the power-aware scheduler all run the *same* component graph:
 
 from repro.stack.builder import NodeStack, default_topics
 from repro.stack.checkpoint import CHECKPOINT_VERSION, NodeCheckpoint
-from repro.stack.spec import BUDGET, CONTROLLERS, DAEMON, NONE, StackSpec
+from repro.stack.spec import StackSpec
 
 __all__ = [
     "StackSpec",
@@ -26,8 +26,4 @@ __all__ = [
     "NodeCheckpoint",
     "CHECKPOINT_VERSION",
     "default_topics",
-    "DAEMON",
-    "BUDGET",
-    "NONE",
-    "CONTROLLERS",
 ]

@@ -3,8 +3,8 @@
 Every consumer in the repo — the single-node :class:`Testbed`, the
 cluster's :class:`NodeInstance`, and the power-aware scheduler — runs
 the *same* component graph: simulated node, RAPL firmware, MSR device
-behind msr-safe, libmsr API, pub/sub bus, 1 Hz progress monitors, and a
-power controller. :class:`NodeStack` wires that graph exactly once,
+behind msr-safe, libmsr API, pub/sub bus, 1 Hz progress monitors, and the
+cap controller. :class:`NodeStack` wires that graph exactly once,
 from a :class:`~repro.stack.spec.StackSpec`, in a fixed canonical
 order:
 
@@ -12,8 +12,8 @@ order:
 2. userspace frequency/duty pins,
 3. the application (prebuilt, or built from the registry),
 4. telemetry transport: bus, publisher hook, per-topic monitors,
-5. the power controller (schedule daemon or budget policy),
-6. optional node-state sampling tap,
+5. the cap controller (fed by a schedule or by budgets),
+6. optional node-state sampling tap (package power among it),
 7. caller-supplied lifecycle hooks.
 
 The order is part of the contract: engine timers fire in registration
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.apps import build as build_app
 from repro.apps.base import SyntheticApp
-from repro.exceptions import ConfigurationError
 from repro.hardware.config import NodeConfig, skylake_config
 from repro.hardware.ddcm import DDCMController
 from repro.hardware.dvfs import DVFSController
@@ -36,10 +35,8 @@ from repro.hardware.msr_safe import MSRSafe
 from repro.hardware.node import SimulatedNode
 from repro.hardware.rapl import RaplFirmware
 from repro.libmsr import LibMSR
-from repro.nrm.daemon import PowerPolicyDaemon
-from repro.nrm.policies import BudgetTrackingPolicy
-from repro.nrm.schemes import UncappedSchedule
-from repro.stack.spec import BUDGET, DAEMON, StackSpec
+from repro.nrm.controller import CapController
+from repro.stack.spec import StackSpec
 from repro.telemetry.monitor import ProgressMonitor
 from repro.telemetry.pubsub import MessageBus
 from repro.telemetry.timeseries import TimeSeries
@@ -94,11 +91,10 @@ class NodeStack:
         ``topic -> ProgressMonitor`` for every monitored topic.
     topics:
         Monitored topics in order; ``topics[0]`` is the main topic.
-    daemon:
-        The :class:`PowerPolicyDaemon` (daemon controller) or ``None``.
-    policy:
-        The :class:`BudgetTrackingPolicy` (budget controller) or ``None``.
-    freq_series, duty_series, uncore_series:
+    controller:
+        The :class:`~repro.nrm.controller.CapController`, driven by
+        ``spec.schedule`` or, without one, by delivered budgets.
+    power_series, freq_series, duty_series, uncore_series:
         Node-state tap series (empty unless ``spec.sample_node_state``).
     """
 
@@ -148,29 +144,25 @@ class NodeStack:
             for topic in self.topics
         }
 
-        # 5. Power controller.
-        self.daemon: PowerPolicyDaemon | None = None
-        self.policy: BudgetTrackingPolicy | None = None
-        if spec.controller == DAEMON:
-            self.daemon = PowerPolicyDaemon(
-                self.engine, self.libmsr,
-                spec.schedule or UncappedSchedule())
-        elif spec.controller == BUDGET:
-            self.policy = BudgetTrackingPolicy(self.engine, self.libmsr)
-            if spec.initial_budget is not None:
-                # Apply the admission-time cap *before* the first cycle
-                # runs: the tracking policy only enforces budgets on its
-                # next tick, which would leave a capped job uncapped for
-                # its first second — enough to blow a cluster power
-                # budget at scale.
-                self.libmsr.set_pkg_power_limit(spec.initial_budget)
-                self.policy.receive_budget(spec.initial_budget)
+        # 5. Cap controller.
+        self.controller = CapController(self.engine, self.libmsr,
+                                        spec.schedule)
+        if spec.initial_budget is not None:
+            # Apply the admission-time cap *before* the first cycle
+            # runs: a budget is only enforced on the controller's next
+            # tick, which would leave a capped job uncapped for its
+            # first second — enough to blow a cluster power budget at
+            # scale.
+            self.libmsr.set_pkg_power_limit(spec.initial_budget)
+            self.controller.receive_budget(spec.initial_budget)
 
         # 6. Node-state tap.
+        self.power_series = TimeSeries(self._series_name("package-power"))
         self.freq_series = TimeSeries(self._series_name("frequency"))
         self.duty_series = TimeSeries(self._series_name("duty"))
         self.uncore_series = TimeSeries(self._series_name("uncore-power"))
         if spec.sample_node_state:
+            self.libmsr.poll_power()  # prime the energy baseline
             self.add_tap(spec.monitor_interval, self._sample_node_state)
 
         # 7. Caller hooks.
@@ -251,16 +243,6 @@ class NodeStack:
     def topic_series(self) -> dict[str, TimeSeries]:
         return {t: m.series for t, m in self.monitors.items()}
 
-    @property
-    def controller_cap_series(self) -> TimeSeries:
-        """The applied-cap series of whichever controller is installed."""
-        if self.daemon is not None:
-            return self.daemon.cap_series
-        if self.policy is None:
-            raise ConfigurationError(
-                "stack was assembled with controller='none'; no cap series")
-        return self.policy.cap_series
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -269,10 +251,12 @@ class NodeStack:
         return f"{self.spec.name}:{base}" if self.spec.name else base
 
     def _sample_node_state(self, now: float) -> None:
+        poll = self.libmsr.poll_power()
+        if poll is not None and poll.seconds > 0:
+            self.power_series.append(now, poll.pkg_watts)
         self.freq_series.append(now, self.node.frequency)
         self.duty_series.append(now, self.node.duty)
         self.uncore_series.append(now, self.node.last_power.uncore)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"NodeStack({self.spec.app_name!r}, "
-                f"controller={self.spec.controller!r}, t={self.now:.1f}s)")
+        return f"NodeStack({self.spec.app_name!r}, t={self.now:.1f}s)"

@@ -3,7 +3,7 @@
 A :class:`NodeCheckpoint` bundles a :class:`~repro.stack.spec.StackSpec`
 with the mutable state of every component the spec assembles — node and
 power model, RAPL firmware, msr-safe + MSR device, libmsr poll baseline,
-message bus, progress monitors, power controller, application task state
+message bus, progress monitors, cap controller, application task state
 and the engine's task/timer wheel. Restoring rebuilds the stack from the
 spec (the deterministic part) and overlays the recorded state (the
 mutable part), yielding a stack that continues *bit-for-bit* as the
@@ -27,8 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CHECKPOINT_VERSION", "NodeCheckpoint"]
 
-#: Schema version of :attr:`NodeCheckpoint.state`. Bump on layout change.
-CHECKPOINT_VERSION = 1
+#: Schema version of :attr:`NodeCheckpoint.state`. Bump on layout change
+#: (version 2: one cap controller, and the power poll in the taps).
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,16 @@ def take_checkpoint(stack: "NodeStack") -> NodeCheckpoint:
             "stack was assembled around a prebuilt app instance; it cannot "
             "be rebuilt from its spec, so it cannot be checkpointed"
         )
-    controller: dict | None
-    if stack.daemon is not None:
-        controller = stack.daemon.snapshot()
-    elif stack.policy is not None:
-        controller = stack.policy.snapshot()
-    else:
-        controller = None
     state = {
         "node": stack.node.snapshot(),
         "firmware": stack.firmware.snapshot(),
         "libmsr": stack.libmsr.snapshot(),
         "bus": stack.bus.snapshot(),
         "monitors": {t: m.snapshot() for t, m in stack.monitors.items()},
-        "controller": controller,
+        "controller": stack.controller.snapshot(),
         "app": stack.app.snapshot(),
         "taps": {
+            "power": stack.power_series.snapshot(),
             "freq": stack.freq_series.snapshot(),
             "duty": stack.duty_series.snapshot(),
             "uncore": stack.uncore_series.snapshot(),
@@ -119,11 +114,9 @@ def install_checkpoint(cp: NodeCheckpoint,
         )
     for topic, mon_state in recorded.items():
         stack.monitors[topic].restore(mon_state)
-    if stack.daemon is not None:
-        stack.daemon.restore(state["controller"])
-    elif stack.policy is not None:
-        stack.policy.restore(state["controller"])
+    stack.controller.restore(state["controller"])
     stack.app.restore(state["app"])
+    stack.power_series.restore(state["taps"]["power"])
     stack.freq_series.restore(state["taps"]["freq"])
     stack.duty_series.restore(state["taps"]["duty"])
     stack.uncore_series.restore(state["taps"]["uncore"])

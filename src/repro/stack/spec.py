@@ -2,7 +2,7 @@
 
 The paper's testbed is a single fixed assembly — simulated node, RAPL
 firmware, the MSR device behind msr-safe, the libmsr-style API, the
-ZeroMQ-style bus, 1 Hz progress monitors, and a power controller.
+ZeroMQ-style bus, 1 Hz progress monitors, and the cap controller.
 :class:`StackSpec` captures every degree of freedom of that assembly in
 one frozen dataclass built from plain data (the node config, the
 application *name* and kwargs, schedules, seeds), so a spec can be
@@ -21,18 +21,10 @@ from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import NodeConfig
+from repro.nrm.controller import check_budget
 from repro.nrm.schemes import CapSchedule
 
-__all__ = ["StackSpec", "DAEMON", "BUDGET", "NONE", "CONTROLLERS"]
-
-#: Controller choices: the schedule-driven power-policy daemon of the
-#: single-node experiments, the budget-tracking policy a cluster
-#: hierarchy feeds, or no controller at all (stacks whose capping agent
-#: is installed by a lifecycle hook — see the NRM examples).
-DAEMON = "daemon"
-BUDGET = "budget"
-NONE = "none"
-CONTROLLERS = (DAEMON, BUDGET, NONE)
+__all__ = ["StackSpec"]
 
 
 @dataclass(frozen=True)
@@ -54,17 +46,13 @@ class StackSpec:
         bus loss process is seeded with ``seed + 1`` (matching the
         paper harness).
     schedule:
-        Capping schedule executed by the power-policy daemon
-        (``controller="daemon"`` only); ``None`` runs uncapped.
-    controller:
-        ``"daemon"`` for the schedule-driven
-        :class:`~repro.nrm.daemon.PowerPolicyDaemon`, ``"budget"`` for
-        the hierarchy-fed
-        :class:`~repro.nrm.policies.BudgetTrackingPolicy`, ``"none"``
-        to assemble no controller (a lifecycle hook supplies one).
+        Capping schedule the :class:`~repro.nrm.controller.CapController`
+        follows (the single-node experiments). ``None`` makes the
+        controller follow the budgets delivered from above instead
+        (cluster nodes and scheduler jobs), uncapped until the first.
     initial_budget:
-        Budget-controller only: a cap applied *before* the first cycle
-        runs (admission-time capping; the tracking policy alone would
+        Budget-driven stacks only: a cap applied *before* the first
+        cycle runs (admission-time capping; the controller alone would
         leave the node uncapped until its first tick).
     monitor_interval:
         Progress-monitor aggregation window (the paper uses 1 s).
@@ -83,7 +71,7 @@ class StackSpec:
         bare topic names.
     sample_node_state:
         When True the stack installs a periodic tap recording package
-        frequency, duty cycle and instantaneous uncore power (the
+        power, frequency, duty cycle and instantaneous uncore power (the
         Testbed's extra telemetry).
     """
 
@@ -92,7 +80,6 @@ class StackSpec:
     app_kwargs: Mapping[str, Any] | None = None
     seed: int = 0
     schedule: CapSchedule | None = None
-    controller: str = DAEMON
     initial_budget: float | None = None
     monitor_interval: float = 1.0
     topics: tuple[str, ...] | None = None
@@ -105,25 +92,14 @@ class StackSpec:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise ConfigurationError("app_name must be a non-empty string")
-        if self.controller not in CONTROLLERS:
-            raise ConfigurationError(
-                f"controller must be one of {CONTROLLERS}, "
-                f"got {self.controller!r}")
         if self.monitor_interval <= 0:
             raise ConfigurationError(
                 f"monitor_interval must be positive, got "
                 f"{self.monitor_interval}")
-        if self.initial_budget is not None:
-            if self.controller != BUDGET:
-                raise ConfigurationError(
-                    "initial_budget requires the budget controller")
-            if self.initial_budget <= 0:
-                raise ConfigurationError(
-                    f"initial_budget must be positive, got "
-                    f"{self.initial_budget}")
-        if self.schedule is not None and self.controller != DAEMON:
+        check_budget(self.initial_budget)
+        if self.initial_budget is not None and self.schedule is not None:
             raise ConfigurationError(
-                "a cap schedule requires the daemon controller")
+                "schedule and initial_budget are mutually exclusive")
         if self.topics is not None and not self.topics:
             raise ConfigurationError("topics must be None or non-empty")
 

@@ -1,7 +1,7 @@
 """Vectorized node engine: numpy structure-of-arrays fast path.
 
 Thousands of lockstep cluster nodes share the same stack shape — one
-SPMD application under the budget-tracking policy on stock RAPL
+SPMD application under a budget-driven cap controller on stock RAPL
 firmware. :mod:`repro.vector` advances all of them at once: per-node
 state lives in parallel numpy arrays (:class:`VectorGroup`), one batched
 micro-step loop replaces thousands of per-node engine loops, and the

@@ -31,9 +31,9 @@ from repro.exceptions import CheckpointError
 from repro.hardware.msr import MSRDevice
 from repro.hardware.power import PowerSample
 from repro.hardware.rapl import RaplFirmware
-from repro.nrm.policies import BudgetTrackingPolicy, check_budget
+from repro.nrm.controller import CapController, check_budget
 from repro.runtime.engine import Publish, Work
-from repro.stack.checkpoint import NodeCheckpoint
+from repro.stack.checkpoint import CHECKPOINT_VERSION, NodeCheckpoint
 from repro.stack.spec import StackSpec
 from repro.telemetry.pubsub import Message, MessageBus
 from repro.telemetry.timeseries import TimeSeries
@@ -108,12 +108,11 @@ def export_checkpoint(view) -> dict:
         "series": g.mon_series[slot].snapshot(),
         "events_seen": int(g.mon_events[slot]),
     }}
-    state["controller"] = {
-        "version": 1,
-        "budget": g.pol_budget[slot],
-        "applied": tuple(g.pol_applied[slot]),
-        "cap_series": g.cap_series[slot].snapshot(),
-    }
+    state["controller"].update(
+        budget=g.pol_budget[slot],
+        applied=tuple(g.pol_applied[slot]),
+        cap_series=g.cap_series[slot].snapshot(),
+    )
     if g.started[slot]:
         _overlay_engine(state["engine"], g, slot)
     return {
@@ -221,7 +220,7 @@ def checkpoint_spec(state: object) -> StackSpec | None:
     if not isinstance(state, dict) or state.get("version") != 1:
         return None
     cp = state.get("stack")
-    if not isinstance(cp, NodeCheckpoint) or cp.version != 1 \
+    if not isinstance(cp, NodeCheckpoint) or cp.version != CHECKPOINT_VERSION \
             or not cp.state.get("launched"):
         return None
     return cp.spec
@@ -247,7 +246,7 @@ def read_slot(prof: GroupProfile, state: dict) -> dict[str, object]:
     _expect(s.get("libmsr") == tmpl["libmsr"], "libmsr state differs")
     _expect(s.get("app") == tmpl["app"], "app knobs were tuned")
     taps = s.get("taps") or {}
-    for name in ("freq", "duty", "uncore"):
+    for name in ("power", "freq", "duty", "uncore"):
         tap = taps.get(name) or {}
         _expect(tap.get("times") == [], f"{name} tap has samples")
     _expect(MSRDevice._ratio_bits(cfg.f_nominal) ==
@@ -312,9 +311,10 @@ def read_slot(prof: GroupProfile, state: dict) -> dict[str, object]:
     mon = monitors[prof.topic]
     _expect(mon.get("version") == 1, "monitor snapshot version")
     ctl = s["controller"]
-    _expect(isinstance(ctl, dict) and ctl.get("version") == 1
+    _expect(isinstance(ctl, dict) and ctl.get("version") == 2
+            and ctl.get("start") == tmpl["controller"]["start"]
             and "budget" in ctl and "applied" in ctl,
-            "controller is not the budget-tracking policy")
+            "controller snapshot differs from a budget-driven one")
     kind, value = ctl["applied"]
     _expect(kind in ("set", "unset"), "unknown applied tri-state")
     # Restoring checks each series' name against the template's.
@@ -334,7 +334,7 @@ def read_slot(prof: GroupProfile, state: dict) -> dict[str, object]:
     timers = {rec["seq"]: rec for rec in eng["timers"]}
     _expect(set(timers) == {0, 1, 2}, "timer set differs")
     periods = {0: RaplFirmware.CONTROL_INTERVAL, 1: prof.monitor_interval,
-               2: BudgetTrackingPolicy.INTERVAL}
+               2: CapController.INTERVAL}
     for seq, rec in timers.items():
         _expect(not rec["cancelled"], "a stock timer was cancelled")
         _expect(rec["period"] == periods[seq], "timer period differs")

@@ -10,7 +10,7 @@ pass, and so do the random draws: every generator draws a look-ahead
 block of values in one call, and each pass gathers from the blocks
 (:class:`_DrawBlocks`). Bus messages queue as plain ``(time, value)``
 pairs. Only the block refills, the bus appends, phase changes and the
-1 Hz monitor/policy ticks stay per-row Python.
+1 Hz monitor/controller ticks stay per-row Python.
 
 Bit-parity with the object engine is a design invariant, not an
 approximation: every per-epoch transfer function is the same
@@ -49,7 +49,7 @@ from repro.hardware.msr import (
 from repro.hardware.msr_safe import DEFAULT_WHITELIST
 from repro.hardware.rapl import RaplFirmware
 from repro.libmsr.api import LibMSR
-from repro.nrm.policies import BudgetTrackingPolicy, check_budget
+from repro.nrm.controller import CapController, check_budget
 from repro.runtime.engine import COMPLETION_RTOL, TIMER_EPS
 from repro.stack.spec import StackSpec
 from repro.telemetry.pubsub import MessageBus
@@ -64,7 +64,7 @@ W_RUNNING, W_SPINNING, W_DONE = 0, 1, 2
 # Core activity modes (core_mode array); map onto CoreMode at checkpoint.
 C_IDLE, C_BUSY, C_SPIN = 0, 1, 2
 
-# The stock component parameters (RaplFirmware, BudgetTrackingPolicy,
+# The stock component parameters (RaplFirmware, CapController,
 # MessageBus, LibMSR and msr-safe defaults) are structural constants of
 # the fast path: the gate rejects specs that override any of them.
 #: Values each generator draws ahead in one call (see _DrawBlocks).
@@ -193,7 +193,7 @@ class VectorGroup:
     Scalars per node are ``(n,)`` float/int/bool arrays; per-(node,
     worker) state is ``(n, W)``, including each spinning worker's rank in
     its barrier's arrival order (``barrier_pos``, -1 when not arrived).
-    Event-owned state (RNGs, bus queues, telemetry series, the policy's
+    Event-owned state (RNGs, bus queues, telemetry series, the controller's
     tri-state) stays in per-slot Python lists — it is touched only on
     events. The generators' look-ahead blocks are a cache in front of
     them: :meth:`flush_draws` empties a slot's blocks and leaves its
@@ -280,10 +280,10 @@ class VectorGroup:
             "ctr_ins": worker(float),
             "ctr_cyc": worker(float),
             "ctr_l3": worker(float),
-            # -- timers (next-fire times; seq order rapl=0, mon=1, policy=2)
+            # -- timers (next-fire times; seq order: rapl 0, mon 1, controller 2)
             "t_rapl": node(float, RaplFirmware.CONTROL_INTERVAL),
             "t_mon": node(float, self.interval),
-            "t_pol": node(float, BudgetTrackingPolicy.INTERVAL),
+            "t_pol": node(float, CapController.INTERVAL),
             # -- firmware -------------------------------------------------
             "fw_limit": node(float, cfg.tdp),
             "fw_limit2": node(float, 1.2 * cfg.tdp),
@@ -319,7 +319,7 @@ class VectorGroup:
         self.cap_series: list[TimeSeries | None] = []
         self.pol_budget: list[float | None] = []
         # ("unset", None) until the first tick applies something, then
-        # ("set", value) — the picklable tri-state BudgetTrackingPolicy uses.
+        # ("set", value) — the picklable tri-state CapController uses.
         self.pol_applied: list[tuple[str, float | None] | None] = []
         self.jitter_draws = _DrawBlocks(0, w, uniform=False)
         self.shared_draws = _DrawBlocks(0, 1, uniform=False)
@@ -371,8 +371,8 @@ class VectorGroup:
         heapq.heappush(self._free, slot)
 
     def receive_budget(self, slot: int, watts: float | None) -> None:
-        """Deliver a budget to one node's tracking policy (enforced on
-        the policy's next 1 Hz tick, exactly like the object path)."""
+        """Deliver a budget to one node's cap controller (enforced on
+        the controller's next 1 Hz tick, exactly like the object path)."""
         self.pol_budget[slot] = check_budget(watts)
 
     def advance(self, slots: np.ndarray, targets: np.ndarray) -> None:
@@ -428,7 +428,7 @@ class VectorGroup:
         budget = spec.initial_budget
         if budget is not None:
             # NodeStack writes the cap through libmsr, then hands the
-            # policy the same budget; the policy's first tick re-applies
+            # controller the same budget; its first tick re-applies
             # it and records the first cap point, as pol_applied is unset.
             row["fw_limit"], row["fw_window"] = self._quantized_limit(budget)
             row["fw_enabled"] = True
@@ -444,7 +444,7 @@ class VectorGroup:
             pending=deque(),
             mon_series=TimeSeries(
                 f"{spec.name}:{self.topic}" if spec.name else self.topic),
-            cap_series=TimeSeries("budget-cap"),
+            cap_series=TimeSeries("package-cap"),
             pol_budget=budget,
             pol_applied=("unset", None),
         )
@@ -786,7 +786,7 @@ class VectorGroup:
     def _fire_timers(self, ids: np.ndarray) -> None:
         """Fire due timers in the engine's (time, seq) heap order: the
         firmware (seq 0) wins ties against the monitor (seq 1), which
-        wins against the policy (seq 2). One timer per node per round."""
+        wins against the cap controller (seq 2). One timer per node per round."""
         for _ in range(8):
             nw = self.now[ids] + TIMER_EPS
             tr = self.t_rapl[ids]
@@ -813,7 +813,7 @@ class VectorGroup:
                 rows = ids[fire_p]
                 self._policy_tick(rows)
                 self.t_pol[rows] = \
-                    self.t_pol[rows] + BudgetTrackingPolicy.INTERVAL
+                    self.t_pol[rows] + CapController.INTERVAL
         raise ConfigurationError("vector timer rounds did not converge")
 
     def _rapl_tick(self, rows: np.ndarray) -> None:
@@ -937,7 +937,7 @@ class VectorGroup:
             self.mon_series[slot].append(now, total / interval)
 
     def _policy_tick(self, rows: np.ndarray) -> None:
-        """BudgetTrackingPolicy._tick per row: apply budget changes
+        """CapController._tick per row (budget source): apply budget changes
         through the (emulated) MSR write path, then record the raw cap."""
         for slot in rows:
             slot = int(slot)

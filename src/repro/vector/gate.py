@@ -3,8 +3,8 @@
 The structure-of-arrays fast path (:class:`repro.vector.engine.VectorGroup`)
 batches many nodes into one numpy step, which is only bit-identical to the
 object engine when every batched node runs the *same* shape of stack: the
-default budget-controller wiring (firmware + libmsr + bus + one 1 Hz
-monitor + tracking policy), one of the regular SPMD applications, and
+default budget-driven wiring (firmware + libmsr + bus + one 1 Hz
+monitor + cap controller fed by budgets), one of the regular SPMD applications, and
 no more workers than the node has cores.
 
 :func:`supports_fast_path` answers "can this spec run vectorized?" with a
@@ -24,7 +24,7 @@ from repro.apps import build as build_app
 from repro.apps.base import AppSpec, SyntheticApp
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import NodeConfig
-from repro.stack.spec import BUDGET, StackSpec
+from repro.stack.spec import StackSpec
 
 __all__ = [
     "FAST_APPS",
@@ -54,18 +54,16 @@ def supports_fast_path(spec: object) -> str | None:
     """Why ``spec`` cannot run on the vector fast path (None = it can).
 
     The checks mirror exactly what :class:`repro.vector.engine.VectorGroup`
-    models: budget controller (an admission-time ``initial_budget``
-    included), no userspace pins, stock firmware, default topics, no
+    models: a controller fed by budgets, not a schedule (an
+    admission-time ``initial_budget`` included), no userspace pins, stock firmware, default topics, no
     node-state tap, a regular SPMD app, and at most one worker per core
     (the object runtimes refuse to pin more, so such a spec must fall
     back and raise the same error there).
     """
     if not isinstance(spec, StackSpec):
         return "not a StackSpec (mid-run checkpoints restore separately)"
-    if spec.controller != BUDGET:
-        return f"controller {spec.controller!r} is not the budget policy"
     if spec.schedule is not None:
-        return "cap schedules need the daemon controller"
+        return "cap schedules are not vectorized"
     if spec.dvfs_freq is not None or spec.duty is not None:
         return "userspace frequency/duty pins are not vectorized"
     if spec.firmware_kwargs:

@@ -1,15 +1,11 @@
-"""Unit and property tests for repeat-measurement statistics."""
+"""Unit and property tests for the repeat-measurement confidence interval."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    bootstrap_ci,
-    mean_confidence_interval,
-    summarize_repeats,
-)
+from repro.analysis import mean_confidence_interval
 from repro.exceptions import ConfigurationError
 
 
@@ -44,45 +40,6 @@ class TestMeanCI:
             mean_confidence_interval([1.0], confidence=1.5)
         with pytest.raises(ConfigurationError):
             mean_confidence_interval([float("nan")])
-
-
-class TestBootstrapCI:
-    def test_contains_mean_for_reasonable_data(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(10.0, 1.0, size=30)
-        lo, hi = bootstrap_ci(data, seed=1)
-        assert lo < data.mean() < hi
-
-    def test_deterministic_per_seed(self):
-        data = [1.0, 5.0, 2.0, 8.0]
-        assert bootstrap_ci(data, seed=3) == bootstrap_ci(data, seed=3)
-
-    def test_single_sample(self):
-        assert bootstrap_ci([7.0]) == (7.0, 7.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0, 2.0], n_resamples=0)
-
-
-class TestSummary:
-    def test_fields(self):
-        s = summarize_repeats([2.0, 4.0, 6.0])
-        assert s.n == 3
-        assert s.mean == pytest.approx(4.0)
-        assert s.std == pytest.approx(2.0)
-        assert s.ci_low < 4.0 < s.ci_high
-
-    def test_relative_halfwidth(self):
-        s = summarize_repeats([2.0, 4.0, 6.0])
-        assert s.relative_halfwidth() == pytest.approx(
-            s.ci_halfwidth / 4.0
-        )
-
-    def test_relative_halfwidth_zero_mean(self):
-        s = summarize_repeats([-1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            s.relative_halfwidth()
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,

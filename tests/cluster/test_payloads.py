@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import ShardedLockstep, StepRequest, sharding
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 
 pytestmark = pytest.mark.slow
 
@@ -28,7 +28,7 @@ def _obs_off():
 
 def _spec(node_id, seed=0):
     return StackSpec(app_name="lammps", app_kwargs=dict(APP_KW),
-                     seed=seed, controller=BUDGET, name=f"node{node_id}")
+                     seed=seed, name=f"node{node_id}")
 
 
 def _requests(target):

@@ -36,7 +36,7 @@ from repro.exceptions import (
     ShardWorkerError,
     SimulationError,
 )
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_cluster.json"
 
@@ -96,7 +96,7 @@ class TestGoldenParity:
 
 def _spec(node_id, seed=0):
     return StackSpec(app_name="lammps", app_kwargs=dict(APP_KW),
-                     seed=seed, controller=BUDGET, name=f"node{node_id}")
+                     seed=seed, name=f"node{node_id}")
 
 
 class TestShardedLockstep:
@@ -349,7 +349,7 @@ def _hacc_spec(node_id):
     """A spec no vector group takes: the object fallback of a vector
     host, built before the host reaches the batch's checkpoint."""
     return StackSpec(app_name="hacc", app_kwargs=dict(APP_KW), seed=node_id,
-                     controller=BUDGET, name=f"node{node_id}")
+                     name=f"node{node_id}")
 
 
 @pytest.mark.parametrize("refused", ["foreign", "corrupt"])
@@ -508,7 +508,7 @@ class TestNodeStep:
             budgets = UniformPowerPolicy(160.0).allocate([0.0, 0.0])
             _advance(ls, 2, 4.0, budgets=budgets)
             for node in nodes:
-                assert node.policy.cap_series.values[-1] == \
+                assert node.controller.cap_series.values[-1] == \
                     pytest.approx(80.0)
 
     def test_advances_all_nodes_and_sums_energy(self):
@@ -587,7 +587,7 @@ def test_unpicklable_item_is_taken_back_from_every_shard():
     its build removed again, and no id registered."""
     bad = StackSpec(app_name="lammps",
                     app_kwargs={**APP_KW, "hook": lambda: None}, seed=1,
-                    controller=BUDGET, name="node1")
+                    name="node1")
     with ShardedLockstep(shards=2) as ls:
         with pytest.raises((pickle.PicklingError, AttributeError,
                             TypeError)):

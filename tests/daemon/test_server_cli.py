@@ -113,6 +113,19 @@ class TestCliSmoke:
             if daemon.poll() is None:
                 daemon.kill()
 
+    def test_client_help_prints_no_warning(self):
+        """Importing ``repro.daemon`` must not import the client module:
+        ``-m`` would then find it in sys.modules, warn on stderr and run
+        a second copy of it as ``__main__``."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.daemon.client", "--help"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.startswith("usage: python -m repro.daemon.client")
+
     def test_error_reply_exits_nonzero(self, tmp_path):
         sock = str(tmp_path / "d.sock")
         daemon = spawn_daemon(sock)

@@ -1,9 +1,10 @@
 """Checkpoint round-trip property: ``snapshot -> restore -> advance(T)``
 must equal ``advance(T)`` without the round-trip, bit for bit.
 
-The matrix covers every registered app category under both controllers,
-with the snapshot taken mid-run (t=4.5 s, between monitor ticks and
-across a daemon cap transition at t=5 s) and pushed through a real
+The matrix covers every registered app category under both cap sources
+(a schedule, as the paper's power-policy daemon runs, and budgets), with
+the snapshot taken mid-run (t=4.5 s, between monitor ticks and across a
+scheduled cap transition at t=5 s) and pushed through a real
 pickle boundary — exactly what :mod:`repro.cluster.sharding` does when
 it migrates a node to a worker process.
 """
@@ -19,10 +20,7 @@ from repro.apps import build as build_app
 from repro.exceptions import CheckpointError
 from repro.nrm.schemes import FixedCapSchedule
 from repro.stack import (
-    BUDGET,
     CHECKPOINT_VERSION,
-    DAEMON,
-    NONE,
     NodeCheckpoint,
     NodeStack,
     StackSpec,
@@ -50,12 +48,16 @@ APP_KWARGS = {
     "urban": {"duration_steps": 10_000},
 }
 
+#: Cap-source labels: the schedule-driven stack of the power-policy
+#: daemon (with the Testbed's node-state tap) and the budget-driven one.
+DAEMON, BUDGET = "daemon", "budget"
+
 CONTROLLER_SPECS = {
     # cap change at t=5 s lands *after* the snapshot: the restored stack
-    # must apply it from replayed daemon state, not from a fresh start.
-    DAEMON: dict(controller=DAEMON,
-                 schedule=FixedCapSchedule(90.0, start=5.0)),
-    BUDGET: dict(controller=BUDGET, initial_budget=110.0),
+    # must apply it from replayed controller state, not from a fresh start.
+    DAEMON: dict(schedule=FixedCapSchedule(90.0, start=5.0),
+                 sample_node_state=True),
+    BUDGET: dict(initial_budget=110.0),
 }
 
 
@@ -67,21 +69,19 @@ def _spec(app_name: str, controller: str, seed: int = 0) -> StackSpec:
 
 
 def _observables(stack: NodeStack) -> dict:
-    obs = {
+    return {
         "now": stack.engine.clock.now,
         "pkg_energy": stack.node.pkg_energy,
         "frequency": stack.node.frequency,
         "series": {t: (list(s.times), list(s.values))
                    for t, s in stack.topic_series().items()},
-        "cap": (list(stack.controller_cap_series.times),
-                list(stack.controller_cap_series.values)),
+        "cap": (list(stack.controller.cap_series.times),
+                list(stack.controller.cap_series.values)),
+        "power": (list(stack.power_series.times),
+                  list(stack.power_series.values)),
         "bus_published": stack.bus.published,
         "bus_dropped": stack.bus.dropped,
     }
-    if stack.daemon is not None:
-        obs["power"] = (list(stack.daemon.power_series.times),
-                        list(stack.daemon.power_series.values))
-    return obs
 
 
 def _roundtrip(stack: NodeStack) -> NodeStack:
@@ -129,26 +129,6 @@ class TestRoundTripParity:
         stack = _roundtrip(stack)
         stack.run(until=T_END)
         assert _observables(stack) == _observables(control)
-
-    def test_controllerless_stack(self):
-        """The NRM examples assemble with ``controller="none"``; the
-        round-trip must hold there too (the controller slot is None)."""
-        spec = StackSpec(app_name="lammps",
-                         app_kwargs={"n_steps": 1_000_000, "n_workers": 4},
-                         seed=3, controller=NONE)
-        control = NodeStack(spec)
-        control.run(until=T_SNAPSHOT)
-        control.run(until=T_END)
-
-        stack = NodeStack(spec)
-        stack.run(until=T_SNAPSHOT)
-        stack = _roundtrip(stack)
-        stack.run(until=T_END)
-        assert stack.node.pkg_energy == control.node.pkg_energy
-        assert {t: (list(s.times), list(s.values))
-                for t, s in stack.topic_series().items()} == \
-            {t: (list(s.times), list(s.values))
-             for t, s in control.topic_series().items()}
 
     @given(t_snap=st.floats(min_value=0.0, max_value=6.0),
            seed=st.integers(min_value=0, max_value=50))

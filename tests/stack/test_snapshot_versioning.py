@@ -9,13 +9,13 @@ are now enforced at restore time; these tests pin the behaviour.
 import pytest
 
 from repro.exceptions import CheckpointError, check_snapshot_version
-from repro.stack import BUDGET, NodeStack, StackSpec
+from repro.stack import NodeStack, StackSpec
 from repro.telemetry.timeseries import TimeSeries
 
 
 def _built_stack() -> NodeStack:
     spec = StackSpec(app_name="stream", app_kwargs={"n_workers": 2},
-                     seed=3, controller=BUDGET, initial_budget=100.0)
+                     seed=3, initial_budget=100.0)
     stack = NodeStack(spec).launch()
     stack.engine.run(until=1.5)
     return stack
@@ -44,16 +44,18 @@ class TestComponentSnapshotsCarryVersions:
             "msr": stack.libmsr.msr.snapshot(),
             "bus": stack.bus.snapshot(),
             "monitor": stack.main_monitor.snapshot(),
-            "policy": stack.policy.snapshot(),
+            "controller": stack.controller.snapshot(),
             "app": stack.app.snapshot(),
             "engine": stack.engine.snapshot(),
             "freq_series": stack.freq_series.snapshot(),
         }
         for name, snap in snapshots.items():
-            assert snap.get("version") == 1, f"{name} snapshot unversioned"
+            expected = 2 if name == "controller" else 1
+            assert snap.get("version") == expected, \
+                f"{name} snapshot unversioned"
 
     @pytest.mark.parametrize("component", [
-        "node", "firmware", "libmsr", "bus", "policy", "app", "engine",
+        "node", "firmware", "libmsr", "bus", "controller", "app", "engine",
     ])
     def test_future_version_is_refused(self, component):
         stack = _built_stack()
@@ -62,7 +64,7 @@ class TestComponentSnapshotsCarryVersions:
             "firmware": stack.firmware,
             "libmsr": stack.libmsr,
             "bus": stack.bus,
-            "policy": stack.policy,
+            "controller": stack.controller,
             "app": stack.app,
             "engine": stack.engine,
         }[component]

@@ -1,5 +1,6 @@
 """Unit tests for the StackSpec / NodeStack layer."""
 
+import math
 import pickle
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.apps import build as build_app
 from repro.exceptions import ConfigurationError
 from repro.nrm.schemes import FixedCapSchedule
-from repro.stack import BUDGET, DAEMON, NodeStack, StackSpec, default_topics
+from repro.stack import NodeStack, StackSpec, default_topics
 
 APP_KW = {"n_steps": 1_000_000, "n_workers": 4}
 
@@ -15,8 +16,8 @@ APP_KW = {"n_steps": 1_000_000, "n_workers": 4}
 class TestStackSpec:
     def test_defaults(self):
         spec = StackSpec(app_name="lammps")
-        assert spec.controller == DAEMON
         assert spec.schedule is None
+        assert spec.initial_budget is None
         assert spec.topics is None
 
     def test_picklable_with_schedule(self):
@@ -33,14 +34,13 @@ class TestStackSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"app_name": ""},
-        {"app_name": "lammps", "controller": "cron"},
         {"app_name": "lammps", "monitor_interval": 0.0},
-        {"app_name": "lammps", "initial_budget": 90.0},  # daemon controller
-        {"app_name": "lammps", "controller": BUDGET,
-         "initial_budget": -1.0},
-        {"app_name": "lammps", "controller": BUDGET,
+        {"app_name": "lammps", "initial_budget": -1.0},
+        {"app_name": "lammps", "initial_budget": math.nan},
+        {"app_name": "lammps", "initial_budget": 90.0,
          "schedule": FixedCapSchedule(90.0)},
         {"app_name": "lammps", "topics": ()},
+        {"app_name": "lammps", "initial_budget": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -49,16 +49,20 @@ class TestStackSpec:
 
 class TestNodeStack:
     def test_daemon_assembly(self):
+        """A spec with a schedule gets a schedule-driven controller,
+        which applies and logs the t=0 cap at assembly."""
         stack = NodeStack(StackSpec(app_name="lammps", app_kwargs=APP_KW,
                                     schedule=FixedCapSchedule(90.0)))
-        assert stack.daemon is not None and stack.policy is None
+        assert stack.controller.schedule is stack.spec.schedule
         assert stack.main_topic == stack.app.topic
-        assert stack.controller_cap_series is stack.daemon.cap_series
+        assert list(stack.controller.cap_series.values) == [90.0]
+        with pytest.raises(ConfigurationError):
+            stack.controller.receive_budget(80.0)
 
     def test_budget_assembly_applies_initial_cap(self):
         stack = NodeStack(StackSpec(app_name="lammps", app_kwargs=APP_KW,
-                                    controller=BUDGET, initial_budget=90.0))
-        assert stack.policy is not None and stack.daemon is None
+                                    initial_budget=90.0))
+        assert stack.controller.schedule is None
         # admission-time cap is programmed before the first cycle runs
         limit = stack.libmsr.get_pkg_power_limit()
         assert limit.enabled
@@ -89,10 +93,28 @@ class TestNodeStack:
         assert len(stack.freq_series) >= 2
         assert len(stack.uncore_series) >= 2
 
+    def test_tap_records_package_power_at_one_hz(self):
+        stack = NodeStack(StackSpec(app_name="lammps", app_kwargs=APP_KW,
+                                    sample_node_state=True))
+        stack.run(until=5.0)
+        assert stack.power_series.name == "package-power"
+        assert len(stack.power_series) == 5
+        assert stack.power_series.mean() > 20.0
+
+    def test_tap_power_respects_applied_cap(self):
+        kw = {"n_steps": 1_000_000, "n_workers": 24}
+        stack = NodeStack(StackSpec(app_name="lammps", app_kwargs=kw,
+                                    schedule=FixedCapSchedule(90.0),
+                                    sample_node_state=True))
+        stack.run(until=6.0)
+        settled = stack.power_series.window(3.0, 6.1)
+        assert settled.mean() <= 90.0 * 1.05
+
     def test_no_tap_without_sampling(self):
         stack = NodeStack(StackSpec(app_name="lammps", app_kwargs=APP_KW))
         stack.run(until=3.0)
         assert stack.freq_series.is_empty()
+        assert stack.power_series.is_empty()
 
     def test_hooks_run_after_assembly(self):
         seen = []

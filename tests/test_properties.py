@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.policies import ProgressAwareRebalancer
-from repro.nrm.hierarchy import Job, SystemPowerManager
 from repro.nrm.schemes import LinearDecreaseSchedule, StepSchedule
 from repro.runtime.clock import SimClock
 from repro.telemetry.pubsub import MessageBus
@@ -64,49 +63,6 @@ class TestScheduleProperties:
         s = StepSchedule(low=low, high=None, high_duration=7.0,
                          low_duration=11.0)
         assert s.cap_at(t) in (None, low)
-
-
-class TestHierarchyProperties:
-    @given(
-        budget=st.floats(min_value=500.0, max_value=5000.0),
-        jobs=st.lists(
-            st.tuples(st.integers(min_value=1, max_value=8),
-                      st.floats(min_value=0.2, max_value=5.0)),
-            min_size=1, max_size=6,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_budgets_feasible_and_bounded(self, budget, jobs):
-        mgr = SystemPowerManager(budget, min_node_budget=40.0)
-        total_nodes = sum(n for n, _ in jobs)
-        if total_nodes * 40.0 > budget:
-            return  # admission would legitimately fail
-        for i, (n_nodes, priority) in enumerate(jobs):
-            mgr.submit(Job(f"j{i}", n_nodes=n_nodes, priority=priority))
-        budgets = mgr.node_budgets()
-        # floors respected
-        assert all(b >= 40.0 - 1e-6 for b in budgets.values())
-        # machine budget never exceeded
-        spent = sum(budgets[f"j{i}"] * n for i, (n, _) in enumerate(jobs))
-        assert spent <= budget * (1 + 1e-9)
-
-    @given(
-        jobs=st.lists(
-            st.tuples(st.integers(min_value=1, max_value=4),
-                      st.floats(min_value=0.5, max_value=2.0)),
-            min_size=1, max_size=4,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_unpinned_allocation_exhausts_budget(self, jobs):
-        """When no job is pinned at the floor, the budget is fully spent."""
-        budget = 10_000.0  # generous: nobody hits the floor
-        mgr = SystemPowerManager(budget, min_node_budget=1.0)
-        for i, (n_nodes, priority) in enumerate(jobs):
-            mgr.submit(Job(f"j{i}", n_nodes=n_nodes, priority=priority))
-        budgets = mgr.node_budgets()
-        spent = sum(budgets[f"j{i}"] * n for i, (n, _) in enumerate(jobs))
-        assert spent == pytest.approx(budget, rel=1e-9)
 
 
 class TestRebalancerProperties:

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from repro.cluster.node_instance import NodeInstance
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 from repro.vector import FAST_APPS, VectorEngine
 
 #: The bespoke-body applications that must take the object fallback.
@@ -40,7 +40,7 @@ def make_spec(app_name: str, node_id: int = 0, seed: int = 7,
               cfg=None) -> StackSpec:
     return StackSpec(app_name=app_name, cfg=cfg,
                      app_kwargs=app_kwargs(app_name), seed=seed,
-                     controller=BUDGET, name=f"node{node_id}")
+                     name=f"node{node_id}")
 
 
 def bits(x):

@@ -9,7 +9,8 @@ import pytest
 from repro.cluster.node_instance import NodeInstance
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import skylake_config
-from repro.stack import BUDGET, StackSpec
+from repro.nrm.schemes import FixedCapSchedule
+from repro.stack import StackSpec
 from repro.vector import (
     FAST_APPS,
     VectorEngine,
@@ -29,7 +30,7 @@ from tests.vector.conftest import (
 def _overpinned_spec():
     return StackSpec(app_name="lammps", cfg=skylake_config(n_cores=4),
                      app_kwargs={"n_steps": 1000, "n_workers": 6},
-                     seed=0, controller=BUDGET)
+                     seed=0)
 
 
 class TestSupportsFastPath:
@@ -42,16 +43,16 @@ class TestSupportsFastPath:
         reason = supports_fast_path(make_spec(app_name))
         assert isinstance(reason, str) and app_name in reason
 
-    def test_non_budget_controller_is_refused(self):
+    def test_cap_schedule_is_refused(self):
         spec = dataclasses.replace(make_spec("lammps"),
-                                   controller="daemon")
-        assert "controller" in supports_fast_path(spec)
+                                   schedule=FixedCapSchedule(95.0))
+        assert supports_fast_path(spec) == "cap schedules are not vectorized"
 
     @pytest.mark.parametrize("cap", [100.0, 61.37])
     def test_initial_budget_is_accepted_and_bit_equal(self, cap):
         """An admission-time cap takes the vector path, and the node
         runs bit-equal to the object node: capped from its first cycle,
-        re-applied and recorded on the policy's first tick, then through
+        re-applied and recorded on the controller's first tick, then through
         the budget schedule (61.37 W is not a whole power unit)."""
         spec = dataclasses.replace(make_spec("lammps"), initial_budget=cap)
         assert supports_fast_path(spec) is None

@@ -20,7 +20,7 @@ from repro.cluster.sharding import StepRequest, _ObjectHost
 from repro.cluster.variability import perturb_config
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import skylake_config
-from repro.stack import BUDGET, StackSpec
+from repro.stack import StackSpec
 from repro.vector import VectorEngine, profile_key
 from repro.vector.engine import _ROW_OBJECTS
 from tests.vector.conftest import bits, make_spec
@@ -42,7 +42,7 @@ def _job_specs(app, cap, ids, seed):
     return [(nid, StackSpec(
         app_name=app, app_kwargs=APP_KWARGS[app], seed=seed + 131 * k,
         cfg=perturb_config(base, np.random.default_rng([seed, k])),
-        controller=BUDGET, initial_budget=cap, name=f"node{nid}"))
+        initial_budget=cap, name=f"node{nid}"))
         for k, nid in enumerate(ids)]
 
 
