@@ -8,6 +8,7 @@ views, and mean-preserving resampling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -90,14 +91,25 @@ class TimeSeries:
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` (replaces all samples). The
         snapshot must belong to a series of the same name — restoring
-        across series was historically silent and always a wiring bug."""
+        across series was historically silent and always a wiring bug —
+        and hold as many values as times, in non-decreasing time order
+        (:meth:`window` bisects the times)."""
         check_snapshot_version(state, 1, "TimeSeries")
         if state["name"] != self.name:
             raise CheckpointError(
                 f"series snapshot is for {state['name']!r}, "
                 f"restoring into {self.name!r}")
-        self._times = list(state["times"])
-        self._values = list(state["values"])
+        times = list(state["times"])
+        values = list(state["values"])
+        if len(times) != len(values):
+            raise CheckpointError(
+                f"series snapshot has {len(times)} times "
+                f"and {len(values)} values")
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise CheckpointError(
+                f"series snapshot {self.name!r} has decreasing times")
+        self._times = times
+        self._values = values
 
     # -- statistics -----------------------------------------------------------
 
@@ -134,13 +146,15 @@ class TimeSeries:
     # -- transforms ------------------------------------------------------------
 
     def window(self, t_start: float, t_end: float) -> "TimeSeries":
-        """Samples with ``t_start <= t < t_end`` (a copy)."""
+        """Samples with ``t_start <= t < t_end`` (a copy), bounded by
+        bisection on the sorted times."""
         if t_end < t_start:
             raise ConfigurationError(f"bad window [{t_start}, {t_end})")
+        lo = bisect_left(self._times, t_start)
+        hi = bisect_left(self._times, t_end, lo)
         out = TimeSeries(self.name)
-        for t, v in self:
-            if t_start <= t < t_end:
-                out.append(t, v)
+        out._times = self._times[lo:hi]
+        out._values = self._values[lo:hi]
         return out
 
     def resample(self, interval: float, t_start: float | None = None,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.telemetry import TimeSeries
 
 
@@ -82,6 +82,69 @@ class TestWindow:
     def test_bad_window_raises(self):
         with pytest.raises(ConfigurationError):
             TimeSeries("x").window(2.0, 1.0)
+
+    def test_bounds_on_repeated_times(self):
+        """Every sample at ``t_start`` is kept, every one at ``t_end``
+        dropped, however many share the time."""
+        ts = TimeSeries("x", [(0.0, 1.0), (1.0, 2.0), (1.0, 3.0),
+                              (2.0, 4.0), (2.0, 5.0), (3.0, 6.0)])
+        assert list(ts.window(1.0, 2.0)) == [(1.0, 2.0), (1.0, 3.0)]
+        assert list(ts.window(2.0, 2.0)) == []
+        assert list(ts.window(-1.0, 9.0)) == list(ts)
+
+    def test_window_is_a_copy(self):
+        ts = TimeSeries("x", [(0.0, 1.0), (1.0, 2.0)])
+        w = ts.window(0.0, 5.0)
+        w.append(3.0, 9.0)
+        assert list(ts) == [(0.0, 1.0), (1.0, 2.0)]
+        assert w.name == "x"
+
+
+#: Times on a coarse grid, so sorted draws repeat times and bounds land
+#: exactly on samples.
+_grid_time = st.integers(0, 12).map(lambda k: k * 0.25)
+
+
+@given(st.lists(st.tuples(_grid_time,
+                          st.floats(-1e6, 1e6, allow_subnormal=True)),
+                max_size=40),
+       st.one_of(_grid_time, st.floats(-1.0, 4.0)),
+       st.one_of(_grid_time, st.floats(-1.0, 4.0)))
+def test_window_matches_linear_filter(samples, a, b):
+    """The bisected window equals the linear ``t_start <= t < t_end``
+    filter sample for sample, and the mean ``recent_rate`` takes of it
+    is bit-equal."""
+    samples = sorted(samples, key=lambda s: s[0])
+    t_start, t_end = min(a, b), max(a, b)
+    ts = TimeSeries("x", samples)
+    want = [(t, v) for t, v in samples if t_start <= t < t_end]
+    got = ts.window(t_start, t_end)
+    assert list(got) == want
+    if want:
+        mean = np.asarray([v for _, v in want], dtype=float).mean()
+        assert got.values.mean().tobytes() == mean.tobytes()
+
+
+class TestRestore:
+    def test_round_trip_with_repeated_times(self):
+        ts = TimeSeries("x", [(0.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
+        out = TimeSeries("x")
+        out.restore(ts.snapshot())
+        assert list(out) == list(ts)
+
+    def test_decreasing_times_refused(self):
+        state = TimeSeries("x", [(0.0, 1.0), (1.0, 2.0)]).snapshot()
+        state["times"] = [1.0, 0.0]
+        out = TimeSeries("x", [(5.0, 5.0)])
+        with pytest.raises(CheckpointError, match="decreasing"):
+            out.restore(state)
+        assert list(out) == [(5.0, 5.0)]
+
+    def test_length_mismatch_refused(self):
+        state = TimeSeries("x", [(0.0, 1.0), (1.0, 2.0)]).snapshot()
+        state["values"] = [1.0]
+        with pytest.raises(CheckpointError, match="2 times and 1 values"):
+            TimeSeries("x").restore(state)
 
 
 class TestResample:

@@ -199,6 +199,41 @@ class TestRowReuse:
         assert _row(group, 0) == before and group._free == [0]
 
 
+class TestAdvanceSlots:
+    """``VectorGroup.advance`` refuses a slot it cannot step before any
+    row moves: a retired row (its objects are gone) on either pass path,
+    a row listed twice (only possible out of order), a row past the
+    group."""
+
+    def _group(self):
+        host = VectorEngine()
+        host.build([(nid, _lammps(nid, seed=nid)) for nid in range(4)])
+        group = host.node(0).group
+        host.remove([2])
+        return host, group
+
+    @pytest.mark.parametrize("slots", [[0, 1, 2], [3, 2, 0]])
+    def test_retired_slot_refused(self, slots):
+        host, group = self._group()
+        before = _row(group, 0)
+        with pytest.raises(ConfigurationError, match="row 2 is not in use"):
+            group.advance(np.asarray(slots), np.full(len(slots), 1.0))
+        assert _row(group, 0) == before
+
+    def test_duplicate_slot_refused(self):
+        host, group = self._group()
+        before = _row(group, 1)
+        with pytest.raises(ConfigurationError, match="twice"):
+            group.advance(np.asarray([1, 3, 1]), np.full(3, 1.0))
+        assert _row(group, 1) == before
+
+    @pytest.mark.parametrize("slot", [4, -1])
+    def test_slot_outside_the_group_refused(self, slot):
+        host, group = self._group()
+        with pytest.raises(ConfigurationError, match="not in the group"):
+            group.advance(np.asarray([0, slot]), np.full(2, 1.0))
+
+
 class TestRetiredViews:
     def test_retired_view_does_not_alias_the_reused_row(self):
         host = VectorEngine()
