@@ -10,7 +10,6 @@ cluster-level power policy (see :mod:`repro.cluster.sharding`).
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError, check_snapshot_version
-from repro.hardware.config import NodeConfig
 from repro.stack import NodeStack, StackSpec
 
 __all__ = ["NodeInstance", "ProgressReadouts"]
@@ -45,22 +44,8 @@ class ProgressReadouts:
 class NodeInstance(ProgressReadouts):
     """A self-contained node running one application under a budget."""
 
-    def __init__(self, node_id: int, cfg: NodeConfig, app_name: str,
-                 app_kwargs: dict | None = None, seed: int = 0,
-                 initial_budget: float | None = None) -> None:
-        spec = StackSpec(
-            app_name=app_name,
-            cfg=cfg,
-            app_kwargs=app_kwargs,
-            seed=seed,
-            initial_budget=initial_budget,
-            name=f"node{node_id}",
-        )
-        self._init_from_spec(node_id, spec)
-
-    @classmethod
-    def from_spec(cls, node_id: int, spec: StackSpec) -> "NodeInstance":
-        """Build a node directly from a picklable stack spec.
+    def __init__(self, node_id: int, spec: StackSpec) -> None:
+        """Build node ``node_id`` from a picklable stack spec.
 
         The spec must carry no cap schedule (cluster nodes are driven
         by budgets, not schedules).
@@ -68,11 +53,6 @@ class NodeInstance(ProgressReadouts):
         if spec.schedule is not None:
             raise ConfigurationError(
                 "cluster nodes are driven by budgets, not a cap schedule")
-        inst = cls.__new__(cls)
-        inst._init_from_spec(node_id, spec)
-        return inst
-
-    def _init_from_spec(self, node_id: int, spec: StackSpec) -> None:
         self.node_id = node_id
         self.stack = NodeStack(spec).launch()
         self._energy_mark = 0.0

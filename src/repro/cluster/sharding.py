@@ -176,7 +176,7 @@ def _node_telemetry(node: NodeInstance) -> NodeTelemetry:
 
 def _build_node(node_id: int, item) -> NodeInstance:
     if isinstance(item, StackSpec):
-        return NodeInstance.from_spec(node_id, item)
+        return NodeInstance(node_id, item)
     return NodeInstance.from_checkpoint(item)
 
 

@@ -13,12 +13,10 @@ the defaults match the benchmark suite.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import obs
 from repro.obs import hostclock
-from repro.runtime.executor import CACHE_ENV, cache_stats, reset_cache_stats
 
 from repro.experiments import (
     extension_energy,
@@ -99,13 +97,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="shard lockstep nodes over this many worker "
                              "processes (extension_scheduler; results are "
                              "identical to serial)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="serve identical re-runs from a content-keyed "
-                             "on-disk result cache in this directory "
-                             f"(default: ${CACHE_ENV} if set)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache even if "
-                             f"${CACHE_ENV} is set")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="enable tracing and write the trace here on "
                              "exit: Chrome trace-event JSON (open in "
@@ -116,22 +107,11 @@ def main(argv: list[str] | None = None) -> int:
                              "prometheus-style text)")
     parser.add_argument("--manifest-out", default=None, metavar="PATH",
                         help="write a run-provenance manifest (config, "
-                             "seeds, package versions, timings, cache "
-                             "stats) here on exit")
+                             "seeds, package versions, timings) here on "
+                             "exit")
     parser.add_argument("--list", action="store_true",
                         help="print the registered experiment names and exit")
     args = parser.parse_args(argv)
-
-    # Experiments build their own RunExecutors, so the cache choice is
-    # routed through the environment variable the executor consults.
-    if args.no_cache:
-        # CLI plumbing, not simulation state: the variable only routes
-        # the cache directory to executors built deeper in the run.
-        os.environ.pop(CACHE_ENV, None)  # repro-lint: disable=det-environ
-    elif args.cache_dir is not None:
-        os.environ[CACHE_ENV] = args.cache_dir
-    # Resolved once here for the provenance manifest; same plumbing.
-    cache_dir = os.environ.get(CACHE_ENV)  # repro-lint: disable=det-environ
 
     if args.list:
         print("\n".join(sorted(_EXPERIMENTS)))
@@ -143,11 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace or args.metrics_out:
         obs.enable()
     total_wall = 0.0
-    totals = {"hits": 0, "misses": 0}
     try:
         for name in names:
             run, render = _EXPERIMENTS[name]
-            reset_cache_stats()
             # Host wall time for the operator's progress line only; no
             # simulated quantity derives from it.
             start = hostclock.perf_ns()
@@ -158,23 +136,15 @@ def main(argv: list[str] | None = None) -> int:
             elapsed = (hostclock.perf_ns() - start) / 1e9
             total_wall += elapsed
             print(render(result))
-            stats = cache_stats()
-            totals["hits"] += stats["hits"]
-            totals["misses"] += stats["misses"]
-            if stats["hits"] or stats["misses"]:
-                print(f"\n[executor cache: {stats['hits']} hits / "
-                      f"{stats['misses']} misses "
-                      f"({stats['hit_rate'] * 100.0:.0f}% hit rate)]")
             print(f"\n[{name} regenerated in {elapsed:.1f} s wall time]\n")
-        _write_outputs(args, names, total_wall, totals, cache_dir)
+        _write_outputs(args, names, total_wall)
     finally:
         obs.disable()
     return 0
 
 
 def _write_outputs(args: argparse.Namespace, names: list[str],
-                   total_wall: float, cache: dict,
-                   cache_dir: str | None) -> None:
+                   total_wall: float) -> None:
     """Persist the trace / metrics / manifest the flags asked for."""
     session = obs.session()
     trace_info = None
@@ -193,10 +163,8 @@ def _write_outputs(args: argparse.Namespace, names: list[str],
                 "quick": args.quick,
                 "workers": args.workers,
                 "shards": args.shards,
-                "cache_dir": cache_dir,
             },
             wall_time_s=round(total_wall, 3),
-            cache=cache,
             trace=trace_info,
             metrics=args.metrics_out,
         )

@@ -253,7 +253,6 @@ class Testbed:
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        total = uncapped_window + capped_window
         span = obs.tracer().span("harness.delta", app=app_name,
                                  p_cap=p_cap, repeats=repeats)
         tasks = [

@@ -1,14 +1,12 @@
 """Determinism rules.
 
-The repo's headline guarantees — bit-identical golden parity across
-``shards ∈ {1, 2, 4}`` and the content-keyed :class:`RunExecutor`
-result cache — hold only if simulation results are a pure function of
-the seed and the spec. Anything that samples the host (wall clock,
-process environment, global RNG state) silently breaks both. These
-rules flag every such source; the handful of legitimate uses (CLI
-plumbing, cache-directory discovery) carry explicit
-``# repro-lint: disable=...`` suppressions so each one is a reviewed
-decision, not an accident.
+The repo's headline guarantee — bit-identical golden parity across
+engines, shard counts and pool sizes — holds only if simulation results
+are a pure function of the seed and the spec. Anything that samples the
+host (wall clock, process environment, global RNG state) silently
+breaks it. These rules flag every such source; a legitimate use would
+carry an explicit ``# repro-lint: disable=...`` suppression so that it
+is a reviewed decision, not an accident.
 """
 
 from __future__ import annotations

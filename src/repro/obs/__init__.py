@@ -9,14 +9,13 @@ optimized. Three pillars:
   instant events at the hot seams: cluster/scheduler epoch loops,
   :class:`~repro.cluster.sharding.ShardedLockstep` dispatch (with
   per-epoch pickled payload bytes), :class:`~repro.runtime.executor.
-  RunExecutor` fan-out with cache hit/miss events, scheduler decisions,
-  and experiment phases. Exportable as JSONL or Chrome trace-event JSON
+  RunExecutor` fan-out, scheduler decisions, and experiment phases.
+  Exportable as JSONL or Chrome trace-event JSON
   (:mod:`repro.obs.export`) — the latter loads directly in Perfetto;
 * **metrics** (:mod:`repro.obs.metrics`) — labeled counters, gauges and
   histograms with text/JSON reports;
 * **run provenance** (:mod:`repro.obs.provenance`) — a JSON manifest
-  (config, seeds, versions, timings, cache stats) written next to a
-  run's outputs.
+  (config, seeds, versions, timings) written next to a run's outputs.
 
 The layer is **disabled by default** and zero-cost when off: call sites
 hold a shared :class:`~repro.obs.trace.NullTracer` /

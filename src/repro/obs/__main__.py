@@ -4,9 +4,8 @@ Usage::
 
     python -m repro.obs summarize run.json      # or run.jsonl
 
-Prints span totals, the executor result-cache hit rate, and per-shard
-pickled payload bytes for a trace emitted with
-``python -m repro.experiments <name> --trace <path>``.
+Prints span totals and per-shard pickled payload bytes for a trace
+emitted with ``python -m repro.experiments <name> --trace <path>``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_sum = sub.add_parser(
         "summarize",
-        help="span totals, cache hit rate, per-shard pickle bytes")
+        help="span totals and per-shard pickle bytes")
     p_sum.add_argument("trace",
                        help="trace file (Chrome trace-event JSON or JSONL)")
     args = parser.parse_args(argv)

@@ -2,8 +2,8 @@
 
 A :class:`MetricsRegistry` holds metrics keyed by ``(name, labels)`` —
 the Prometheus data model, minus the server: counters accumulate
-(epochs stepped, runs computed, bytes pickled), gauges hold a last
-value (cache hit rate), histograms keep streaming summary statistics
+(epochs stepped, bytes pickled), gauges hold a last value (daemon
+queue depth), histograms keep streaming summary statistics
 (per-epoch wall time) without storing samples.
 
 The registry renders as a stable, sorted text report or a JSON

@@ -2,10 +2,9 @@
 
 A manifest is a small JSON document written next to a run's outputs
 answering the questions a reader of those outputs asks first: what
-experiment, which seed and knobs, which package versions, how long it
-took, and how much of it was served from the result cache. It is pure
-*description* — nothing in the simulator reads a manifest back, so
-emitting one can never change a result.
+experiment, which seed and knobs, which package versions, and how long
+it took. It is pure *description* — nothing in the simulator reads a
+manifest back, so emitting one can never change a result.
 
 Wall-clock timestamps route through the audited host clock
 (:mod:`repro.obs.hostclock`); package versions and interpreter details
@@ -46,7 +45,6 @@ def _package_versions() -> dict[str, str]:
 
 def build_manifest(*, experiment: str, config: dict[str, Any],
                    wall_time_s: float | None = None,
-                   cache: dict[str, Any] | None = None,
                    trace: dict[str, Any] | None = None,
                    metrics: list[dict[str, Any]] | None = None
                    ) -> dict[str, Any]:
@@ -57,12 +55,10 @@ def build_manifest(*, experiment: str, config: dict[str, Any],
     experiment:
         Experiment name (e.g. ``"figure4"``).
     config:
-        The run's knobs: seed, quick, workers, shards, cache dir — any
+        The run's knobs: seed, quick, workers, shards — any
         JSON-serializable mapping.
     wall_time_s:
         Host wall time the run took, if measured.
-    cache:
-        Result-cache statistics (hits/misses/hit rate), if any.
     trace:
         Summary of an emitted trace (path, format, event count), if one
         was written.
@@ -84,8 +80,6 @@ def build_manifest(*, experiment: str, config: dict[str, Any],
     }
     if wall_time_s is not None:
         manifest["wall_time_s"] = round(float(wall_time_s), 6)
-    if cache is not None:
-        manifest["cache"] = cache
     if trace is not None:
         manifest["trace"] = trace
     if metrics is not None:

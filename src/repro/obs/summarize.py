@@ -2,9 +2,8 @@
 
 ``python -m repro.obs summarize <trace>`` answers the questions the
 ROADMAP keeps asking of the harness: where did the wall time go (span
-totals by name), how well did the :class:`RunExecutor` result cache do
-(hit rate), and how many bytes does :class:`ShardedLockstep` pickle per
-shard. Works on both trace formats via
+totals by name), and how many bytes does :class:`ShardedLockstep` pickle
+per shard. Works on both trace formats via
 :func:`repro.obs.export.load_trace`.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = ["span_totals", "cache_totals", "payload_totals", "summarize"]
+__all__ = ["span_totals", "payload_totals", "summarize"]
 
 
 def span_totals(events: Iterable[dict[str, Any]]
@@ -30,17 +29,6 @@ def span_totals(events: Iterable[dict[str, Any]]
     for agg in totals.values():
         agg["mean_ns"] = agg["total_ns"] / agg["count"]
     return totals
-
-
-def cache_totals(events: Iterable[dict[str, Any]]) -> tuple[int, int]:
-    """(hits, misses) of the executor result cache over the trace."""
-    hits = misses = 0
-    for ev in events:
-        if ev.get("name") == "executor.cache_hit":
-            hits += 1
-        elif ev.get("name") == "executor.cache_miss":
-            misses += 1
-    return hits, misses
 
 
 def payload_totals(events: Iterable[dict[str, Any]]
@@ -95,14 +83,6 @@ def summarize(events: Iterable[dict[str, Any]],
                 f"{_fmt_ms(agg['mean_ns']):>10}  "
                 f"{_fmt_ms(agg['max_ns']):>10}")
         lines.append("")
-
-    hits, misses = cache_totals(events)
-    if hits or misses:
-        rate = 100.0 * hits / (hits + misses)
-        lines.append(f"executor cache: {hits} hits / {misses} misses "
-                     f"({rate:.1f}% hit rate)")
-    else:
-        lines.append("executor cache: no cached executor activity")
 
     payloads = payload_totals(events)
     if payloads:

@@ -6,7 +6,7 @@ A :class:`Tracer` records two kinds of events, both carrying free-form
 * **spans** — ``with tracer.span("scheduler.epoch", now=t):`` records a
   complete-duration event covering the block (Chrome trace phase
   ``"X"``), nested naturally by the with-statement;
-* **instants** — ``tracer.instant("executor.cache_hit", index=i)``
+* **instants** — ``tracer.instant("shard.payload", shard=i)``
   records a point event (phase ``"i"``).
 
 Events are held in memory as plain dicts in Chrome-trace shape with

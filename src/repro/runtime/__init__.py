@@ -37,7 +37,7 @@ from repro.runtime.engine import (
     TaskState,
     Work,
 )
-from repro.runtime.executor import RunExecutor, derive_seed
+from repro.runtime.executor import RunExecutor
 from repro.runtime.pacing import EpochPacer
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "TaskState",
     "EpochPacer",
     "RunExecutor",
-    "derive_seed",
     "RunCheckpoint",
     "CheckpointStore",
     "save_run_checkpoint",

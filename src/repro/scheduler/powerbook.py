@@ -3,8 +3,8 @@
 The scheduler's decisions all reduce to two questions the paper's model
 answers: *how much power does this application draw uncapped?* and *how
 much progress does a given cap cost?* The :class:`PowerBook` measures
-both once per application on a reference node and caches the result as
-an :class:`AppPowerProfile`:
+both once per application on a reference node and keeps the result, in
+memory, as an :class:`AppPowerProfile`:
 
 * beta and MPO from the Section IV-A characterization protocol
   (:meth:`repro.experiments.harness.Testbed.characterize`),
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.beta import beta_from_times
 from repro.core.fitting import fit_alpha
 from repro.core.model import PowerCapModel
 from repro.exceptions import ConfigurationError, FittingError
 from repro.experiments.harness import Testbed
 from repro.hardware.config import NodeConfig, skylake_config
 from repro.nrm.schemes import FixedCapSchedule
-from repro.runtime.executor import RunExecutor
 
 __all__ = ["AppPowerProfile", "PowerBook", "CHARACTERIZE_SIZING",
            "steady_sizing"]
@@ -114,7 +112,7 @@ class AppPowerProfile:
 
 
 class PowerBook:
-    """Characterize applications on a reference node, once, and cache.
+    """Characterize applications on a reference node, once each.
 
     Parameters
     ----------
@@ -132,19 +130,12 @@ class PowerBook:
     probe_caps:
         Package caps for the model-fitting probe runs; non-binding caps
         (above the uncapped power draw) are dropped automatically.
-    executor:
-        :class:`~repro.runtime.executor.RunExecutor` the measurement
-        runs are dispatched through. Defaults to a serial executor —
-        which still consults the :data:`~repro.runtime.executor.
-        CACHE_ENV` result cache, so repeated characterizations (the CI
-        warm-pass job, repeated experiment invocations) are served from
-        disk. Results are identical for any worker count.
     """
 
     def __init__(self, cfg: NodeConfig | None = None, *, n_workers: int = 8,
                  seed: int = 0, duration: float = 12.0, warmup: float = 4.0,
-                 probe_caps: tuple[float, ...] = (90.0, 75.0, 60.0),
-                 executor: RunExecutor | None = None) -> None:
+                 probe_caps: tuple[float, ...] = (90.0, 75.0, 60.0)
+                 ) -> None:
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}")
@@ -158,7 +149,6 @@ class PowerBook:
         self.duration = duration
         self.warmup = warmup
         self.probe_caps = tuple(sorted(probe_caps, reverse=True))
-        self.executor = executor if executor is not None else RunExecutor(1)
         self._profiles: dict[str, AppPowerProfile] = {}
 
     # ------------------------------------------------------------------
@@ -179,65 +169,47 @@ class PowerBook:
 
     # ------------------------------------------------------------------
 
-    def _steady_kwargs(self, app_name: str) -> dict:
-        kwargs: dict = steady_sizing(app_name)
-        kwargs["n_workers"] = self.n_workers
-        return kwargs
-
-    def _task(self, app_name: str, app_kwargs: dict, *,
-              duration: float | None = None, cap: float | None = None,
-              dvfs_freq: float | None = None) -> "_MeasurementTask":
-        return _MeasurementTask(
-            cfg=self.cfg, seed=self.seed, app_name=app_name,
-            app_kwargs=dict(app_kwargs), duration=duration,
-            warmup=self.warmup, cap=cap, dvfs_freq=dvfs_freq)
+    def _steady(self, app_name: str,
+                cap: float | None = None) -> tuple[float, float]:
+        """One steady run: (mean progress rate, mean package power)
+        over the post-warmup window, uncapped or under a fixed cap."""
+        schedule = None if cap is None else FixedCapSchedule(cap)
+        result = Testbed(self.cfg, self.seed).run(
+            app_name, duration=self.duration, schedule=schedule,
+            app_kwargs={**steady_sizing(app_name),
+                        "n_workers": self.n_workers})
+        rate = result.steady_progress(self.warmup, self.duration,
+                                      ignore_zeros=False)
+        power = float(result.power.window(self.warmup,
+                                          self.duration).mean())
+        return rate, power
 
     def _characterize(self, app_name: str) -> AppPowerProfile:
-        """Measure one application's profile.
-
-        Every measurement run is an independent, picklable task routed
-        through :attr:`executor` — so a cache-enabled executor serves a
-        repeated characterization from disk, and a pooled one fans the
-        independent runs out. Either way the numbers are identical to
-        the serial in-process protocol (the runs carry their own seeds
-        and the reductions are the same functions).
-        """
+        """Measure one application's profile: the Section IV-A
+        characterization, one uncapped steady run, and one steady run
+        per binding probe cap."""
         with obs.tracer().span("powerbook.characterize", app=app_name):
             sizing = dict(CHARACTERIZE_SIZING.get(app_name, {}))
             sizing["n_workers"] = self.n_workers
-            # Section IV-A beta/MPO: execution time at the nominal and
-            # the low frequency; both runs are independent.
-            high, low = self.executor.map(_measurement_run, [
-                self._task(app_name, sizing, dvfs_freq=self.cfg.f_nominal),
-                self._task(app_name, sizing, dvfs_freq=self.cfg.f_beta_low),
-            ])
-            beta = beta_from_times(low.duration, high.duration,
-                                   self.cfg.f_beta_low, self.cfg.f_nominal)
+            char = Testbed(self.cfg, self.seed).characterize(
+                app_name, app_kwargs=sizing)
 
-            steady = self._steady_kwargs(app_name)
-            [base] = self.executor.map(_measurement_run, [
-                self._task(app_name, steady, duration=self.duration),
-            ])
-            r_max = base.rate
-            p_uncapped = base.power
+            r_max, p_uncapped = self._steady(app_name)
             if r_max <= 0:
                 raise ConfigurationError(
                     f"{app_name}: no progress during the uncapped probe")
-            p_coremax = max(beta, 1e-3) * p_uncapped
+            p_coremax = max(char.beta, 1e-3) * p_uncapped
 
             # non-binding caps carry no model information
             caps = [cap for cap in self.probe_caps if cap < p_uncapped]
-            probes = self.executor.map(_measurement_run, [
-                self._task(app_name, steady, duration=self.duration, cap=cap)
-                for cap in caps
-            ])
-            rates = [probe.rate for probe in probes]
+            rates = [self._steady(app_name, cap)[0] for cap in caps]
 
-            model, residual = self._fit(beta, r_max, p_coremax, caps, rates)
+            model, residual = self._fit(char.beta, r_max, p_coremax, caps,
+                                        rates)
             return AppPowerProfile(
                 app_name=app_name,
-                beta=beta,
-                mpo=high.mpo,
+                beta=char.beta,
+                mpo=char.mpo,
                 r_max=r_max,
                 p_uncapped=float(p_uncapped),
                 model=model,
@@ -264,47 +236,3 @@ class PowerBook:
             return PowerCapModel(beta=beta, r_max=r_max,
                                  p_coremax=p_coremax), float("nan")
         return fit.model, fit.residual_rms
-
-
-@dataclass(frozen=True)
-class _MeasurementTask:
-    """Picklable description of one PowerBook measurement run."""
-
-    cfg: NodeConfig
-    seed: int
-    app_name: str
-    app_kwargs: dict
-    duration: float | None           #: None runs the app to completion
-    warmup: float
-    cap: float | None                #: fixed package cap, None = uncapped
-    dvfs_freq: float | None          #: pinned frequency, None = free
-
-
-@dataclass(frozen=True)
-class _MeasurementResult:
-    """Plain-float reductions of one measurement run (picklable)."""
-
-    duration: float
-    mpo: float
-    rate: float                      #: NaN for run-to-completion tasks
-    power: float                     #: NaN for run-to-completion tasks
-
-
-def _measurement_run(task: _MeasurementTask) -> _MeasurementResult:
-    """Execute one measurement run; module-level so a process pool can
-    import it and the result cache can key it by content. The reductions
-    (steady rate over the post-warmup window, mean package power) happen
-    in the worker so only small plain data crosses the pipe."""
-    tb = Testbed(cfg=task.cfg, seed=task.seed)
-    schedule = None if task.cap is None else FixedCapSchedule(task.cap)
-    result = tb.run(task.app_name, duration=task.duration,
-                    schedule=schedule, dvfs_freq=task.dvfs_freq,
-                    app_kwargs=dict(task.app_kwargs))
-    rate = power = float("nan")
-    if task.duration is not None:
-        rate = result.steady_progress(task.warmup, task.duration,
-                                      ignore_zeros=False)
-        power = float(result.power.window(task.warmup,
-                                          task.duration).mean())
-    return _MeasurementResult(duration=result.duration, mpo=result.mpo(),
-                              rate=rate, power=power)

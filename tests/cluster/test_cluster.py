@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.exceptions import ConfigurationError
 from repro.hardware.config import skylake_config
+from repro.stack import StackSpec
 
 APP_KW = {"n_steps": 1_000_000, "n_workers": 8}
 
@@ -104,31 +105,32 @@ class TestPolicies:
             ProgressAwareRebalancer(100.0, gain=0.0)
 
 
+def lammps_spec(app_kwargs):
+    return StackSpec(app_name="lammps", cfg=skylake_config(),
+                     app_kwargs=app_kwargs, seed=1, name="node0")
+
+
 class TestNodeInstance:
     def test_advance_and_progress(self):
-        inst = NodeInstance(0, skylake_config(), "lammps",
-                            app_kwargs=APP_KW, seed=1)
+        inst = NodeInstance(0, lammps_spec(APP_KW))
         inst.advance(5.0)
         assert inst.now == pytest.approx(5.0)
         assert inst.recent_rate() > 0.0
 
     def test_budget_enforced(self):
-        inst = NodeInstance(0, skylake_config(), "lammps",
-                            app_kwargs={"n_steps": 1_000_000}, seed=1)
+        inst = NodeInstance(0, lammps_spec({"n_steps": 1_000_000}))
         inst.receive_budget(90.0)
         inst.advance(6.0)
         assert inst.node.frequency < inst.node.cfg.f_nominal
 
     def test_rewind_rejected(self):
-        inst = NodeInstance(0, skylake_config(), "lammps",
-                            app_kwargs=APP_KW, seed=1)
+        inst = NodeInstance(0, lammps_spec(APP_KW))
         inst.advance(2.0)
         with pytest.raises(ConfigurationError):
             inst.advance(1.0)
 
     def test_epoch_energy_increments(self):
-        inst = NodeInstance(0, skylake_config(), "lammps",
-                            app_kwargs=APP_KW, seed=1)
+        inst = NodeInstance(0, lammps_spec(APP_KW))
         inst.advance(2.0)
         first = inst.epoch_energy()
         inst.advance(4.0)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.node_instance import NodeInstance
 from repro.hardware.config import skylake_config
+from repro.stack import StackSpec
 
 pytestmark = pytest.mark.slow
 
@@ -19,8 +20,9 @@ APP_KW = {"n_steps": 1_000_000, "n_workers": 4}
 
 
 def _node(node_id=0, seed=5):
-    return NodeInstance(node_id, skylake_config(), "lammps",
-                        app_kwargs=APP_KW, seed=seed)
+    return NodeInstance(node_id, StackSpec(
+        app_name="lammps", cfg=skylake_config(), app_kwargs=APP_KW,
+        seed=seed, name=f"node{node_id}"))
 
 
 class TestEnergyMarkAcrossCheckpoint:

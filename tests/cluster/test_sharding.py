@@ -425,7 +425,7 @@ def test_serial_lockstep_is_step_node_with_deduplicated_budgets(
     from repro.vector.host import VectorNodeView
 
     specs = [_spec(i, seed=100 + i) for i in range(3)]
-    ref_nodes = [NodeInstance.from_spec(i, spec)
+    ref_nodes = [NodeInstance(i, spec)
                  for i, spec in enumerate(specs)]
     expected = [[_surface(step_node(ref_nodes[req.node_id], req))
                  for req in _plan_requests(epoch, budgets)]

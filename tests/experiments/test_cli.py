@@ -40,6 +40,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag", [["--cache-dir", "x"], ["--no-cache"]])
+    def test_result_cache_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", *flag])
+        assert exc.value.code == 2
+
 
 class TestObservabilityFlags:
     def test_trace_metrics_and_manifest_written(self, tmp_path, capsys):
@@ -68,6 +74,7 @@ class TestObservabilityFlags:
         assert m["config"]["seed"] == 2
         assert m["trace"]["path"] == str(trace)
         assert m["wall_time_s"] >= 0
+        assert "cache" not in m and "cache_dir" not in m["config"]
         # the CLI turns observability off again on the way out
         assert obs.enabled() is False
 

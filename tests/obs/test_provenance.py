@@ -19,13 +19,11 @@ class TestManifest:
 
     def test_optional_sections_only_when_given(self):
         bare = build_manifest(experiment="x", config={})
-        assert "cache" not in bare and "trace" not in bare
+        assert "wall_time_s" not in bare and "trace" not in bare
         full = build_manifest(
             experiment="x", config={}, wall_time_s=1.5,
-            cache={"hits": 2, "misses": 1},
             trace={"path": "t.json"}, metrics="m.txt")
         assert full["wall_time_s"] == 1.5
-        assert full["cache"] == {"hits": 2, "misses": 1}
         assert full["trace"] == {"path": "t.json"}
         assert full["metrics"] == "m.txt"
 

@@ -4,12 +4,7 @@ import pytest
 
 from repro.obs.__main__ import main
 from repro.obs.export import write_trace
-from repro.obs.summarize import (
-    cache_totals,
-    payload_totals,
-    span_totals,
-    summarize,
-)
+from repro.obs.summarize import payload_totals, span_totals, summarize
 from repro.obs.trace import Tracer
 
 
@@ -17,14 +12,11 @@ def sample_trace():
     ticks = iter(range(0, 10_000_000, 250_000))
     tracer = Tracer(clock=lambda: next(ticks))
     with tracer.span("epoch"):
-        tracer.instant("executor.cache_hit", index=0)
-        tracer.instant("executor.cache_miss", index=1)
         tracer.instant("shard.payload", cmd="step", shard=0,
                        bytes_down=100, bytes_up=40)
         tracer.instant("shard.payload", cmd="step", shard=1,
                        bytes_down=120, bytes_up=60)
     with tracer.span("epoch"):
-        tracer.instant("executor.cache_hit", index=2)
         tracer.instant("shard.payload", cmd="step", shard=0,
                        bytes_down=100, bytes_up=44)
     return tracer.events
@@ -38,9 +30,6 @@ class TestAggregation:
         assert agg["total_ns"] == agg["mean_ns"] * 2
         assert agg["max_ns"] >= agg["mean_ns"]
 
-    def test_cache_totals(self):
-        assert cache_totals(sample_trace()) == (2, 1)
-
     def test_payload_totals_aggregate_per_shard(self):
         totals = payload_totals(sample_trace())
         assert totals[0] == {"bytes_down": 200, "bytes_up": 84,
@@ -52,14 +41,13 @@ class TestAggregation:
         report = summarize(sample_trace(), source="run.json")
         assert "Trace summary: run.json" in report
         assert "epoch" in report
-        assert "2 hits / 1 misses (66.7% hit rate)" in report
+        assert "cache" not in report
         assert "shard 0: 200 B down / 84 B up over 2 dispatches" in report
         assert "total: 320 B down / 144 B up" in report
 
     def test_summarize_empty_trace(self):
         report = summarize([])
         assert "events: 0" in report
-        assert "no cached executor activity" in report
         assert "none recorded" in report
 
 
@@ -71,7 +59,7 @@ class TestCli:
         assert main(["summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Trace summary" in out
-        assert "2 hits / 1 misses" in out
+        assert "shard 0: 200 B down / 84 B up" in out
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "nope.json")]) == 2

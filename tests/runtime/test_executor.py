@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.runtime.executor import RunExecutor, default_workers, derive_seed
+from repro.runtime.executor import RunExecutor, default_workers
 
 
 def square(x):
@@ -21,28 +21,12 @@ def die(x):
 
 
 def seeded_sum(args):
-    """A worker whose output depends only on its derived seed."""
+    """A worker whose output depends only on its own seed key."""
     base, idx = args
     import numpy as np
 
-    rng = np.random.default_rng(derive_seed(base, idx))
+    rng = np.random.default_rng([base, idx])
     return float(rng.random(16).sum())
-
-
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(42, 3) == derive_seed(42, 3)
-
-    def test_distinct_across_indices(self):
-        seeds = [derive_seed(42, i) for i in range(64)]
-        assert len(set(seeds)) == 64
-
-    def test_distinct_across_bases(self):
-        assert derive_seed(1, 0) != derive_seed(2, 0)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ConfigurationError):
-            derive_seed(1, -1)
 
 
 class TestRunExecutor:
@@ -82,6 +66,15 @@ class TestRunExecutor:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
         assert RunExecutor(None).workers == default_workers()
+
+    def test_result_cache_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        assert RunExecutor(1).map(square, [1, 2, 3]) == [1, 4, 9]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_is_refused(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cache was removed"):
+            RunExecutor(1, cache_dir=tmp_path)
 
 
 @pytest.mark.slow

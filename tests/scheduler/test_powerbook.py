@@ -5,7 +5,8 @@ import pytest
 from repro.core.model import PowerCapModel
 from repro.exceptions import ConfigurationError
 from repro.scheduler import AppPowerProfile, PowerBook
-from repro.scheduler.powerbook import steady_sizing
+from repro.experiments.harness import Testbed
+from repro.scheduler.powerbook import CHARACTERIZE_SIZING, steady_sizing
 
 
 def synthetic_profile(beta=1.0, r_max=100.0, p_uncapped=95.0, alpha=2.0):
@@ -118,3 +119,11 @@ class TestPowerBook:
         assert profile.probe_caps  # at least one cap bound
         assert profile.predicted_slowdown(45.0) > 0.05
         assert profile.predicted_slowdown(45.0) < 0.8
+
+    @pytest.mark.slow
+    def test_beta_and_mpo_come_from_testbed_characterize(self):
+        profile = PowerBook(n_workers=2).profile("lammps")
+        char = Testbed(seed=0).characterize(
+            "lammps",
+            app_kwargs={**CHARACTERIZE_SIZING["lammps"], "n_workers": 2})
+        assert (profile.beta, profile.mpo) == (char.beta, char.mpo)

@@ -19,6 +19,7 @@ from repro.cluster.node_instance import NodeInstance
 from repro.experiments.harness import Testbed
 from repro.hardware.config import skylake_config
 from repro.nrm.schemes import FixedCapSchedule
+from repro.stack import StackSpec
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "golden_parity.json")
@@ -71,8 +72,9 @@ class TestNodeInstanceParity:
     @staticmethod
     def _drive(app, seed, budget, app_kwargs, until):
         # Mirrors make_golden.node_instance_case exactly.
-        inst = NodeInstance(0, skylake_config(), app, app_kwargs=app_kwargs,
-                            seed=seed, initial_budget=budget)
+        inst = NodeInstance(0, StackSpec(
+            app_name=app, cfg=skylake_config(), app_kwargs=app_kwargs,
+            seed=seed, initial_budget=budget, name="node0"))
         inst.advance(until / 2.0)
         first_energy = inst.epoch_energy()
         inst.receive_budget(None if budget is None else budget - 10.0)

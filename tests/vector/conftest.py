@@ -88,7 +88,7 @@ def surface(node) -> dict:
 def build_pair(app_name: str, seed: int = 7):
     """One object node and one vector-host node from the same spec."""
     spec = make_spec(app_name, seed=seed)
-    obj = NodeInstance.from_spec(0, spec)
+    obj = NodeInstance(0, spec)
     host = VectorEngine()
     host.build([(0, spec)])
     return obj, host

@@ -16,7 +16,7 @@ from tests.vector.conftest import bits, make_spec, surface
 def _node(engine: str, node_id: int):
     spec = make_spec("lammps", node_id=node_id, seed=7 + node_id)
     if engine == "object":
-        return NodeInstance.from_spec(node_id, spec)
+        return NodeInstance(node_id, spec)
     host = VectorEngine()
     host.build([(node_id, spec)])
     assert host.vector_node_ids == [node_id]

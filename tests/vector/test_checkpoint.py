@@ -117,12 +117,12 @@ class TestRoundTrips:
         """A checkpoint of a non-fast-path app imports as an object
         fallback inside the vector host, results unchanged."""
         spec = make_spec("candle")
-        obj = NodeInstance.from_spec(0, spec)
+        obj = NodeInstance(0, spec)
         _drive(obj, BUDGET_SCHEDULE[:3])
         host = VectorEngine()
         host.build([(0, obj.snapshot())])
         assert host.fallback_node_ids == [0]
-        ref = NodeInstance.from_spec(0, spec)
+        ref = NodeInstance(0, spec)
         _drive(ref, BUDGET_SCHEDULE[:3])
         _continue_and_compare(host.node(0), ref,
                               budgets=BUDGET_SCHEDULE[3:6])
@@ -342,7 +342,7 @@ class TestImporterValidation:
         """The object body starts a phase's shared factor stream in the
         fill that enters the phase, so a running loop always has one; the
         importer refuses a checkpoint that drops it."""
-        node = NodeInstance.from_spec(0, make_spec("lammps"))
+        node = NodeInstance(0, make_spec("lammps"))
         node.advance(0.5)
         checkpoint = node.snapshot()
         _drop_shared_stream(checkpoint["stack"].state)

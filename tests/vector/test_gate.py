@@ -56,7 +56,7 @@ class TestSupportsFastPath:
         the budget schedule (61.37 W is not a whole power unit)."""
         spec = dataclasses.replace(make_spec("lammps"), initial_budget=cap)
         assert supports_fast_path(spec) is None
-        obj = NodeInstance.from_spec(0, spec)
+        obj = NodeInstance(0, spec)
         host = VectorEngine()
         host.build([(0, spec)])
         assert host.vector_node_ids == [0]
@@ -78,7 +78,7 @@ class TestSupportsFastPath:
         which refuses to pin it exactly as the object engine does."""
         spec = _overpinned_spec()
         with pytest.raises(ConfigurationError, match="cannot pin 6"):
-            NodeInstance.from_spec(0, spec)
+            NodeInstance(0, spec)
         with pytest.raises(ConfigurationError, match="cannot pin 6"):
             VectorEngine().build([(0, spec)])
 

@@ -153,7 +153,7 @@ def test_checkpoint_under_another_id_is_refused(engine):
     engines (the object host used to keep the checkpoint's id, so node
     5's step results came back as node 3's)."""
     spec = make_spec("lammps", node_id=3)
-    node = NodeInstance.from_spec(3, spec)
+    node = NodeInstance(3, spec)
     node.advance(0.5)
     with ShardedLockstep(engine=engine) as lockstep:
         with pytest.raises(CheckpointError, match="node 3 added as node 5"):

@@ -193,7 +193,7 @@ class TestRowReuse:
         before = _row(group, 0)
         bad = _lammps(2, seed=2, cap=1e-6)
         with pytest.raises(ConfigurationError, match="positive"):
-            NodeInstance.from_spec(2, bad)
+            NodeInstance(2, bad)
         with pytest.raises(ConfigurationError, match="positive"):
             group.admit([(1, _lammps(1, seed=1)), (2, bad)])
         assert _row(group, 0) == before and group._free == [0]

@@ -143,7 +143,7 @@ class TestGroupedParity:
         host = VectorEngine()
         host.build(specs)
         assert sorted(host.vector_node_ids) == [0, 1, 2, 3]
-        objs = [NodeInstance.from_spec(i, spec) for i, spec in specs]
+        objs = [NodeInstance(i, spec) for i, spec in specs]
 
         for budget in BUDGET_SCHEDULE[:6]:
             per_node = [budget, 100.0, None, 125.0]
@@ -165,7 +165,7 @@ class TestGroupedParity:
         spec = dataclasses.replace(
             make_spec("lammps"),
             app_kwargs={"n_steps": 40, "n_workers": 4})
-        obj = NodeInstance.from_spec(0, spec)
+        obj = NodeInstance(0, spec)
         host = VectorEngine()
         host.build([(0, spec)])
         vec = host.node(0)
@@ -202,7 +202,7 @@ class TestWorkerCountParity:
         host = VectorEngine()
         host.build(specs)
         assert sorted(host.vector_node_ids) == [0, 1]
-        objs = [NodeInstance.from_spec(i, spec) for i, spec in specs]
+        objs = [NodeInstance(i, spec) for i, spec in specs]
 
         for epoch, budget in enumerate(BUDGET_SCHEDULE):
             per_node = (budget, BUDGET_SCHEDULE[-1 - epoch])
@@ -273,7 +273,7 @@ class TestGroupedMultiRowParity:
         host = VectorEngine()
         host.build([(nid, spec) for nid, spec, _ in specs])
         assert sorted(host.vector_node_ids) == sorted(n for n, _, _ in specs)
-        objs = {nid: NodeInstance.from_spec(nid, spec)
+        objs = {nid: NodeInstance(nid, spec)
                 for nid, spec, _ in specs}
 
         compared_mid_barrier = 0
