@@ -86,9 +86,10 @@ class CounterBank:
         self.n_cores = n_cores
         self.reset()
 
-    def accrue(self, core_id: int, *, instructions: float = 0.0,
+    def accrue(self, core_id: int, instructions: float = 0.0,
                cycles: float = 0.0, l3_misses: float = 0.0) -> None:
-        """Add event counts to one core (engine-internal)."""
+        """Add event counts to one core (engine-internal; the engine
+        passes them positionally, once per task and segment)."""
         if instructions < 0 or cycles < 0 or l3_misses < 0:
             raise ConfigurationError("counter increments must be non-negative")
         self._ins[core_id] += instructions

@@ -1,9 +1,12 @@
 """Per-core execution state.
 
 A :class:`CoreState` is a plain mutable record owned by the
-:class:`~repro.hardware.node.SimulatedNode` and updated by the execution
-engine at every rate recomputation. The power model reads it; nothing else
-mutates it.
+:class:`~repro.hardware.node.SimulatedNode`. Control software sets its
+frequency and duty; the execution engine writes its mode, compute
+fraction and traffic before every segment, from per-task memos, so a
+core whose task kept its work, frequency and duty gets the very same
+objects back. The power model reads it, and reuses a core's power term
+while those objects stay the same.
 """
 
 from __future__ import annotations

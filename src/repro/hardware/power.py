@@ -46,18 +46,29 @@ class PowerSample:
         return self.package + self.dram
 
 
+#: An empty memo slot: no core state holds ``None`` as its clock.
+_NO_TERM = (None, None, None, None, 0.0)
+
+
 class PowerModel:
     """Maps node state to instantaneous power draw.
 
     V(f) is memoized per frequency (the DVFS ladder is short and the
     config frozen), and :meth:`fold` is the one loop that sums core
     power and traffic; :meth:`sample` and the RAPL firmware's what-if
-    prediction both go through it.
+    prediction both go through it. A sample also memoizes each core's
+    power term with the ``(freq, duty, mode, compute_frac)`` it came
+    from, and reuses it while those four are the very same objects:
+    between two engine segments most cores keep their state, and a
+    reused term is bitwise (and in type) the one a recomputation would
+    give. A what-if neither reads nor writes that memo.
     """
 
     def __init__(self, cfg: NodeConfig) -> None:
         self.cfg = cfg
         self._volts: dict[float, float] = {}
+        # per core index: (freq, duty, mode, compute_frac, term)
+        self._terms: list[tuple] = []
 
     def core_power(self, core: CoreState) -> float:
         """Static + dynamic power of one core (watts)."""
@@ -74,9 +85,59 @@ class PowerModel:
         (the firmware's prediction); the activity pattern is the cores'
         current one either way. The left fold in core order is the
         reduction the vector engine replays, so it is bit-relevant.
+        Without an override each core's term comes from the per-core
+        memo when its inputs are unchanged.
         """
+        if freq is not None or duty is not None:
+            return self._what_if(cores, freq, duty)
+        term = self._term
+        memo = self._terms
+        if len(memo) != len(cores):
+            memo = self._terms = [_NO_TERM] * len(cores)
+        core_total = 0.0
+        traffic = 0.0
+        for i, core in enumerate(cores):
+            f = core.freq
+            d = core.duty
+            mode = core.mode
+            cf = core.compute_frac
+            m = memo[i]
+            if f is m[0] and d is m[1] and mode is m[2] and cf is m[3]:
+                p = m[4]
+            else:
+                p = term(f, d, mode, cf)
+                memo[i] = (f, d, mode, cf, p)
+            core_total = core_total + p
+            traffic = traffic + core.bytes_rate
+        return core_total, traffic
+
+    def _volt(self, f: float) -> float:
+        """V(f), memoized per frequency."""
+        volt = self._volts.get(f)
+        if volt is None:
+            # a float, so the result's type follows ``f`` as before
+            volt = self._volts[f] = float(self.cfg.voltage(f))
+        return volt
+
+    def _term(self, f: float, d: float, mode: CoreMode,
+              compute_frac: float) -> float:
+        """Power of one core at clock ``f``, duty ``d`` and ``mode``."""
         cfg = self.cfg
-        volts = self._volts
+        if mode is CoreMode.BUSY:
+            act = busy_activity(compute_frac, cfg.stall_activity)
+        elif mode is CoreMode.SPIN:
+            act = cfg.spin_activity
+        else:
+            act = cfg.sleep_activity
+        return core_power(self._volt(f), f, d, act, cfg.c_dyn,
+                          cfg.leak_per_volt)
+
+    def _what_if(self, cores: list[CoreState], freq: float | None,
+                 duty: float | None) -> tuple[float, float]:
+        """:meth:`fold` with ``freq``/``duty`` overriding the cores' own;
+        the firmware predicts with it several times per tick, so the
+        per-core term is inlined rather than a call to :meth:`_term`."""
+        cfg = self.cfg
         c_dyn = cfg.c_dyn
         leak = cfg.leak_per_volt
         stall = cfg.stall_activity
@@ -85,6 +146,7 @@ class PowerModel:
         # enum member lookups are slow enough to hoist out of the loop
         busy = CoreMode.BUSY
         spin = CoreMode.SPIN
+        volts = self._volts
         core_total = 0.0
         traffic = 0.0
         for core in cores:
@@ -92,8 +154,7 @@ class PowerModel:
             d = core.duty if duty is None else duty
             volt = volts.get(f)
             if volt is None:
-                # a float, so the result's type follows ``f`` as before
-                volt = volts[f] = float(cfg.voltage(f))
+                volt = self._volt(f)
             mode = core.mode
             if mode is busy:
                 act = busy_activity(core.compute_frac, stall)

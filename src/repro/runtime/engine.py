@@ -32,10 +32,9 @@ which reproduces the paper's Eq. 1 exactly: iteration time is
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
-
-import numpy as np
 
 from repro.exceptions import (
     CheckpointError,
@@ -72,6 +71,16 @@ __all__ = [
 COMPLETION_RTOL = 1e-12
 #: Slack within which a timer, wake-up or message delivery is due.
 TIMER_EPS = 1e-15
+
+
+def _compute_frac(cycles: float, rate: float, clock: float) -> float:
+    """Fraction of wall time retiring instructions, at most 1 (0 for a
+    stopped clock); ``1.0 if 1.0 < x else x`` keeps ``min(x, 1.0)``'s
+    operand."""
+    if not clock > 0:
+        return 0.0
+    x = compute_fraction(cycles, rate, clock)
+    return 1.0 if 1.0 < x else x
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +203,25 @@ class TaskState:
     # current Work quantum
     work: Work | None = None
     frac_done: float = 0.0
-    # per-segment cached rates
+    # rates of the current segment
     rate: float = 0.0            # d(frac)/dt
     bytes_rate: float = 0.0      # B/s
     compute_frac: float = 0.0    # share of wall time retiring instructions
-    clock: float = 0.0           # effective clock (Hz), running/spinning
     wake_time: float = 0.0       # for _SLEEPING
+    # Memo of the pure per-task terms, valid while ``memo_work``,
+    # ``memo_freq`` and ``memo_duty`` are the very objects of the
+    # task's work and its core's freq and duty (see
+    # Engine._recompute_rates). Spinning tasks memo only ``clock``,
+    # with ``memo_work`` None.
+    memo_work: Work | None = None
+    memo_freq: float | None = None
+    memo_duty: float | None = None
+    clock: float = 0.0           # effective clock (Hz), running/spinning
+    demand: float = 0.0          # uncontended bandwidth demand (B/s)
+    free_rate: float = 0.0       # rate when the demand is granted in full
+    free_compute_frac: float = 0.0   # compute_frac at ``free_rate``
+    work_ins: float = 0.0        # instructions of the whole quantum
+    work_misses: float = 0.0     # L3 misses of the whole quantum
 
     @property
     def done(self) -> bool:
@@ -273,7 +295,12 @@ class Engine:
     def add_timer(self, delay: float, callback: Callable[[float], None],
                   period: float | None = None) -> Timer:
         """Schedule ``callback(now)`` after ``delay`` seconds; with
-        ``period`` it re-fires drift-free every ``period`` seconds."""
+        ``period`` it re-fires drift-free every ``period`` seconds.
+
+        ``now`` is the engine's clock when the timer fires, which may
+        sit up to :data:`TIMER_EPS` before the scheduled time (a due
+        timer is one within that slack; see :meth:`_fire_timers`), not
+        the scheduled time itself."""
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         if period is not None and period <= 0:
@@ -334,17 +361,22 @@ class Engine:
 
             self._recompute_rates(running, spinning, sleeping)
 
-            dt = np.inf
+            # ``if b < dt: dt = b`` keeps the operand ``min(dt, b)``
+            # would, without the call.
+            dt = math.inf
             for t in running:
-                t_left = (1.0 - t.frac_done) / t.rate if t.rate > 0 else np.inf
-                dt = min(dt, t_left)
+                t_left = (1.0 - t.frac_done) / t.rate if t.rate > 0 else math.inf
+                if t_left < dt:
+                    dt = t_left
             for t in sleeping:
-                dt = min(dt, t.wake_time - now)
-            if next_timer is not None:
-                dt = min(dt, next_timer - now)
-            if until is not None:
-                dt = min(dt, until - now)
-            if not np.isfinite(dt):
+                t_left = t.wake_time - now
+                if t_left < dt:
+                    dt = t_left
+            if next_timer is not None and next_timer - now < dt:
+                dt = next_timer - now
+            if until is not None and until - now < dt:
+                dt = until - now
+            if not math.isfinite(dt):
                 raise SimulationError(
                     "no task can make progress and no timer is pending"
                 )
@@ -381,6 +413,12 @@ class Engine:
         return self._timers[0].time if self._timers else None
 
     def _fire_timers(self, now: float) -> None:
+        """Fire every timer due at ``now`` (scheduled no later than
+        ``now + TIMER_EPS``), in (time, seq) order. Each callback gets
+        ``now``, which can sit up to ``TIMER_EPS`` before the timer's
+        scheduled time: a segment that ends one ulp early, at a task's
+        completion, fires it then. A periodic timer's next firing stays
+        on its drift-free grid (``time += period``)."""
         while self._timers and self._timers[0].time <= now + TIMER_EPS:
             timer = heapq.heappop(self._timers)
             if timer.cancelled:
@@ -461,64 +499,60 @@ class Engine:
         """Set per-task rates and per-core power-model state for the
         upcoming constant-rate segment.
 
-        Each running or spinning task's effective clock is computed here
-        once and kept in ``TaskState.clock`` for :meth:`_integrate`: no
-        timer fires between the two calls, so frequency and duty cannot
-        change in between.
+        A running task's effective clock, uncontended bandwidth demand,
+        rate and compute fraction depend only on its ``Work`` and its
+        core's frequency and duty, so :meth:`_memoize` computes them
+        when one of those three changes and keeps them on the
+        :class:`TaskState`; the next event is usually one task finishing
+        its quantum, so the other tasks reuse theirs. The key compares
+        by identity (``Work`` and the node config are frozen), so a hit
+        gives exactly the bits a recomputation would. The demand total
+        is a left fold in ``running`` order, as in
+        :func:`~repro.hardware.memory.allocate_bandwidth`. When it fits
+        in the node's bandwidth every demand is granted in full and the
+        memoized rates stand; otherwise (and for a non-finite demand or
+        a non-positive capacity, which it refuses) the allocation runs
+        and the memory-bound rates follow from its grants. No timer
+        fires between this call and :meth:`_integrate`, so frequency and
+        duty cannot change in between.
         """
         node = self.node
-        cfg = node.cfg
         cores = node.cores
         busy, spin, sleep = CoreMode.BUSY, CoreMode.SPIN, CoreMode.SLEEP
         node.idle_all()
 
-        # Unconstrained per-task bandwidth demand.
-        mem_tasks: list[TaskState] = []
-        demands: list[float] = []
+        total = 0.0
         for t in running:
-            w = t.work
-            assert w is not None
             core = cores[t.core_id]
-            s = t.clock = effective_clock(core.freq, core.duty)
-            demand = 0.0
-            if w.bytes > 0:
-                link = cfg.core_link_bandwidth * core.duty
-                standalone = standalone_time(w.cycles, w.bytes, s, link)
-                demand = bandwidth_demand(w.bytes, standalone)
-            if demand > 0:
-                demands.append(demand)
-                mem_tasks.append(t)
-            else:
-                # no traffic, or so little (a subnormal byte count) that
-                # its demand underflows to zero and would grant a zero
-                # rate forever: the item is compute-bound
-                t.bytes_rate = 0.0
-        grants = (allocate_bandwidth(demands,
-                                     node.effective_mem_bandwidth).tolist()
-                  if mem_tasks else [])
-
-        gi = 0
+            f = core.freq
+            d = core.duty
+            if (t.work is not t.memo_work or f is not t.memo_freq
+                    or d is not t.memo_duty):
+                self._memoize(t, f, d)
+            # compute-bound tasks memo a demand of 0.0, which leaves the
+            # fold's bits as if they were skipped
+            total = total + t.demand
+        if total > 0.0 and not (total <= node.effective_mem_bandwidth
+                                and total < math.inf):
+            self._allocate(running)
+        else:
+            for t in running:
+                t.rate = t.free_rate
+                t.bytes_rate = t.demand
+                t.compute_frac = t.free_compute_frac
         for t in running:
-            w = t.work
             core = cores[t.core_id]
-            s = t.clock
-            if gi < len(mem_tasks) and mem_tasks[gi] is t:
-                granted = grants[gi]
-                gi += 1
-                t.bytes_rate = granted
-                t.rate = progress_rate(granted, w.bytes)
-            else:
-                t.rate = s / w.cycles
-                t.bytes_rate = 0.0
-            # Fraction of wall time retiring instructions.
-            t.compute_frac = (min(compute_fraction(w.cycles, t.rate, s), 1.0)
-                              if s > 0 else 0.0)
             core.mode = busy
             core.compute_frac = t.compute_frac
             core.bytes_rate = t.bytes_rate
         for t in spinning:
             core = cores[t.core_id]
-            t.clock = effective_clock(core.freq, core.duty)
+            f = core.freq
+            d = core.duty
+            if (t.memo_work is not None or f is not t.memo_freq
+                    or d is not t.memo_duty):
+                t.clock = effective_clock(f, d)
+                t.memo_work, t.memo_freq, t.memo_duty = None, f, d
             core.mode = spin
             core.compute_frac = 1.0
             core.bytes_rate = 0.0
@@ -528,27 +562,78 @@ class Engine:
             core.compute_frac = 0.0
             core.bytes_rate = 0.0
 
+    def _memoize(self, t: TaskState, f: float, d: float) -> None:
+        """Recompute ``t``'s memoized terms for its work at frequency
+        ``f`` and duty ``d``: the effective clock, the uncontended
+        bandwidth demand with the rate and compute fraction it gives,
+        and (for a new ``Work``) the quantum's instruction and miss
+        counts."""
+        w = t.work
+        assert w is not None
+        cfg = self.node.cfg
+        s = effective_clock(f, d)
+        demand = 0.0
+        if w.bytes > 0:
+            link = cfg.core_link_bandwidth * d
+            standalone = standalone_time(w.cycles, w.bytes, s, link)
+            demand = bandwidth_demand(w.bytes, standalone)
+        if demand > 0:
+            # the float an allocation would grant
+            demand = float(demand)
+            rate = progress_rate(demand, w.bytes)
+        else:
+            # no traffic, or so little (a subnormal byte count) that its
+            # demand underflows to zero and would grant a zero rate
+            # forever: the item is compute-bound
+            demand = 0.0
+            rate = s / w.cycles
+        if w is not t.memo_work:
+            t.work_ins = w.ins
+            t.work_misses = w.misses(cfg.cache_line)
+        t.clock = s
+        t.demand = demand
+        t.free_rate = rate
+        t.free_compute_frac = _compute_frac(w.cycles, rate, s)
+        t.memo_work, t.memo_freq, t.memo_duty = w, f, d
+
+    def _allocate(self, running: list[TaskState]) -> None:
+        """Rates of a segment whose demands exceed the node's bandwidth:
+        max-min fair grants to the memory-bound tasks, which also
+        refuses a non-finite demand or a non-positive capacity."""
+        mem_tasks = [t for t in running if t.demand > 0]
+        grants = allocate_bandwidth([t.demand for t in mem_tasks],
+                                    self.node.effective_mem_bandwidth)
+        for t, granted in zip(mem_tasks, grants.tolist()):
+            w = t.work
+            t.bytes_rate = granted
+            t.rate = progress_rate(granted, w.bytes)
+            t.compute_frac = _compute_frac(w.cycles, t.rate, t.clock)
+        for t in running:
+            if not t.demand > 0:
+                t.rate = t.free_rate
+                t.bytes_rate = 0.0
+                t.compute_frac = t.free_compute_frac
+
     def _integrate(self, running: list[TaskState], spinning: list[TaskState],
                    dt: float) -> None:
         """Accrue work, counters and energy over a segment of length ``dt``."""
         node = self.node
-        cfg = node.cfg
         node.accrue(dt)
         if dt <= 0:
             return
         accrue = node.counters.accrue
         for t in running:
-            w = t.work
-            dx = min(t.rate * dt, 1.0 - t.frac_done)
+            # the operand ``min(step, left)`` would keep
+            step = t.rate * dt
+            left = 1.0 - t.frac_done
+            dx = left if left < step else step
             t.frac_done += dx
-            accrue(t.core_id,
-                   instructions=w.ins * dx,
-                   cycles=t.clock * dt,
-                   l3_misses=w.misses(cfg.cache_line) * dx)
-        spin_ipc = cfg.spin_ipc
+            accrue(t.core_id, t.work_ins * dx, t.clock * dt,
+                   t.work_misses * dx)
+        spin_ipc = node.cfg.spin_ipc
         for t in spinning:
             s = t.clock
-            accrue(t.core_id, instructions=s * spin_ipc * dt, cycles=s * dt)
+            accrue(t.core_id, s * spin_ipc * dt, s * dt)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -559,10 +644,11 @@ class Engine:
         Requires every task body to expose ``snapshot()``/``restore()``
         (see :class:`repro.apps.body.ResumableBody`); raw generators
         cannot be checkpointed and raise :class:`CheckpointError`.
-        Per-segment rate caches are recomputed each segment and core
-        power-model state lives in the node snapshot, so neither is
-        captured here. ``_publish_hooks`` are wiring, re-created by the
-        stack on rebuild.
+        The per-task memos of :meth:`_recompute_rates` are not
+        captured: a restored engine starts with empty ones and rebuilds
+        them on its first segment, to the same bits. Core power-model
+        state lives in the node snapshot. ``_publish_hooks`` are wiring,
+        re-created by the stack on rebuild.
         """
         tasks = []
         for t in self._tasks:
