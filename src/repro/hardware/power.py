@@ -88,56 +88,9 @@ class PowerModel:
         Without an override each core's term comes from the per-core
         memo when its inputs are unchanged.
         """
-        if freq is not None or duty is not None:
-            return self._what_if(cores, freq, duty)
-        term = self._term
-        memo = self._terms
-        if len(memo) != len(cores):
-            memo = self._terms = [_NO_TERM] * len(cores)
-        core_total = 0.0
-        traffic = 0.0
-        for i, core in enumerate(cores):
-            f = core.freq
-            d = core.duty
-            mode = core.mode
-            cf = core.compute_frac
-            m = memo[i]
-            if f is m[0] and d is m[1] and mode is m[2] and cf is m[3]:
-                p = m[4]
-            else:
-                p = term(f, d, mode, cf)
-                memo[i] = (f, d, mode, cf, p)
-            core_total = core_total + p
-            traffic = traffic + core.bytes_rate
-        return core_total, traffic
-
-    def _volt(self, f: float) -> float:
-        """V(f), memoized per frequency."""
-        volt = self._volts.get(f)
-        if volt is None:
-            # a float, so the result's type follows ``f`` as before
-            volt = self._volts[f] = float(self.cfg.voltage(f))
-        return volt
-
-    def _term(self, f: float, d: float, mode: CoreMode,
-              compute_frac: float) -> float:
-        """Power of one core at clock ``f``, duty ``d`` and ``mode``."""
+        what_if = freq is not None or duty is not None
         cfg = self.cfg
-        if mode is CoreMode.BUSY:
-            act = busy_activity(compute_frac, cfg.stall_activity)
-        elif mode is CoreMode.SPIN:
-            act = cfg.spin_activity
-        else:
-            act = cfg.sleep_activity
-        return core_power(self._volt(f), f, d, act, cfg.c_dyn,
-                          cfg.leak_per_volt)
-
-    def _what_if(self, cores: list[CoreState], freq: float | None,
-                 duty: float | None) -> tuple[float, float]:
-        """:meth:`fold` with ``freq``/``duty`` overriding the cores' own;
-        the firmware predicts with it several times per tick, so the
-        per-core term is inlined rather than a call to :meth:`_term`."""
-        cfg = self.cfg
+        volts = self._volts
         c_dyn = cfg.c_dyn
         leak = cfg.leak_per_volt
         stall = cfg.stall_activity
@@ -146,21 +99,33 @@ class PowerModel:
         # enum member lookups are slow enough to hoist out of the loop
         busy = CoreMode.BUSY
         spin = CoreMode.SPIN
-        volts = self._volts
+        memo = self._terms
+        if len(memo) != len(cores):
+            memo = self._terms = [_NO_TERM] * len(cores)
         core_total = 0.0
         traffic = 0.0
-        for core in cores:
+        for i, core in enumerate(cores):
             f = core.freq if freq is None else freq
             d = core.duty if duty is None else duty
-            volt = volts.get(f)
-            if volt is None:
-                volt = self._volt(f)
             mode = core.mode
-            if mode is busy:
-                act = busy_activity(core.compute_frac, stall)
+            cf = core.compute_frac
+            m = memo[i]
+            if (not what_if and f is m[0] and d is m[1] and mode is m[2]
+                    and cf is m[3]):
+                p = m[4]
             else:
-                act = spin_act if mode is spin else sleep_act
-            core_total = core_total + core_power(volt, f, d, act, c_dyn, leak)
+                volt = volts.get(f)
+                if volt is None:
+                    # a float, so the result's type follows ``f`` as before
+                    volt = volts[f] = float(cfg.voltage(f))
+                if mode is busy:
+                    act = busy_activity(cf, stall)
+                else:
+                    act = spin_act if mode is spin else sleep_act
+                p = core_power(volt, f, d, act, c_dyn, leak)
+                if not what_if:
+                    memo[i] = (f, d, mode, cf, p)
+            core_total = core_total + p
             traffic = traffic + core.bytes_rate
         return core_total, traffic
 
